@@ -29,7 +29,7 @@ HERE = pathlib.Path(__file__).parent
 
 
 def field_norm(mesh, field):
-    return float(np.sqrt(np.sum(mesh.volumes * np.einsum("td,td->t", field, field))))
+    return float(np.sqrt(np.sum(mesh.geometry.volumes * np.einsum("td,td->t", field, field))))
 
 
 for beta in (1.0, 5.0):

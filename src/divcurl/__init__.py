@@ -34,13 +34,13 @@ from .assembly import (
 from .cli import RunConfig, run_study, selftest
 from .mesh import (
     DomainSpec,
-    ElementGeometry,
     Mesh,
     MeshError,
+    TetGeometry,
     build_domain,
     build_structured_tet_mesh,
     classify_boundary_faces,
-    element_geometry,
+    tet_geometry,
     write_vtk,
 )
 from .problems import (
@@ -53,14 +53,6 @@ from .problems import (
     sample_interior_points,
 )
 from .solver import SolutionFields, SolverError, recover_cavity_constants, solve
-from .weak_ops import (
-    ScalarWeakLocal,
-    VectorWeakLocal,
-    l2_project_cell,
-    l2_project_face,
-    project_field,
-    weak_curl_p0,
-    weak_gradient_p0,
-)
+from .weak_ops import project_field, weak_curl, weak_gradient
 
 __version__ = "0.1.0"

@@ -40,17 +40,22 @@ def _weighted_sq(d: np.ndarray, eps: np.ndarray) -> np.ndarray:
     return np.einsum("...d,de,...e->...", d, eps, d)
 
 
-def error_u(
-    problem: ProblemSpec, u_h: np.ndarray, mesh: Mesh, quad_degree: int = 4
-) -> float:
-    """Coefficient-weighted L2 distance between the exact field and the
-    piecewise-constant solution, by Gauss quadrature per element."""
+def _cell_sq_errors(problem, u_h, mesh, quad_degree) -> np.ndarray:
+    """Per-element squared weighted errors by Gauss quadrature."""
     pts, wts = tetrahedron_rule(quad_degree)
     phys = map_to_tetrahedra(pts, mesh.vertices[mesh.tets])
     uex = problem.exact_u(phys.reshape(-1, 3)).reshape(mesh.num_tets, -1, 3)
     diff = uex - u_h[:, None, :]
     cellsq = np.einsum("k,tk->t", wts, _weighted_sq(diff, problem.eps))
-    cellsq *= mesh.volumes / TET_REF_MEASURE
+    return cellsq * (mesh.geometry.volumes / TET_REF_MEASURE)
+
+
+def error_u(
+    problem: ProblemSpec, u_h: np.ndarray, mesh: Mesh, quad_degree: int = 4
+) -> float:
+    """Coefficient-weighted L2 distance between the exact field and the
+    piecewise-constant solution, by Gauss quadrature per element."""
+    cellsq = _cell_sq_errors(problem, u_h, mesh, quad_degree)
     return float(np.sqrt(np.maximum(cellsq.sum(), 0.0)))
 
 
@@ -58,13 +63,7 @@ def cell_error_norms(
     problem: ProblemSpec, u_h: np.ndarray, mesh: Mesh, quad_degree: int = 4
 ) -> np.ndarray:
     """Per-element weighted error norms (for field plots)."""
-    pts, wts = tetrahedron_rule(quad_degree)
-    phys = map_to_tetrahedra(pts, mesh.vertices[mesh.tets])
-    uex = problem.exact_u(phys.reshape(-1, 3)).reshape(mesh.num_tets, -1, 3)
-    diff = uex - u_h[:, None, :]
-    cellsq = np.einsum("k,tk->t", wts, _weighted_sq(diff, problem.eps))
-    cellsq *= mesh.volumes / TET_REF_MEASURE
-    return np.sqrt(np.maximum(cellsq, 0.0))
+    return np.sqrt(np.maximum(_cell_sq_errors(problem, u_h, mesh, quad_degree), 0.0))
 
 
 def error_Qu(
@@ -80,7 +79,8 @@ def error_Qu(
     """
     qu = project_field(problem.exact_u, mesh, quad_degree)
     diff = qu - u_h
-    return float(np.sqrt(np.sum(mesh.volumes * _weighted_sq(diff, problem.eps))))
+    volumes = mesh.geometry.volumes
+    return float(np.sqrt(np.sum(volumes * _weighted_sq(diff, problem.eps))))
 
 
 def triple_norm_dual(system: GlobalSystem, sol: SolutionFields) -> float:

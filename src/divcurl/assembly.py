@@ -136,16 +136,18 @@ def build_dof_map(mesh: Mesh) -> DofMap:
     return DofMap(nt, nf, offsets, total, tangents, fixed, cavity_faces, pinned)
 
 
-def _csr_from_triplets(rows, cols, vals, n) -> sparse.csr_matrix:
-    """Duplicate-summing COO -> CSR with a deterministic reduction order.
+def _csr_from_triplets(blocks, n) -> sparse.csr_matrix:
+    """Duplicate-summing COO -> CSR of broadcastable (rows, cols, vals)
+    blocks, with a deterministic reduction order.
 
     ``lexsort`` is stable, so mirrored triplet pairs are summed in the
     same sequence at (i, j) and (j, i) and symmetry is exact in floating
     point.
     """
-    rows = np.concatenate([r.ravel() for r in rows])
-    cols = np.concatenate([c.ravel() for c in cols])
-    vals = np.concatenate([v.ravel() for v in vals])
+    rows, cols, vals = (
+        np.concatenate([a.ravel() for a in arrays])
+        for arrays in zip(*(np.broadcast_arrays(*block) for block in blocks))
+    )
     order = np.lexsort((cols, rows))
     r, c, v = rows[order], cols[order], vals[order]
     fresh = np.empty(len(r), dtype=bool)
@@ -157,13 +159,15 @@ def _csr_from_triplets(rows, cols, vals, n) -> sparse.csr_matrix:
     )
 
 
-def _broadcast(rows, cols, vals):
-    shape = np.broadcast_shapes(rows.shape, cols.shape, vals.shape)
-    return (
-        np.broadcast_to(rows, shape),
-        np.broadcast_to(cols, shape),
-        np.broadcast_to(vals, shape),
-    )
+def _jump_blocks(cell, face, w):
+    """Triplets of sum_F w_F (x0 - xb_F)(y0 - yb_F) for cell DoFs (nt,),
+    their face DoFs (nt, 4) and weights w (nt, 4)."""
+    return [
+        (cell, cell, w.sum(axis=1)),
+        (cell[:, None], face, -w),
+        (face, cell[:, None], -w),
+        (face, face, w),
+    ]
 
 
 def assemble_s1(
@@ -177,29 +181,21 @@ def assemble_s1(
     as the tangential projector, so only tangential parts of q0 are
     penalized.
     """
+    geom = mesh.geometry
     nt = mesh.num_tets
     tf = mesh.tet_faces
-    area = mesh.face_areas[tf]  # (nt, 4)
-    hinv = 1.0 / mesh.tet_diameters  # (nt,)
+    area = geom.areas  # (nt, 4)
+    hinv = 1.0 / geom.diameters  # (nt,)
     tets = np.arange(nt)
 
     lam0 = dofmap.index("lam0", tets)  # (nt,)
     lamb = dofmap.index("lamb", tf)  # (nt, 4)
-    rows, cols, vals = [], [], []
+    blocks = _jump_blocks(lam0, lamb, rho1 * hinv[:, None] * area)
 
-    def add(r, c, v):
-        r, c, v = _broadcast(r, c, v)
-        rows.append(r), cols.append(c), vals.append(v)
-
-    w = rho1 * hinv[:, None] * area  # (nt, 4)
-    add(lam0, lam0, w.sum(axis=1))
-    add(lam0[:, None], lamb, -w)
-    add(lamb, lam0[:, None], -w)
-    add(lamb, lamb, w)
-
-    # q part: projector P = I - n n^T per face, tangent basis T (3x2)
-    normals = mesh.face_normals  # canonical, sign-independent here
-    P = np.eye(3)[None] - normals[:, :, None] * normals[:, None, :]
+    # q part: projector P = I - n n^T per tet face (sign-independent),
+    # tangent basis T (3x2) per face
+    n = geom.normals
+    P = np.eye(3) - n[:, :, :, None] * n[:, :, None, :]  # (nt, 4, 3, 3)
     T = dofmap.tangents.transpose(0, 2, 1)  # (nf, 3, 2)
     G = np.einsum("fdi,fdj->fij", T, T)  # (nf, 2, 2) Gram
 
@@ -209,17 +205,16 @@ def assemble_s1(
         "qb", tf[:, :, None], np.arange(2)[None, None, :]
     )  # (nt, 4, 2)
 
-    pq0 = np.einsum("tf,tfcd->tcd", w2, P[tf])  # (nt, 3, 3)
-    add(q0[:, :, None], q0[:, None, :], pq0)
-
+    pq0 = np.einsum("tf,tfcd->tcd", w2, P)  # (nt, 3, 3)
     cross = -w2[:, :, None, None] * T[tf]  # (nt, 4, 3, 2)
-    add(q0[:, None, :, None], qb[:, :, None, :], cross)
-    add(qb[:, :, None, :], q0[:, None, :, None], cross)
-
     gram = w2[:, :, None, None] * G[tf]  # (nt, 4, 2, 2)
-    add(qb[:, :, :, None], qb[:, :, None, :], gram)
-
-    return _csr_from_triplets(rows, cols, vals, dofmap.total)
+    blocks += [
+        (q0[:, :, None], q0[:, None, :], pq0),
+        (q0[:, None, :, None], qb[:, :, None, :], cross),
+        (qb[:, :, None, :], q0[:, None, :, None], cross),
+        (qb[:, :, :, None], qb[:, :, None, :], gram),
+    ]
+    return _csr_from_triplets(blocks, dofmap.total)
 
 
 def assemble_s2(
@@ -232,25 +227,11 @@ def assemble_s2(
     first order on smooth benchmarks (larger exponents over-damp it);
     the exponent is configurable.
     """
-    nt = mesh.num_tets
-    tf = mesh.tet_faces
-    area = mesh.face_areas[tf]
-    scale = rho3 * mesh.tet_diameters ** (-gamma_exp)
-    tets = np.arange(nt)
-
-    s0 = dofmap.index("s0", tets)
-    sb = dofmap.index("sb", tf)
-    w = scale[:, None] * area
-    rows, cols, vals = [], [], []
-    for r, c, v in (
-        (s0, s0, w.sum(axis=1)),
-        (s0[:, None], sb, -w),
-        (sb, s0[:, None], -w),
-        (sb, sb, w),
-    ):
-        r, c, v = _broadcast(r, c, v)
-        rows.append(r), cols.append(c), vals.append(v)
-    return _csr_from_triplets(rows, cols, vals, dofmap.total)
+    scale = rho3 * mesh.geometry.diameters ** (-gamma_exp)
+    s0 = dofmap.index("s0", np.arange(mesh.num_tets))
+    sb = dofmap.index("sb", mesh.tet_faces)
+    w = scale[:, None] * mesh.geometry.areas
+    return _csr_from_triplets(_jump_blocks(s0, sb, w), dofmap.total)
 
 
 def assemble_Bh(mesh: Mesh, eps: np.ndarray, dofmap: DofMap) -> sparse.csr_matrix:
@@ -263,12 +244,13 @@ def assemble_Bh(mesh: Mesh, eps: np.ndarray, dofmap: DofMap) -> sparse.csr_matri
         (psi0, eps grad_w s)_T  = sum_F |F| sb_F  psi0 . (eps n_F)
 
     with n_F the per-tet outward normal, so interior-face contributions
-    cancel between the two incident tets.
+    cancel between the two incident tets; each entry is |T| times a
+    :mod:`divcurl.weak_ops` kernel of a unit face trace.
     """
     nt = mesh.num_tets
     tf = mesh.tet_faces
-    area = mesh.face_areas[tf]
-    n_out = mesh.outward_normals()  # (nt, 4, 3)
+    area = mesh.geometry.areas
+    n_out = mesh.geometry.normals  # (nt, 4, 3)
     eps_n = np.einsum("cd,tfd->tfc", eps, n_out)  # (nt, 4, 3)
     tets = np.arange(nt)
 
@@ -278,22 +260,16 @@ def assemble_Bh(mesh: Mesh, eps: np.ndarray, dofmap: DofMap) -> sparse.csr_matri
     qb = dofmap.index("qb", tf[:, :, None], np.arange(2)[None, None, :])
     sb = dofmap.index("sb", tf)
 
-    rows, cols, vals = [], [], []
-
     v1 = area[:, :, None] * eps_n  # (nt, 4, 3)
-    r, c, v = _broadcast(lamb[:, :, None], u[:, None, :], v1)
-    rows.append(r), cols.append(c), vals.append(v)
-
     T = dofmap.tangents[tf]  # (nt, 4, 2, 3)
     txn = np.cross(T, n_out[:, :, None, :])  # (nt, 4, 2, 3)
     v2 = -area[:, :, None, None] * txn
-    r, c, v = _broadcast(qb[:, :, :, None], u[:, None, None, :], v2)
-    rows.append(r), cols.append(c), vals.append(v)
-
-    r, c, v = _broadcast(q0[:, None, :], sb[:, :, None], v1)
-    rows.append(r), cols.append(c), vals.append(v)
-
-    return _csr_from_triplets(rows, cols, vals, dofmap.total)
+    blocks = [
+        (lamb[:, :, None], u[:, None, :], v1),
+        (qb[:, :, :, None], u[:, None, None, :], v2),
+        (q0[:, None, :], sb[:, :, None], v1),
+    ]
+    return _csr_from_triplets(blocks, dofmap.total)
 
 
 def assemble_rhs(
@@ -307,7 +283,7 @@ def assemble_rhs(
     pts, wts = tetrahedron_rule(quad_degree)
     phys = map_to_tetrahedra(pts, mesh.vertices[mesh.tets])
     flat = phys.reshape(-1, 3)
-    scale = mesh.volumes / TET_REF_MEASURE
+    scale = mesh.geometry.volumes / TET_REF_MEASURE
 
     fvals = problem.f(flat).reshape(mesh.num_tets, -1)
     F[dofmap.index("lam0", tets)] = -scale * (fvals @ wts)

@@ -15,6 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, assembly, mesh as meshmod, problems, solver, weak_ops
+from .invariants import (
+    commutativity_defect,
+    kernel_identity_defect,
+    load_oracle_defect,
+    patch_test_defects,
+    system_defects,
+)
 
 __all__ = ["RunConfig", "ConfigError", "run_study", "selftest", "main"]
 
@@ -41,7 +48,6 @@ class RunConfig:
     vtk: str | None = None
     gamma: float | None = None
     beta: float | None = None
-    seed: int = 0
     problem_spec: object = None  # filled by validate()
 
     def validate(self):
@@ -168,137 +174,29 @@ def _write_fields_vtk(path, msh, problem, sol, system, quad_degree=4):
 # -- selftest -----------------------------------------------------------
 
 
-def _suite_kernel_identities(rng):
-    msh = meshmod.build_structured_tet_mesh(meshmod.build_domain(1), 1)
-    geom = meshmod.element_geometry(msh, 0)
-    ok = np.allclose(
-        weak_ops.weak_gradient_p0(geom, weak_ops.ScalarWeakLocal(1.0, np.ones(4))),
-        0.0,
-        atol=1e-12,
-    )
-    for t in range(msh.num_tets):
-        geom = meshmod.element_geometry(msh, t)
-        ok &= bool(
-            np.max(np.abs((geom.areas[:, None] * geom.normals).sum(axis=0))) < 1e-12
-        )
-        for i in range(4):
-            tangent = rng.standard_normal(3)
-            tangent -= (tangent @ geom.normals[i]) * geom.normals[i]
-            psib = np.zeros((4, 3))
-            psib[i] = tangent
-            got = weak_ops.weak_curl_p0(geom, weak_ops.VectorWeakLocal(np.zeros(3), psib))
-            want = 3.0 * np.cross(tangent, geom.grad_bary[i])
-            ok &= bool(np.allclose(got, want, atol=1e-11))
-    return ok
-
-
-def _random_tet(rng):
-    for _ in range(100):
-        verts = rng.uniform(-1.0, 1.0, size=(4, 3))
-        vol = np.linalg.det(verts[1:] - verts[0]) / 6.0
-        if abs(vol) > 1e-3:
-            if vol < 0:
-                verts[[2, 3]] = verts[[3, 2]]
-            return verts
-    raise RuntimeError("no well-shaped random tet found")
-
-
-def _suite_commutativity(rng, trials=200, tol=1e-11):
-    worst = 0.0
-    for _ in range(trials):
-        geom = meshmod.ElementGeometry.from_vertices(_random_tet(rng))
-        verts = geom.vertices
-        centroid = verts.mean(axis=0)
-        fcent = np.array([verts[[j for j in range(4) if j != i]].mean(axis=0)
-                          for i in range(4)])
-        a, b = rng.standard_normal(), rng.standard_normal(3)
-        v = weak_ops.ScalarWeakLocal(a + b @ centroid, a + fcent @ b)
-        got = weak_ops.weak_gradient_p0(geom, v)
-        worst = max(worst, np.max(np.abs(got - b)) / max(1.0, np.max(np.abs(b))))
-
-        C = rng.standard_normal((3, 3))
-        d = rng.standard_normal(3)
-        curl = np.array([C[2, 1] - C[1, 2], C[0, 2] - C[2, 0], C[1, 0] - C[0, 1]])
-        psib = fcent @ C.T + d
-        psib -= np.einsum("fd,fd->f", psib, geom.normals)[:, None] * geom.normals
-        psi = weak_ops.VectorWeakLocal(C @ centroid + d, psib)
-        got = weak_ops.weak_curl_p0(geom, psi)
-        worst = max(worst, np.max(np.abs(got - curl)) / max(1.0, np.max(np.abs(curl))))
-    return worst < tol
-
-
-def _constant_field_problem(value, eps):
-    value = np.asarray(value, dtype=float)
-    dom = meshmod.build_domain(1)
-
-    def exact_u(pts):
-        return np.broadcast_to(value, (len(pts), 3)).copy()
-
-    def f(pts):
-        return np.zeros(len(pts))
-
-    def g(pts):
-        return np.zeros_like(pts)
-
-    return problems.ProblemSpec(
-        0, "constant_patch", np.asarray(eps, float), dom, exact_u, f, g, "constant"
-    )
-
-
-def _suite_patch_test():
-    spec = _constant_field_problem([1.0, -2.0, 0.5], np.diag([3.0, 2.0, 1.0]))
-    msh = meshmod.build_structured_tet_mesh(spec.domain, 2)
-    system = assembly.assemble_global(spec, msh)
-    sol = solver.solve(system, method="direct")
-    err = analysis.error_u(spec, sol.u, msh)
-    duals = max(
-        analysis.triple_norm_dual(system, sol), analysis.triple_norm_s(system, sol)
-    )
-    return err <= 1e-8 and duals <= 1e-8
-
-
-def _suite_system_sanity(rng):
-    spec = problems.make_problem(1)
-    msh = meshmod.build_structured_tet_mesh(spec.domain, 2)
-    system = assembly.assemble_global(spec, msh)
-    asym = (system.A - system.A.T).tocoo()
-    ok = asym.nnz == 0 or np.max(np.abs(asym.data)) == 0.0
-    for _ in range(20):
-        x = rng.standard_normal(system.dofmap.total)
-        ok &= x @ (system.S1 @ x) >= -1e-12
-        ok &= x @ (system.S2 @ x) >= -1e-12
-    return bool(ok)
-
-
-def _suite_load_oracle(rng, count=100):
-    worst = 0.0
-    for ex in range(1, 8):
-        spec = problems.make_problem(ex)
-        pts = problems.sample_interior_points(spec, count, rng)
-        devs = problems.finite_difference_check(spec, pts)
-        worst = max(worst, devs["f"], devs["g"])
-    return worst < 1e-5
-
-
 def selftest(seed: int = 20240901) -> bool:
-    """Run the invariant suites and print one status line per suite."""
+    """Run the :mod:`divcurl.invariants` checks, one status line each."""
     rng = np.random.default_rng(seed)
+    cube = meshmod.build_structured_tet_mesh(meshmod.build_domain(1), 1)
+
+    def symmetric_psd():
+        asymmetry, min_energy = system_defects(rng, 20)
+        return asymmetry == 0.0 and min_energy >= -1e-12
+
     suites = [
-        ("kernel identities", lambda: _suite_kernel_identities(rng)),
-        ("projection commutativity", lambda: _suite_commutativity(rng)),
-        ("patch test", _suite_patch_test),
-        ("system symmetry and semidefiniteness", lambda: _suite_system_sanity(rng)),
-        ("finite-difference load oracle", lambda: _suite_load_oracle(rng)),
+        ("kernel identities", lambda: kernel_identity_defect(cube, rng) < 1e-12),
+        ("projection commutativity", lambda: commutativity_defect(rng, 200) < 1e-11),
+        ("patch test", lambda: max(patch_test_defects()) <= 1e-8),
+        ("system symmetry and semidefiniteness", symmetric_psd),
+        ("finite-difference load oracle", lambda: load_oracle_defect(rng) < 1e-5),
     ]
     all_ok = True
     for name, fn in suites:
         try:
-            ok = fn()
+            ok, note = bool(fn()), ""
         except Exception as exc:  # a crashing suite is a failing suite
-            print(f"[FAIL] {name}: {exc}")
-            all_ok = False
-            continue
-        print(f"[{'ok' if ok else 'FAIL'}] {name}")
+            ok, note = False, f": {exc}"
+        print(f"[{'ok' if ok else 'FAIL'}] {name}{note}")
         all_ok &= ok
     return all_ok
 
@@ -321,7 +219,7 @@ def _parse_config_file(path) -> dict:
     return out
 
 
-_INT_KEYS = {"example", "quad_degree", "seed"}
+_INT_KEYS = {"example", "quad_degree"}
 _FLOAT_KEYS = {"rho1", "rho2", "rho3", "gamma_exp", "tol", "gamma", "beta"}
 _STR_KEYS = {"solver", "csv", "md", "vtk"}
 
@@ -370,10 +268,10 @@ def _build_parser():
     p.add_argument("--vtk", help="write solution fields (finest level)")
     p.add_argument("--gamma", type=float, help="singularity exponent (problem 5)")
     p.add_argument("--beta", type=float, help="smooth-part strength (problem 7)")
-    p.add_argument("--seed", type=int, help="seed for randomized checks")
+    p.add_argument("--seed", type=int, default=20240901, help="--selftest seed")
     p.add_argument("--config", help="key = value file; flags take precedence")
     p.add_argument(
-        "--selftest", action="store_true", help="run invariant suites and exit"
+        "--selftest", action="store_true", help="run invariant checks and exit"
     )
     return p
 
@@ -381,7 +279,7 @@ def _build_parser():
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.selftest:
-        return 0 if selftest(args.seed if args.seed is not None else 20240901) else 3
+        return 0 if selftest(args.seed) else 3
 
     try:
         settings = {}
@@ -390,7 +288,7 @@ def main(argv=None) -> int:
                 settings[key] = _coerce(key, raw)
         for key in (
             "example refinements rho1 rho2 rho3 gamma_exp quad_degree "
-            "solver tol csv md vtk gamma beta seed".split()
+            "solver tol csv md vtk gamma beta".split()
         ):
             value = getattr(args, key)
             if value is not None:

@@ -16,19 +16,19 @@ Conventions
   cavity surface.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DomainSpec",
     "Mesh",
-    "ElementGeometry",
     "MeshError",
+    "TetGeometry",
     "build_domain",
     "build_structured_tet_mesh",
     "classify_boundary_faces",
-    "element_geometry",
+    "tet_geometry",
     "write_vtk",
     "INTERIOR",
 ]
@@ -46,6 +46,9 @@ _CUBE_PERMUTATIONS = (
     (2, 0, 1),
     (2, 1, 0),
 )
+
+# local face i = vertices of the tet omitting local vertex i
+_FACE_VERTICES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 
 class MeshError(Exception):
@@ -166,47 +169,54 @@ def build_domain(example_id: int) -> DomainSpec:
         raise MeshError(f"unknown example id {example_id}, expected 1..7") from None
 
 
-@dataclass
-class ElementGeometry:
-    """Per-tetrahedron geometric data.
+@dataclass(frozen=True)
+class TetGeometry:
+    """Geometry of a batch of N tetrahedra.
 
-    ``grad_bary[i]`` is the gradient of the barycentric coordinate of local
-    vertex i, and local face i (opposite vertex i) has outward unit normal
-    ``normals[i] = -grad_bary[i]/|grad_bary[i]|`` with area
-    ``areas[i] = 3 |T| |grad_bary[i]|``.
+    ``grad_bary[t, i]`` is the gradient of the barycentric coordinate of
+    local vertex i, and local face i (opposite vertex i) has area
+    ``areas[t, i]`` and outward unit normal ``normals[t, i]``.  The face
+    weights ``areas[..., None] * normals`` (|F| n_F) are what the weak
+    kernels and the coupling block sum.
     """
 
-    vertices: np.ndarray  # (4, 3)
-    volume: float
-    grad_bary: np.ndarray  # (4, 3)
-    areas: np.ndarray  # (4,)
-    normals: np.ndarray  # (4, 3) outward
-    diameter: float
-    face_ids: np.ndarray = field(default=None)  # (4,) global ids, if meshed
+    volumes: np.ndarray  # (N,)
+    grad_bary: np.ndarray  # (N, 4, 3)
+    areas: np.ndarray  # (N, 4)
+    normals: np.ndarray  # (N, 4, 3) outward
+    diameters: np.ndarray  # (N,)
 
-    @staticmethod
-    def from_vertices(verts: np.ndarray) -> "ElementGeometry":
-        """Geometry of a free-standing tet; raises on degenerate input."""
-        verts = np.asarray(verts, dtype=float)
-        vol = np.linalg.det(verts[1:] - verts[0]) / 6.0
-        if vol < 0:
-            verts = verts[[0, 1, 3, 2]]
-            vol = -vol
-        if vol == 0.0:
-            raise MeshError("degenerate (zero-volume) tetrahedron")
-        M = np.concatenate([np.ones((4, 1)), verts], axis=1)
-        grad = np.linalg.inv(M)[1:4, :].T
-        gnorm = np.linalg.norm(grad, axis=1)
-        pair_i, pair_j = np.triu_indices(4, k=1)
-        diam = float(np.linalg.norm(verts[pair_i] - verts[pair_j], axis=1).max())
-        return ElementGeometry(
-            vertices=verts,
-            volume=float(vol),
-            grad_bary=grad,
-            areas=3.0 * vol * gnorm,
-            normals=-grad / gnorm[:, None],
-            diameter=diam,
-        )
+
+def _triangle_areas(tri: np.ndarray) -> np.ndarray:
+    """Areas of triangles given as (..., 3, 3) vertex arrays."""
+    cross = np.cross(tri[..., 1, :] - tri[..., 0, :], tri[..., 2, :] - tri[..., 0, :])
+    return 0.5 * np.linalg.norm(cross, axis=-1)
+
+
+def _solid_geometry(verts: np.ndarray) -> tuple:
+    """Volumes, barycentric gradients, outward unit normals -grad/|grad|
+    and diameters of positively oriented (N, 4, 3) tets."""
+    vol6 = np.linalg.det(verts[:, 1:, :] - verts[:, :1, :])
+    if np.any(vol6 <= 0):
+        raise MeshError("non-positive tet volume (degenerate or negatively oriented)")
+    ones = np.ones((len(verts), 4, 1))
+    M = np.concatenate([ones, verts], axis=2)  # rows (1, x, y, z)
+    grad = np.linalg.inv(M)[:, 1:4, :].transpose(0, 2, 1)
+    pair_i, pair_j = np.triu_indices(4, k=1)
+    edge_vec = verts[:, pair_i, :] - verts[:, pair_j, :]
+    diameters = np.linalg.norm(edge_vec, axis=2).max(axis=1)
+    normals = -grad / np.linalg.norm(grad, axis=2)[:, :, None]
+    return vol6 / 6.0, grad, normals, diameters
+
+
+def tet_geometry(verts) -> TetGeometry:
+    """Geometry of free-standing tets with vertices ``verts`` (N, 4, 3);
+    raises :class:`MeshError` on a non-positive volume (callers orient
+    their tets)."""
+    verts = np.asarray(verts, dtype=float)
+    volumes, grad, normals, diameters = _solid_geometry(verts)
+    areas = _triangle_areas(verts[:, _FACE_VERTICES])
+    return TetGeometry(volumes, grad, areas, normals, diameters)
 
 
 class Mesh:
@@ -214,7 +224,7 @@ class Mesh:
 
     Instances are produced by :func:`build_structured_tet_mesh` and are
     immutable by convention; all fields are plain numpy arrays safe to
-    share across threads.
+    share across threads; ``geometry`` is the :class:`TetGeometry` of its tets.
     """
 
     def __init__(self, domain, n, vertices, vertex_ijk, tets):
@@ -231,9 +241,7 @@ class Mesh:
 
     def _build_faces(self):
         nt = len(self.tets)
-        # local face i = vertices of the tet omitting local vertex i
-        omit = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-        all_faces = self.tets[:, omit]  # (nt, 4, 3)
+        all_faces = self.tets[:, _FACE_VERTICES]  # (nt, 4, 3)
         all_faces = np.sort(all_faces.reshape(-1, 3), axis=1)
         faces, first, inverse = np.unique(
             all_faces, axis=0, return_index=True, return_inverse=True
@@ -267,30 +275,12 @@ class Mesh:
         self.face_tets = face_tets
 
     def _build_geometry(self):
-        verts_t = self.vertices[self.tets]  # (nt, 4, 3)
-        edges = verts_t[:, 1:, :] - verts_t[:, :1, :]
-        vol6 = np.linalg.det(edges)
-        if np.any(vol6 <= 0):
-            raise MeshError("negative or zero tet volume after orientation fix")
-        self.volumes = vol6 / 6.0
-
-        ones = np.ones((len(self.tets), 4, 1))
-        M = np.concatenate([ones, verts_t], axis=2)  # rows (1, x, y, z)
-        Minv = np.linalg.inv(M)
-        self.grad_bary = Minv[:, 1:4, :].transpose(0, 2, 1)  # (nt, 4, 3)
-
-        pair_i, pair_j = np.triu_indices(4, k=1)
-        edge_vec = verts_t[:, pair_i, :] - verts_t[:, pair_j, :]
-        self.tet_diameters = np.linalg.norm(edge_vec, axis=2).max(axis=1)
-
+        volumes, grad, outward, diameters = _solid_geometry(self.vertices[self.tets])
         fverts = self.vertices[self.faces]
-        cross = np.cross(fverts[:, 1] - fverts[:, 0], fverts[:, 2] - fverts[:, 0])
-        self.face_areas = 0.5 * np.linalg.norm(cross, axis=1)
+        self.face_areas = _triangle_areas(fverts)
         self.face_centroids = fverts.mean(axis=1)
 
         # canonical face normal := outward normal of the first incident tet
-        gnorm = np.linalg.norm(self.grad_bary, axis=2)
-        outward = -self.grad_bary / gnorm[:, :, None]  # (nt, 4, 3) unit
         nf = len(self.faces)
         t0 = self.face_tets[:, 0]
         loc0 = np.argmax(self.tet_faces[t0] == np.arange(nf)[:, None], axis=1)
@@ -302,6 +292,13 @@ class Mesh:
         if not np.allclose(np.abs(dots), 1.0, atol=1e-10):
             raise MeshError("inconsistent face orientation")
         self.tet_face_signs = np.where(dots > 0, 1, -1).astype(np.int8)
+
+        # per-tet areas and normals come from the shared face arrays, so
+        # the two tets of an interior face carry opposite face weights
+        areas = self.face_areas[self.tet_faces]
+        signs = self.tet_face_signs[:, :, None].astype(float)
+        normals = self.face_normals[self.tet_faces] * signs
+        self.geometry = TetGeometry(volumes, grad, areas, normals, diameters)
 
     # -- convenience --------------------------------------------------
 
@@ -320,18 +317,11 @@ class Mesh:
     @property
     def h(self) -> float:
         """Mesh size: the largest element diameter."""
-        return float(self.tet_diameters.max())
+        return float(self.geometry.diameters.max())
 
     @property
     def boundary_faces(self) -> np.ndarray:
         return np.flatnonzero(self.face_tet_count == 1)
-
-    def outward_normals(self) -> np.ndarray:
-        """Per-tet outward unit normals on the 4 local faces, (nt, 4, 3)."""
-        return (
-            self.face_normals[self.tet_faces]
-            * self.tet_face_signs[:, :, None].astype(float)
-        )
 
 
 def _lattice_counts(domain: DomainSpec, n: int) -> np.ndarray:
@@ -481,23 +471,6 @@ def classify_boundary_faces(mesh: Mesh, domain: DomainSpec) -> np.ndarray:
             "component surface (mesh/domain mismatch)"
         )
     return tags
-
-
-def element_geometry(mesh: Mesh, tet: int) -> ElementGeometry:
-    """Geometric data of one tetrahedron (see :class:`ElementGeometry`)."""
-    if not 0 <= tet < mesh.num_tets:
-        raise MeshError(f"tet index {tet} out of range")
-    fids = mesh.tet_faces[tet]
-    return ElementGeometry(
-        vertices=mesh.vertices[mesh.tets[tet]],
-        volume=float(mesh.volumes[tet]),
-        grad_bary=mesh.grad_bary[tet],
-        areas=mesh.face_areas[fids],
-        normals=mesh.face_normals[fids]
-        * mesh.tet_face_signs[tet, :, None].astype(float),
-        diameter=float(mesh.tet_diameters[tet]),
-        face_ids=fids,
-    )
 
 
 def write_vtk(mesh: Mesh, path: str, cell_data: dict | None = None) -> None:

@@ -86,7 +86,7 @@ def _equilibration_scale(system: GlobalSystem, A_ff: sparse.csr_matrix):
     Both solver paths work on D^-1/2 A D^-1/2.
     """
     dm = system.dofmap
-    h_of_tet = system.mesh.tet_diameters
+    h_of_tet = system.mesh.geometry.diameters
     h_of_face = h_of_tet[system.mesh.face_tets[:, 0]]
     hvec = np.empty(dm.total)
     for name, per, source in (

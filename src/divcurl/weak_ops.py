@@ -1,4 +1,4 @@
-"""Element-level weak Galerkin kernels for the lowest-order element.
+"""Batched weak Galerkin kernels for the lowest-order element.
 
 A weak function on a tet carries an interior value and one trace value per
 face.  Testing the defining integration-by-parts identities against
@@ -9,34 +9,21 @@ weak curl of piecewise-constant weak functions:
     curl_w psi    = -(1/|T|) sum_F  |F| (psi_b,F x n_F)
 
 with n_F the outward unit normal.  The interior value does not enter at
-this order.  Face trace vectors live in the face plane and are stored as
-global 3-vectors.
+this order, so the kernels take the face traces of a batch of N tets
+only.  Face trace vectors live in the face plane as global 3-vectors.
 
 All kernels and projections are pure functions of their arguments and
 safe to call concurrently.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .mesh import ElementGeometry
-from .quadrature import (
-    TET_REF_MEASURE,
-    TRI_REF_MEASURE,
-    map_to_tetrahedra,
-    map_to_triangles,
-    tetrahedron_rule,
-    triangle_rule,
-)
+from .mesh import TetGeometry
+from .quadrature import TET_REF_MEASURE, map_to_tetrahedra, tetrahedron_rule
 
 __all__ = [
-    "ScalarWeakLocal",
-    "VectorWeakLocal",
-    "weak_gradient_p0",
-    "weak_curl_p0",
-    "l2_project_cell",
-    "l2_project_face",
+    "weak_gradient",
+    "weak_curl",
     "project_field",
     "TANGENT_TOL",
 ]
@@ -44,74 +31,26 @@ __all__ = [
 TANGENT_TOL = 1e-12
 
 
-@dataclass
-class ScalarWeakLocal:
-    """Scalar weak function on one tet: cell value and 4 face values."""
-
-    v0: float
-    vb: np.ndarray  # (4,)
+def weak_gradient(geom: TetGeometry, vb: np.ndarray) -> np.ndarray:
+    """(N, 3) weak gradients of the scalar face traces ``vb`` (N, 4)."""
+    weighted = geom.areas * np.asarray(vb, dtype=float)
+    return np.einsum("tf,tfd->td", weighted, geom.normals) / geom.volumes[:, None]
 
 
-@dataclass
-class VectorWeakLocal:
-    """Vector weak function on one tet.
-
-    ``psib[i]`` is the trace on local face i, a global 3-vector lying in
-    the face plane (``psib[i] . n_i = 0``).
-    """
-
-    psi0: np.ndarray  # (3,)
-    psib: np.ndarray  # (4, 3)
-
-
-def weak_gradient_p0(geom: ElementGeometry, v: ScalarWeakLocal) -> np.ndarray:
-    """Discrete weak gradient of a piecewise-constant scalar weak function."""
-    vb = np.asarray(v.vb, dtype=float)
-    return (geom.areas * vb) @ geom.normals / geom.volume
-
-
-def weak_curl_p0(geom: ElementGeometry, psi: VectorWeakLocal) -> np.ndarray:
-    """Discrete weak curl of a piecewise-constant vector weak function.
+def weak_curl(geom: TetGeometry, psib: np.ndarray) -> np.ndarray:
+    """(N, 3) weak curls of the tangential face traces ``psib`` (N, 4, 3).
 
     Raises ``ValueError`` when a face trace has a normal component larger
     than ``TANGENT_TOL`` relative to its magnitude.
     """
-    psib = np.asarray(psi.psib, dtype=float)
-    normal_part = np.abs(np.einsum("fd,fd->f", psib, geom.normals))
-    scale = np.maximum(np.linalg.norm(psib, axis=1), 1.0)
+    psib = np.asarray(psib, dtype=float)
+    normal_part = np.abs(np.einsum("tfd,tfd->tf", psib, geom.normals))
+    scale = np.maximum(np.linalg.norm(psib, axis=2), 1.0)
     if np.any(normal_part > TANGENT_TOL * scale):
         raise ValueError("face trace is not tangential to the face plane")
     return -np.einsum(
-        "f,fd->d", geom.areas, np.cross(psib, geom.normals)
-    ) / geom.volume
-
-
-def l2_project_cell(f, verts: np.ndarray, degree: int = 4):
-    """Cell average of a scalar or vector field over one tetrahedron.
-
-    ``f`` maps (N, 3) points to (N,) or (N, 3) values.  Exact for
-    polynomials up to the quadrature degree.
-    """
-    pts, wts = tetrahedron_rule(degree)
-    phys = map_to_tetrahedra(pts, verts[None])[0]
-    vals = np.asarray(f(phys), dtype=float)
-    return np.tensordot(wts, vals, axes=1) / TET_REF_MEASURE
-
-
-def l2_project_face(g, verts: np.ndarray, degree: int = 4, normal=None):
-    """Face average of a field over one triangle.
-
-    For vector fields with ``normal`` given, returns the tangential part
-    of the mean: mean(g) - (mean(g).n) n.
-    """
-    pts, wts = triangle_rule(degree)
-    phys = map_to_triangles(pts, verts[None])[0]
-    vals = np.asarray(g(phys), dtype=float)
-    mean = np.tensordot(wts, vals, axes=1) / TRI_REF_MEASURE
-    if normal is not None and mean.shape == (3,):
-        n = np.asarray(normal, dtype=float)
-        mean = mean - (mean @ n) * n
-    return mean
+        "tf,tfd->td", geom.areas, np.cross(psib, geom.normals)
+    ) / geom.volumes[:, None]
 
 
 def project_field(u, mesh, degree: int = 4) -> np.ndarray:

@@ -13,15 +13,15 @@ import numpy as np
 from divcurl.analysis import error_u, triple_norm_dual, triple_norm_s
 from divcurl.assembly import assemble_global
 from divcurl.cli import RunConfig, run_study
-from divcurl.mesh import ElementGeometry, build_domain, build_structured_tet_mesh
-from divcurl.problems import (
-    ProblemSpec,
-    finite_difference_check,
-    make_problem,
-    sample_interior_points,
+from divcurl.invariants import (
+    commutativity_defect,
+    load_oracle_defect,
+    patch_test_defects,
+    system_defects,
 )
+from divcurl.mesh import build_structured_tet_mesh
+from divcurl.problems import ProblemSpec, make_problem
 from divcurl.solver import solve
-from divcurl.weak_ops import ScalarWeakLocal, VectorWeakLocal, weak_curl_p0, weak_gradient_p0
 
 
 def report_line(num, text):
@@ -41,17 +41,7 @@ def in_window(rates, lo, hi):
 
 def test_criterion_1_patch_test():
     t0 = time.perf_counter()
-    value = np.array([1.0, -2.0, 0.5])
-    spec = ProblemSpec(
-        0, "patch", np.diag([3.0, 2.0, 1.0]), build_domain(1),
-        lambda p: np.broadcast_to(value, (len(p), 3)).copy(),
-        lambda p: np.zeros(len(p)), lambda p: np.zeros_like(p), "constant",
-    )
-    m = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, m)
-    sol = solve(system, method="direct")
-    eu = error_u(spec, sol.u, m)
-    duals = max(triple_norm_dual(system, sol), triple_norm_s(system, sol))
+    eu, duals = patch_test_defects()
     elapsed = time.perf_counter() - t0
     assert eu <= 1e-8 and duals <= 1e-8
     assert elapsed < 5.0
@@ -60,29 +50,7 @@ def test_criterion_1_patch_test():
 
 def test_criterion_2_commutativity_property():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(20240901)
-    worst = 0.0
-    trials = 0
-    while trials < 1000:
-        verts = rng.uniform(-1.0, 1.0, (4, 3))
-        vol = np.linalg.det(verts[1:] - verts[0]) / 6.0
-        if abs(vol) < 1e-3:
-            continue
-        trials += 1
-        geom = ElementGeometry.from_vertices(verts)
-        v = geom.vertices
-        centroid = v.mean(axis=0)
-        fcent = np.array([v[[j for j in range(4) if j != i]].mean(axis=0)
-                          for i in range(4)])
-        a, b = rng.standard_normal(), rng.standard_normal(3)
-        got = weak_gradient_p0(geom, ScalarWeakLocal(a + b @ centroid, a + fcent @ b))
-        worst = max(worst, np.abs(got - b).max() / max(1.0, np.abs(b).max()))
-        C, d = rng.standard_normal((3, 3)), rng.standard_normal(3)
-        curl = np.array([C[2, 1] - C[1, 2], C[0, 2] - C[2, 0], C[1, 0] - C[0, 1]])
-        psib = fcent @ C.T + d
-        psib -= np.einsum("fd,fd->f", psib, geom.normals)[:, None] * geom.normals
-        got = weak_curl_p0(geom, VectorWeakLocal(C @ centroid + d, psib))
-        worst = max(worst, np.abs(got - curl).max() / max(1.0, np.abs(curl).max()))
+    worst = commutativity_defect(np.random.default_rng(20240901), 1000)
     elapsed = time.perf_counter() - t0
     assert worst < 1e-11
     assert elapsed < 5.0
@@ -91,17 +59,11 @@ def test_criterion_2_commutativity_property():
 
 def test_criterion_3_load_oracle():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(20240902)
-    worst = {}
-    for ex in range(1, 8):
-        spec = make_problem(ex)
-        pts = sample_interior_points(spec, 100, rng, min_sing_dist=0.1)
-        devs = finite_difference_check(spec, pts, step=1e-5)
-        worst[ex] = max(devs["f"], devs["g"])
-        assert worst[ex] < 1e-5, (ex, devs)
+    worst = load_oracle_defect(np.random.default_rng(20240902), 100)
+    assert worst < 1e-5
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
-    report_line(3, f"load oracle max deviation {max(worst.values()):.2e}, {elapsed:.2f}s")
+    report_line(3, f"load oracle max deviation {worst:.2e}, {elapsed:.2f}s")
 
 
 def test_criterion_4_smooth_cube_rates():
@@ -182,16 +144,11 @@ def test_criterion_9_harmonic_pollution(tmp_path):
 
 
 def test_criterion_10_system_sanity():
+    asymmetry, min_energy = system_defects(np.random.default_rng(7), 100)
+    assert asymmetry == 0.0
+    assert min_energy >= -1e-12
     spec = make_problem(1)
     m = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, m)
-    asym = (system.A - system.A.T).tocoo()
-    assert asym.nnz == 0 or np.abs(asym.data).max() == 0.0
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        x = rng.standard_normal(system.dofmap.total)
-        assert x @ (system.S1 @ x) >= -1e-12
-        assert x @ (system.S2 @ x) >= -1e-12
     zero_spec = ProblemSpec(
         0, "zero", spec.eps, spec.domain,
         lambda p: np.zeros_like(p), lambda p: np.zeros(len(p)),

@@ -47,7 +47,7 @@ def test_error_Qu_identities():
     # a single-cell unit defect contributes sqrt(|T| eps_00)
     u_h = qu.copy()
     u_h[0, 0] += 1.0
-    assert error_Qu(spec, u_h, m) == pytest.approx(np.sqrt(m.volumes[0] * 3.0))
+    assert error_Qu(spec, u_h, m) == pytest.approx(np.sqrt(m.geometry.volumes[0] * 3.0))
 
 
 def test_cell_error_norms_sum():
@@ -106,7 +106,7 @@ def test_extraction_warns_on_simply_connected():
         eta, sol, system = extract_discrete_harmonic(spec, m)
     assert eta.shape == (m.num_tets, 3)
     # the defect is the projection error of the solve, small for smooth data
-    nrm = np.sqrt(np.sum(m.volumes * np.einsum("td,td->t", eta, eta)))
+    nrm = np.sqrt(np.sum(m.geometry.volumes * np.einsum("td,td->t", eta, eta)))
     assert nrm < 0.5
 
 
@@ -117,7 +117,7 @@ def test_extraction_decays_on_simply_connected():
         m = build_structured_tet_mesh(spec.domain, n)
         with pytest.warns(UserWarning):
             eta, _, _ = extract_discrete_harmonic(spec, m)
-        norms.append(np.sqrt(np.sum(m.volumes * np.einsum("td,td->t", eta, eta))))
+        norms.append(np.sqrt(np.sum(m.geometry.volumes * np.einsum("td,td->t", eta, eta))))
     assert norms[1] < 0.75 * norms[0]
 
 
@@ -144,7 +144,7 @@ def test_extraction_persists_on_toroid():
     for n in (2, 4):
         m = build_structured_tet_mesh(spec.domain, n)
         eta, sol, system = extract_discrete_harmonic(spec, m)
-        norms.append(np.sqrt(np.sum(m.volumes * np.einsum("td,td->t", eta, eta))))
+        norms.append(np.sqrt(np.sum(m.geometry.volumes * np.einsum("td,td->t", eta, eta))))
     # harmonic defect levels off instead of vanishing
     assert norms[1] > 0.5 * norms[0]
     assert norms[1] > 0.4

@@ -11,9 +11,11 @@ from divcurl.assembly import (
     assemble_s2,
     build_dof_map,
 )
+from divcurl.invariants import system_defects
 from divcurl.mesh import build_domain, build_structured_tet_mesh
 from divcurl.problems import ProblemSpec, make_problem
 from divcurl.solver import solve
+from divcurl.weak_ops import weak_curl, weak_gradient
 
 
 def constant_problem(value, eps=None, domain=None):
@@ -101,7 +103,7 @@ def test_s1_single_tet_hand_value():
     t = 0
     x = np.zeros(dm.total)
     x[dm.index("lam0", t)] = 1.0
-    expected = m.face_areas[m.tet_faces[t]].sum() / m.tet_diameters[t]
+    expected = m.face_areas[m.tet_faces[t]].sum() / m.geometry.diameters[t]
     assert x @ (S1 @ x) == pytest.approx(expected)
     # lam0 = lamb everywhere: zero energy in the lambda part
     x = np.zeros(dm.total)
@@ -135,7 +137,7 @@ def test_s2_values(cube1):
     t = 0
     x = np.zeros(dm.total)
     x[dm.index("s0", t)] = 1.0
-    expected = cube1.face_areas[cube1.tet_faces[t]].sum() / cube1.tet_diameters[t]
+    expected = cube1.face_areas[cube1.tet_faces[t]].sum() / cube1.geometry.diameters[t]
     assert x @ (S2 @ x) == pytest.approx(expected)
     # gamma = 1 matches the lambda-part scaling of s1
     S1 = assemble_s1(cube1, dm)
@@ -175,25 +177,39 @@ def test_coupling_entry_hand_value(cube1):
     assert y @ (B @ x) == pytest.approx(0.0, abs=1e-13)
 
 
-def test_curl_coupling_matches_kernel(cube1):
-    # (u, curl_w psi)_T = |T| u . (3 psi_F x grad zeta_i) for a
-    # single-face tangential basis function
-    from divcurl.mesh import element_geometry
+def test_curl_coupling_matches_kernel():
+    # every entry of the three coupling blocks is |T| times a batched weak
+    # kernel of a unit face trace, on every tet of a mesh with interior
+    # faces of both orientations and a full coefficient matrix
+    m = build_structured_tet_mesh(build_domain(4), 2)
+    eps = np.array([[3.0, 0.5, 0.0], [0.5, 2.0, 0.2], [0.0, 0.2, 1.0]])
+    dm = build_dof_map(m)
+    B = assemble_Bh(m, eps, dm).tocsr()
+    geom = m.geometry
+    nt = m.num_tets
+    tets = np.arange(nt)[:, None]
+    u = dm.index("u", tets, np.arange(3))  # (nt, 3)
+    q0 = dm.index("q0", tets, np.arange(3))
 
-    dm = build_dof_map(cube1)
-    B = assemble_Bh(cube1, np.eye(3), dm)
-    t, i = 2, 1
-    f = cube1.tet_faces[t, i]
-    geom = element_geometry(cube1, t)
-    u = np.array([0.2, -0.4, 1.0])
-    x = np.zeros(dm.total)
-    x[dm.index("u", t, np.arange(3))] = u
-    for j in (0, 1):
-        y = np.zeros(dm.total)
-        y[dm.index("qb", f, j)] = 1.0
-        got = y @ (B @ x)
-        want = geom.volume * u @ (3.0 * np.cross(dm.tangents[f, j], geom.grad_bary[i]))
-        assert got == pytest.approx(want, rel=1e-12)
+    def entries(rows, cols):
+        rows, cols = np.broadcast_arrays(rows, cols)
+        return np.asarray(B[rows.ravel(), cols.ravel()]).reshape(rows.shape)
+
+    def check(got, want):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    for i in range(4):
+        f = m.tet_faces[:, i][:, None]
+        unit = np.zeros((nt, 4))
+        unit[:, i] = 1.0
+        eps_grad = geom.volumes[:, None] * weak_gradient(geom, unit) @ eps.T
+        check(entries(dm.index("lamb", f), u), eps_grad)  # lamb-u
+        check(entries(q0, dm.index("sb", f)), eps_grad)  # q0-sb
+        for j in (0, 1):
+            psib = np.zeros((nt, 4, 3))
+            psib[:, i] = dm.tangents[m.tet_faces[:, i], j]
+            curl = geom.volumes[:, None] * weak_curl(geom, psib)
+            check(entries(dm.index("qb", f, j), u), curl)  # qb-u
 
 
 def test_global_symmetry_and_block_structure():
@@ -216,14 +232,8 @@ def test_global_symmetry_and_block_structure():
 
 
 def test_quadratic_forms_psd():
-    spec = make_problem(1)
-    m = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, m)
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        x = rng.standard_normal(system.dofmap.total)
-        assert x @ (system.S1 @ x) >= -1e-12
-        assert x @ (system.S2 @ x) >= -1e-12
+    _, min_energy = system_defects(np.random.default_rng(5), 100)
+    assert min_energy >= -1e-12
 
 
 def test_rhs_zero_for_zero_loads():
@@ -244,7 +254,7 @@ def test_rhs_constant_curl_source(cube1):
     dm = build_dof_map(cube1)
     F = assemble_rhs(spec, cube1, dm)
     q0z = F[dm.index("q0", np.arange(cube1.num_tets), 2)]
-    assert np.allclose(q0z, cube1.volumes)
+    assert np.allclose(q0z, cube1.geometry.volumes)
     assert np.abs(F[dm.block("lam0")]).max() == 0.0
 
 
@@ -277,8 +287,8 @@ def test_consistency_identity_affine():
 
     # independent evaluation of the defect, face by face
     defect = np.zeros(dm.total)
-    areas = m.face_areas[m.tet_faces]
-    n_out = m.outward_normals()
+    areas = m.geometry.areas
+    n_out = m.geometry.normals
     fcent = m.face_centroids[m.tet_faces]  # (nt, 4, 3) exact mean of affine
     ubar_T = centroids @ C.T + d
     ubar_F = np.einsum("tfd,cd->tfc", fcent, C) + d

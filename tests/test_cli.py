@@ -65,6 +65,7 @@ def test_main_exit_codes(tmp_path):
     assert main(["--example", "12"]) == 2
     assert main(["--example", "1", "--refinements", "2", "3"]) == 2
     assert main([]) == 2  # example is required
+    assert main(["--selftest", "--seed", "5"]) == 0
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -88,6 +89,10 @@ def test_config_file_and_flag_precedence(tmp_path):
     unknown = tmp_path / "unk.cfg"
     unknown.write_text("nope = 3\n")
     assert main(["--config", str(unknown)]) == 2
+    # the seed only drives --selftest; it is no study setting
+    seeded = tmp_path / "seed.cfg"
+    seeded.write_text("example = 1\nrefinements = 2\nseed = 1\n")
+    assert main(["--config", str(seeded)]) == 2
 
 
 def test_report_contains_cavity_constant():
@@ -98,19 +103,23 @@ def test_report_contains_cavity_constant():
     assert row["residual_after_recovery"] <= row["residual_before_recovery"]
 
 
-def test_selftest_catches_mutated_kernel(monkeypatch):
+def test_selftest_catches_mutated_kernel(monkeypatch, capsys):
     # deliberate fault injection: a sign error in the gradient kernel must
-    # trip the commutativity suite
+    # trip the commutativity check and fail the selftest with exit code 3
     from divcurl import weak_ops
-    from divcurl.cli import _suite_commutativity
+    from divcurl.invariants import commutativity_defect
 
-    rng = np.random.default_rng(1)
-    assert _suite_commutativity(rng, trials=25)
-    true_kernel = weak_ops.weak_gradient_p0
+    assert commutativity_defect(np.random.default_rng(1), 25) < 1e-11
+    true_kernel = weak_ops.weak_gradient
     monkeypatch.setattr(
-        weak_ops, "weak_gradient_p0", lambda geom, v: -true_kernel(geom, v)
+        weak_ops, "weak_gradient", lambda geom, vb: -true_kernel(geom, vb)
     )
-    assert not _suite_commutativity(np.random.default_rng(1), trials=25)
+    assert commutativity_defect(np.random.default_rng(1), 25) > 1e-11
+    capsys.readouterr()
+    assert main(["--selftest", "--seed", "5"]) == 3
+    out = capsys.readouterr().out
+    assert "[FAIL] projection commutativity" in out
+    assert out.count("[ok]") == 4
 
 
 def test_solver_failure_exit_code(monkeypatch, capsys):

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from divcurl.invariants import kernel_identity_defect
 from divcurl.mesh import (
-    ElementGeometry,
     MeshError,
     build_domain,
     build_structured_tet_mesh,
-    element_geometry,
+    tet_geometry,
     write_vtk,
 )
 
@@ -39,7 +39,7 @@ def test_unit_cube_counts():
     m2 = build_structured_tet_mesh(build_domain(1), 2)
     assert (m2.num_tets, m2.num_vertices) == (48, 27)
     # every cube contributes 6 equal-volume tets
-    assert np.allclose(m2.volumes, (0.5**3) / 6.0)
+    assert np.allclose(m2.geometry.volumes, (0.5**3) / 6.0)
 
 
 def test_toroid_counts():
@@ -88,9 +88,8 @@ def test_alignment_precondition():
 
 def test_closed_surface_identity():
     m = build_structured_tet_mesh(build_domain(5), 2)
-    areas = m.face_areas[m.tet_faces]
-    normals = m.outward_normals()
-    residual = np.einsum("tf,tfd->td", areas, normals)
+    geom = m.geometry
+    residual = np.einsum("tf,tfd->td", geom.areas, geom.normals)
     assert np.abs(residual).max() < 1e-12
 
 
@@ -107,26 +106,31 @@ def test_reference_tet_geometry():
     verts = np.array(
         [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     )
-    geom = ElementGeometry.from_vertices(verts)
-    assert geom.volume == pytest.approx(1.0 / 6.0)
-    assert np.allclose(geom.grad_bary[0], [-1.0, -1.0, -1.0])
+    geom = tet_geometry(verts[None])
+    assert geom.volumes[0] == pytest.approx(1.0 / 6.0)
+    assert np.allclose(geom.grad_bary[0, 0], [-1.0, -1.0, -1.0])
     # face opposite the origin: area sqrt(3)/2, normal (1,1,1)/sqrt(3)
-    assert geom.areas[0] == pytest.approx(np.sqrt(3.0) / 2.0)
-    assert np.allclose(geom.normals[0], np.ones(3) / np.sqrt(3.0))
-    assert geom.diameter == pytest.approx(np.sqrt(2.0))
+    assert geom.areas[0, 0] == pytest.approx(np.sqrt(3.0) / 2.0)
+    assert np.allclose(geom.normals[0, 0], np.ones(3) / np.sqrt(3.0))
+    assert geom.diameters[0] == pytest.approx(np.sqrt(2.0))
 
 
 def test_simplex_identity_all_elements():
-    # |F_i| n_i = -3 |T| grad(zeta_i) on every element
+    # |F_i| n_i = -3 |T| grad(zeta_i), closed face weights and the
+    # single-face curl identity on every element
     m = build_structured_tet_mesh(build_domain(6), 2)
-    for t in (0, m.num_tets // 2, m.num_tets - 1):
-        geom = element_geometry(m, t)
-        lhs = geom.areas[:, None] * geom.normals
-        rhs = -3.0 * geom.volume * geom.grad_bary
-        assert np.abs(lhs - rhs).max() < 1e-12 * max(1.0, np.abs(lhs).max())
-        assert np.allclose(
-            geom.normals, -geom.grad_bary / np.linalg.norm(geom.grad_bary, axis=1)[:, None]
-        )
+    geom = m.geometry
+    weights = geom.areas[:, :, None] * geom.normals
+    assert np.abs(weights + 3.0 * geom.volumes[:, None, None] * geom.grad_bary).max() < 1e-12
+    assert kernel_identity_defect(m, np.random.default_rng(0)) < 1e-12
+    # the mesh record agrees with the free-standing geometry of its tets:
+    # the same code for volumes, gradients and diameters, and areas and
+    # normals shared per face
+    free = tet_geometry(m.vertices[m.tets])
+    for name in ("volumes", "grad_bary", "diameters"):
+        assert np.array_equal(getattr(geom, name), getattr(free, name))
+    assert np.allclose(geom.areas, free.areas, rtol=1e-14, atol=0.0)
+    assert np.allclose(geom.normals, free.normals, rtol=0.0, atol=1e-14)
 
 
 def test_degenerate_tet_rejected():
@@ -134,10 +138,13 @@ def test_degenerate_tet_rejected():
         [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]
     )
     with pytest.raises(MeshError):
-        ElementGeometry.from_vertices(flat)
-    m = build_structured_tet_mesh(build_domain(1), 1)
+        tet_geometry(flat[None])
+    # callers orient their tets: a negative volume is rejected too
+    inverted = np.array(
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+    )
     with pytest.raises(MeshError):
-        element_geometry(m, 99)
+        tet_geometry(inverted[None])
 
 
 def test_vtk_export(tmp_path):
