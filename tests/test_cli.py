@@ -1,8 +1,14 @@
 """Study driver: configuration handling, artifacts, determinism, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import divcurl
 from divcurl.cli import ConfigError, RunConfig, main, run_study
 
 
@@ -134,3 +140,29 @@ def test_solver_failure_exit_code(monkeypatch, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "injected failure" in err and "solve" in err
+
+
+def test_module_entry_point_imports_cleanly():
+    # the package must not import divcurl.cli itself, or ``python -m``
+    # warns that the module was found in sys.modules before it ran
+    src = str(Path(divcurl.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "divcurl.cli", "--help"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_resolves_cli_names_lazily():
+    from divcurl import RunConfig as lazy_config, run_study as lazy_run_study
+
+    assert lazy_config is RunConfig and lazy_run_study is run_study
+    with pytest.raises(AttributeError):
+        divcurl.no_such_name

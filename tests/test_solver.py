@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 
+from divcurl import solver
 from divcurl.analysis import error_u, triple_norm_dual, triple_norm_s
 from divcurl.assembly import assemble_global
 from divcurl.mesh import build_domain, build_structured_tet_mesh
 from divcurl.problems import ProblemSpec, make_problem
-from divcurl.solver import recover_cavity_constants, solve
+from divcurl.solver import SolverError, recover_cavity_constants, solve
 
 
 def constant_problem(value, eps):
@@ -60,6 +63,57 @@ def test_direct_deterministic():
     x1 = solve(system, method="direct").x
     x2 = solve(system, method="direct").x
     assert np.array_equal(x1, x2)
+
+
+@pytest.mark.parametrize("example", [1, 4, 5])
+def test_lattice_permutation_orders_faces_before_u(example):
+    spec = make_problem(example)
+    m = build_structured_tet_mesh(spec.domain, 2)
+    dm = assemble_global(spec, m).dofmap
+    p = solver._lattice_permutation(m, dm)
+    assert np.array_equal(np.sort(p), np.arange(dm.num_free))
+    # position in the factor order of each raw DoF; -1 for constrained ones
+    pos = np.full(dm.total, -1)
+    pos[dm.free[p]] = np.arange(dm.num_free)
+    tets = np.arange(m.num_tets)
+    u_pos = pos[dm.index("u", tets[:, None], np.arange(3))]
+    assert u_pos.min() >= 0
+    faces = m.tet_faces
+    multipliers = np.concatenate(
+        [
+            pos[dm.index("lamb", faces)],
+            pos[dm.index("qb", faces, 0)],
+            pos[dm.index("qb", faces, 1)],
+        ],
+        axis=1,
+    )
+    assert np.all(u_pos.min(axis=1) > multipliers.max(axis=1))
+
+
+def test_lattice_order_beats_colamd_fill():
+    spec = make_problem(1)
+    m = build_structured_tet_mesh(spec.domain, 4)
+    system = assemble_global(spec, m)
+    fill = solve(system, method="direct").diagnostics["fill_nnz"]
+    A_ff, _ = system.reduced()
+    S = sparse.diags(solver._equilibration_scale(system, A_ff))
+    colamd = spla.splu((S @ A_ff @ S).tocsc(), permc_spec="COLAMD")
+    assert fill < colamd.nnz
+
+
+def test_failed_factorization_keeps_diagnostics(monkeypatch):
+    spec = make_problem(1)
+    m = build_structured_tet_mesh(spec.domain, 2)
+    system = assemble_global(spec, m)
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(solver.spla, "splu", singular)
+    with pytest.raises(SolverError, match="exactly singular") as info:
+        solve(system, method="direct")
+    assert info.value.diagnostics["method"] == "direct"
+    assert info.value.diagnostics["num_free"] == system.dofmap.num_free
 
 
 def test_minres_matches_direct():
