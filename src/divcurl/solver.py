@@ -173,6 +173,54 @@ def _lattice_permutation(mesh, dofmap) -> np.ndarray:
     return np.lexsort((free, primal[free], dof_group[free]))
 
 
+# MINRES drives the true relative residual to min(tol, MINRES_TARGET), below
+# the 1e-8 acceptance: the cavity least-squares fit of
+# recover_cavity_constants amplifies the solve error, and on problem 4 at
+# 1/h=4 the cavity constant deviates from the direct value by 3.2e-6 at a
+# 1e-9 stop, 5.4e-7 at 1e-10 and 4.8e-8 at 1e-11
+MINRES_TARGET = 1e-11
+
+
+def _minres(A, b, residual, target, max_iter):
+    """MINRES on symmetric ``A`` from a zero start (Paige & Saunders, 1975).
+
+    The Lanczos and Givens recurrences carry ``|phibar| = ||b - A y||``.
+    When it reaches the threshold (first ``target * ||b||``), ``residual(y)``
+    gives the true relative residual; above ``target`` the threshold is
+    tightened and the same Lanczos sequence continues.  At most ``max_iter``
+    iterations in all.  Returns ``(y, iterations, residuals checked)``.
+    """
+    beta = np.linalg.norm(b)
+    v_old, v = np.zeros_like(b), b / beta
+    w_old, w, y = np.zeros_like(b), np.zeros_like(b), np.zeros_like(b)
+    cs, sn, dbar, eps_next, phibar = -1.0, 0.0, 0.0, 0.0, beta
+    threshold, history = target * beta, []
+    for k in range(1, max_iter + 1):
+        p = A @ v - beta * v_old
+        alpha = v @ p
+        p -= alpha * v
+        beta = np.linalg.norm(p)
+        # the previous rotation acts on column k of the Lanczos matrix
+        eps, delta = eps_next, cs * dbar + sn * alpha
+        gbar, eps_next, dbar = sn * dbar - cs * alpha, sn * beta, -cs * beta
+        gamma = np.hypot(gbar, beta)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w_old, w = w, (v - eps * w_old - delta * w) / gamma
+        y += phi * w
+        if beta == 0.0 or abs(phibar) <= threshold:
+            history.append(residual(y))
+            # beta = 0: the Krylov space is invariant and y is exact; a NaN
+            # residual stops the run too
+            if beta == 0.0 or not history[-1] > target:
+                break
+            threshold *= 0.5 * target / history[-1]
+        v_old, v = v, p / beta
+    else:
+        history.append(residual(y))
+    return y, k, history
+
+
 def solve(
     system: GlobalSystem,
     method: str = "auto",
@@ -183,8 +231,10 @@ def solve(
 
     method "direct" factorizes with a sparse pivoted LU (the assembled
     matrix is symmetric indefinite) in the lattice nested-dissection
-    order of :func:`_lattice_permutation`; "minres" runs diagonally
-    preconditioned MINRES; "auto" picks direct up to
+    order of :func:`_lattice_permutation`; "minres" runs one diagonally
+    preconditioned MINRES (:func:`_minres`) until the true relative
+    residual reaches ``min(tol, MINRES_TARGET)``, within ``max_iter``
+    iterations in all (default 60,000); "auto" picks direct up to
     ``DIRECT_DOF_LIMIT`` free unknowns and MINRES beyond.
 
     The relative residual must reach ``tol`` (default 1e-10 direct,
@@ -243,39 +293,26 @@ def solve(
         if not 0.0 < accept < 1.0:
             raise ValueError("iterative tolerance must be in (0, 1)")
         maxiter = max_iter if max_iter is not None else 60_000
-        history = []
-        total_iters = 0
-        y = np.zeros(n)
-        rel = np.inf
-        # refinement rounds push past MINRES's stagnation near its own
-        # stopping estimate; each round solves for the current defect
-        for _ in range(4):
-            r_s = F_s - A_s @ y
-            count = [0]
+        if maxiter < 1:
+            raise ValueError("max_iter must be at least 1")
 
-            def track(_xk):
-                count[0] += 1
+        def true_residual(y):
+            return float(np.linalg.norm(A_ff @ (scale * y) - F_f) / fnorm)
 
-            dy, info = spla.minres(
-                A_s, r_s, rtol=1e-10, maxiter=maxiter, callback=track
-            )
-            y = y + dy
-            total_iters += count[0]
-            x_f = scale * y
-            rel = float(np.linalg.norm(A_ff @ x_f - F_f) / fnorm)
-            history.append(rel)
-            if rel <= accept or info != 0:
-                break
+        y, iterations, history = _minres(
+            A_s, F_s, true_residual, min(accept, MINRES_TARGET), maxiter
+        )
         x_f = scale * y
+        rel = history[-1]
         diagnostics.update(
             relative_residual=rel,
-            iterations=total_iters,
+            iterations=iterations,
             residual_history=history,
             solve_seconds=time.perf_counter() - t0,
         )
-        if rel > accept:
+        if not rel <= accept:
             raise SolverError(
-                f"MINRES stalled at residual {rel:.3e} after {total_iters} "
+                f"MINRES stalled at residual {rel:.3e} after {iterations} "
                 f"iterations (target {accept:.1e})",
                 diagnostics,
             )

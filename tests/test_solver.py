@@ -134,6 +134,69 @@ def test_minres_matches_direct():
         )
 
 
+def relative_residual(A, b):
+    return lambda y: float(np.linalg.norm(A @ y - b) / np.linalg.norm(b))
+
+
+def test_minres_matches_dense_solve():
+    rng = np.random.default_rng(7)
+    Q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+    eigs = rng.choice([-1.0, 1.0], 60) * rng.uniform(0.5, 2.0, 60)
+    A = (Q * eigs) @ Q.T
+    A = (A + A.T) / 2
+    b = rng.standard_normal(60)
+    y, iterations, history = solver._minres(
+        A, b, relative_residual(A, b), 1e-11, 1000
+    )
+    assert history[-1] == relative_residual(A, b)(y) <= 1e-11
+    assert iterations <= 60
+    assert np.allclose(y, np.linalg.solve(A, b), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("b_kind", ["eigenvector", "all_modes"])
+def test_minres_exact_krylov_termination(b_kind):
+    # k = 4 distinct eigenvalues: the Krylov space of any b has dimension <= 4
+    d = np.repeat([-3.0, -1.0, 2.0, 5.0], 10)
+    A = sparse.diags(d).tocsr()
+    b = np.zeros(40)
+    if b_kind == "eigenvector":  # beta = 0 exactly after one step
+        b[0] = 1.0
+    else:
+        b[:] = np.random.default_rng(1).uniform(1.0, 2.0, 40)
+    with np.errstate(all="raise"):
+        y, iterations, history = solver._minres(
+            A, b, relative_residual(A, b), 1e-11, 100
+        )
+    assert iterations <= (1 if b_kind == "eigenvector" else 4)
+    assert history[-1] <= 1e-11
+    assert np.allclose(y, b / d, rtol=1e-10, atol=0)
+
+
+def test_minres_max_iter_bounds_whole_solve():
+    spec = make_problem(1)
+    m = build_structured_tet_mesh(spec.domain, 3)
+    system = assemble_global(spec, m)
+    try:
+        diagnostics = solve(system, method="minres", max_iter=800).diagnostics
+    except SolverError as exc:
+        diagnostics = exc.diagnostics
+    assert 0 < diagnostics["iterations"] <= 800
+    assert len(diagnostics["residual_history"]) >= 1
+
+
+def test_minres_cavity_constant_matches_direct():
+    spec = make_problem(4)
+    m = build_structured_tet_mesh(spec.domain, 2)
+    system = assemble_global(spec, m)
+    constants = {
+        method: recover_cavity_constants(
+            system, solve(system, method=method)
+        ).cavity_constants[1]
+        for method in ("direct", "minres")
+    }
+    assert constants["minres"] == pytest.approx(constants["direct"], rel=1e-6)
+
+
 def test_unknown_method_rejected():
     spec = make_problem(1)
     m = build_structured_tet_mesh(spec.domain, 1)
@@ -142,6 +205,8 @@ def test_unknown_method_rejected():
         solve(system, method="cg")
     with pytest.raises(ValueError):
         solve(system, method="minres", tol=2.0)
+    with pytest.raises(ValueError):
+        solve(system, method="minres", max_iter=0)
 
 
 def test_recovery_passthrough_simply_connected():
