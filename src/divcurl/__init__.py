@@ -13,11 +13,13 @@ defect between the projected exact field and the computed one.
 
 from .analysis import (
     ConvergenceReport,
+    Level,
+    LevelError,
     cell_error_norms,
     convergence_rates,
     error_Qu,
     error_u,
-    extract_discrete_harmonic,
+    solve_level,
     triple_norm_dual,
     triple_norm_s,
 )

@@ -1,4 +1,4 @@
-"""Error quantities, convergence reports, and discrete harmonic fields.
+"""Error quantities, convergence reports, and the per-level pipeline.
 
 The exact multiplier and auxiliary fields of the continuous problem
 vanish, so their errors in the stabilizer semi-norms equal the computed
@@ -9,16 +9,17 @@ fields themselves:
 
 import csv
 import io
-import warnings
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import GlobalSystem, assemble_global
+from . import assembly, mesh as meshmod, solver
+from .assembly import GlobalSystem
 from .mesh import Mesh
 from .problems import ProblemSpec
 from .quadrature import TET_REF_MEASURE, map_to_tetrahedra, tetrahedron_rule
-from .solver import SolutionFields, recover_cavity_constants, solve
+from .solver import SolutionFields
 from .weak_ops import project_field
 
 __all__ = [
@@ -29,7 +30,9 @@ __all__ = [
     "triple_norm_s",
     "convergence_rates",
     "ConvergenceReport",
-    "extract_discrete_harmonic",
+    "Level",
+    "LevelError",
+    "solve_level",
     "ERROR_COLUMNS",
 ]
 
@@ -40,14 +43,24 @@ def _weighted_sq(d: np.ndarray, eps: np.ndarray) -> np.ndarray:
     return np.einsum("...d,de,...e->...", d, eps, d)
 
 
-def _cell_sq_errors(problem, u_h, mesh, quad_degree) -> np.ndarray:
-    """Per-element squared weighted errors by Gauss quadrature."""
+def _exact_at_gauss(problem, mesh, quad_degree):
+    """(exact_u at the Gauss points of every tet, (num_tets, k, 3); weights)."""
     pts, wts = tetrahedron_rule(quad_degree)
     phys = map_to_tetrahedra(pts, mesh.vertices[mesh.tets])
     uex = problem.exact_u(phys.reshape(-1, 3)).reshape(mesh.num_tets, -1, 3)
+    return uex, wts
+
+
+def _cell_sq_errors(problem, u_h, mesh, uex, wts) -> np.ndarray:
+    """Per-element squared weighted errors by Gauss quadrature."""
     diff = uex - u_h[:, None, :]
     cellsq = np.einsum("k,tk->t", wts, _weighted_sq(diff, problem.eps))
     return cellsq * (mesh.geometry.volumes / TET_REF_MEASURE)
+
+
+def _Qu_error(problem, qu, u_h, mesh) -> float:
+    sq = _weighted_sq(qu - u_h, problem.eps)
+    return float(np.sqrt(np.sum(mesh.geometry.volumes * sq)))
 
 
 def error_u(
@@ -55,7 +68,8 @@ def error_u(
 ) -> float:
     """Coefficient-weighted L2 distance between the exact field and the
     piecewise-constant solution, by Gauss quadrature per element."""
-    cellsq = _cell_sq_errors(problem, u_h, mesh, quad_degree)
+    uex, wts = _exact_at_gauss(problem, mesh, quad_degree)
+    cellsq = _cell_sq_errors(problem, u_h, mesh, uex, wts)
     return float(np.sqrt(np.maximum(cellsq.sum(), 0.0)))
 
 
@@ -63,7 +77,8 @@ def cell_error_norms(
     problem: ProblemSpec, u_h: np.ndarray, mesh: Mesh, quad_degree: int = 4
 ) -> np.ndarray:
     """Per-element weighted error norms (for field plots)."""
-    return np.sqrt(np.maximum(_cell_sq_errors(problem, u_h, mesh, quad_degree), 0.0))
+    uex, wts = _exact_at_gauss(problem, mesh, quad_degree)
+    return np.sqrt(np.maximum(_cell_sq_errors(problem, u_h, mesh, uex, wts), 0.0))
 
 
 def error_Qu(
@@ -78,9 +93,7 @@ def error_Qu(
     quadrature-dominated (problems 3 and 4).
     """
     qu = project_field(problem.exact_u, mesh, quad_degree)
-    diff = qu - u_h
-    volumes = mesh.geometry.volumes
-    return float(np.sqrt(np.sum(volumes * _weighted_sq(diff, problem.eps))))
+    return _Qu_error(problem, qu, u_h, mesh)
 
 
 def triple_norm_dual(system: GlobalSystem, sol: SolutionFields) -> float:
@@ -197,29 +210,72 @@ class ConvergenceReport:
             fh.write(self.to_markdown())
 
 
-def extract_discrete_harmonic(
-    problem: ProblemSpec,
-    mesh: Mesh,
-    solver_method: str = "auto",
-    quad_degree: int = 4,
-    **stab_params,
-):
-    """Discrete harmonic field with vanishing normal trace.
+class LevelError(Exception):
+    """A refinement level failed in ``stage`` (mesh, assemble, solve or
+    errors); the original error is the ``__cause__``."""
 
-    Solves the primal-dual system for the loads induced by the problem's
-    generator field u and returns ``eta = Q_h u - u_h`` (per-tet vectors)
-    together with the solution and system.  On a simply connected domain
-    the field is a discretization artifact and decays under refinement; a
-    warning is issued in that case.
-    """
-    if problem.domain.betti1 == 0:
-        warnings.warn(
-            "domain is simply connected: the harmonic field vanishes in "
-            "the limit",
-            stacklevel=2,
-        )
-    system = assemble_global(problem, mesh, quad_degree=quad_degree, **stab_params)
-    sol = solve(system, method=solver_method)
-    sol = recover_cavity_constants(system, sol)
-    qu = project_field(problem.exact_u, mesh, quad_degree)
-    return qu - sol.u, sol, system
+    def __init__(self, stage: str, cause: BaseException):
+        super().__init__(str(cause))
+        self.stage = stage
+
+
+@dataclass
+class Level:
+    """One solved refinement level; ``qu`` holds the cell averages of the
+    exact field and ``row`` is the level's report row."""
+
+    mesh: Mesh
+    system: GlobalSystem
+    sol: SolutionFields
+    qu: np.ndarray
+    cell_errors: np.ndarray
+    row: dict
+
+
+def solve_level(
+    problem: ProblemSpec,
+    n: int,
+    solver_method: str = "auto",
+    tol: float | None = None,
+    quad_degree: int = 4,
+    **stab,
+) -> Level:
+    """Mesh at 1/h = ``n``, assemble (``stab``: rho1, rho2, rho3,
+    gamma_exp), solve, recover the cavity constants and measure the errors.
+
+    ``exact_u`` is evaluated once, at the Gauss points; ``err_u``, the cell
+    errors, ``qu`` and ``err_Qu`` all derive from that one array."""
+    t0 = time.perf_counter()
+    stage = "mesh"
+    try:
+        msh = meshmod.build_structured_tet_mesh(problem.domain, n)
+        stage = "assemble"
+        system = assembly.assemble_global(problem, msh, quad_degree=quad_degree, **stab)
+        stage = "solve"
+        sol = solver.solve(system, method=solver_method, tol=tol)
+        sol = solver.recover_cavity_constants(system, sol)
+        stage = "errors"
+        uex, wts = _exact_at_gauss(problem, msh, quad_degree)
+        cellsq = _cell_sq_errors(problem, sol.u, msh, uex, wts)
+        cells = np.sqrt(np.maximum(cellsq, 0.0))
+        qu = np.einsum("k,tkd->td", wts, uex) / TET_REF_MEASURE
+        row = {
+            "inv_h": n,
+            "h": msh.h,
+            "num_tets": msh.num_tets,
+            "num_free": system.dofmap.num_free,
+            "err_u": float(np.sqrt(np.maximum(cellsq.sum(), 0.0))),
+            "err_Qu": _Qu_error(problem, qu, sol.u, msh),
+            "tnorm_dual": triple_norm_dual(system, sol),
+            "tnorm_s": triple_norm_s(system, sol),
+            "solver_residual": sol.diagnostics.get("relative_residual"),
+            "seconds": time.perf_counter() - t0,
+        }
+        if sol.cavity_constants:
+            diag = sol.diagnostics
+            row["cavity_c1"] = sol.cavity_constants.get(1)
+            row["residual_before_recovery"] = diag.get("raw_residual_before")
+            row["residual_after_recovery"] = diag.get("raw_residual_after")
+    except (meshmod.MeshError, solver.SolverError, MemoryError) as exc:
+        raise LevelError(stage, exc) from exc
+    return Level(msh, system, sol, qu, cells, row)

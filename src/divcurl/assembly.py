@@ -324,13 +324,6 @@ class GlobalSystem:
     problem: ProblemSpec
     params: dict
 
-    def __post_init__(self):
-        free = self.dofmap.free
-        n = self.dofmap.total
-        self._R = sparse.csr_matrix(
-            (np.ones(len(free)), (np.arange(len(free)), free)), shape=(len(free), n)
-        )
-
     @property
     def indicators(self) -> dict:
         out = {}
@@ -342,8 +335,8 @@ class GlobalSystem:
 
     def reduced(self):
         """Free-DoF system (A_ff, F_f)."""
-        A_ff = self._R @ self.A @ self._R.T
-        return A_ff.tocsr(), self.F[self.dofmap.free]
+        free = self.dofmap.free
+        return self.A[free][:, free], self.F[free]
 
     def expand(self, x_free: np.ndarray) -> np.ndarray:
         x = np.zeros(self.dofmap.total)

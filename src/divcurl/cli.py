@@ -9,12 +9,11 @@ Exit codes: 0 success, 1 solver failure, 2 invalid configuration,
 
 import argparse
 import sys
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, assembly, mesh as meshmod, problems, solver, weak_ops
+from . import analysis, mesh as meshmod, problems
 from .invariants import (
     commutativity_defect,
     kernel_identity_defect,
@@ -93,82 +92,35 @@ def run_study(config: RunConfig):
     the report and later levels are skipped, completed levels are kept.
     """
     problem = config.problem_spec or config.validate().problem_spec
+    stab = dict(rho1=config.rho1, rho2=config.rho2, rho3=config.rho3,
+                gamma_exp=config.gamma_exp)
     report = analysis.ConvergenceReport(
         example=config.example,
-        params={
-            **problem.params,
-            "rho1": config.rho1,
-            "rho2": config.rho2,
-            "rho3": config.rho3,
-            "gamma_exp": config.gamma_exp,
-            "quad_degree": config.quad_degree,
-        },
+        params={**problem.params, **stab, "quad_degree": config.quad_degree},
     )
-    vtk_payload = None
+    vtk_fields = None
     for n in config.refinements:
-        t0 = time.perf_counter()
-        stage = "mesh"
         try:
-            msh = meshmod.build_structured_tet_mesh(problem.domain, n)
-            stage = "assemble"
-            system = assembly.assemble_global(
-                problem,
-                msh,
-                rho1=config.rho1,
-                rho2=config.rho2,
-                rho3=config.rho3,
-                gamma_exp=config.gamma_exp,
-                quad_degree=config.quad_degree,
+            level = analysis.solve_level(
+                problem, n, config.solver, config.tol, config.quad_degree, **stab
             )
-            stage = "solve"
-            sol = solver.solve(system, method=config.solver, tol=config.tol)
-            sol = solver.recover_cavity_constants(system, sol)
-            stage = "errors"
-            row = {
-                "inv_h": n,
-                "h": msh.h,
-                "num_tets": msh.num_tets,
-                "num_free": system.dofmap.num_free,
-                "err_u": analysis.error_u(problem, sol.u, msh, config.quad_degree),
-                "err_Qu": analysis.error_Qu(problem, sol.u, msh, config.quad_degree),
-                "tnorm_dual": analysis.triple_norm_dual(system, sol),
-                "tnorm_s": analysis.triple_norm_s(system, sol),
-                "solver_residual": sol.diagnostics.get("relative_residual"),
-                "seconds": time.perf_counter() - t0,
-            }
-            if sol.cavity_constants:
-                row["cavity_c1"] = sol.cavity_constants.get(1)
-                row["residual_before_recovery"] = sol.diagnostics.get(
-                    "raw_residual_before"
-                )
-                row["residual_after_recovery"] = sol.diagnostics.get(
-                    "raw_residual_after"
-                )
-            report.add_row(**row)
-            if config.vtk:
-                vtk_payload = (msh, problem, sol, system)
-        except (meshmod.MeshError, solver.SolverError, MemoryError) as exc:
-            report.failure = {"inv_h": n, "stage": stage, "message": str(exc)}
+        except analysis.LevelError as exc:
+            report.failure = {"inv_h": n, "stage": exc.stage, "message": str(exc)}
             break
+        report.add_row(**level.row)
+        if config.vtk:
+            data = {"u_h": level.sol.u, "Qu": level.qu, "cell_error": level.cell_errors}
+            if problem.domain.betti1 > 0:
+                data["eta_h"] = level.qu - level.sol.u
+            vtk_fields = level.mesh, data
+        del level  # free this level's system before the next one is built
     if config.csv:
         report.write_csv(config.csv)
     if config.md:
         report.write_markdown(config.md)
-    if config.vtk and vtk_payload is not None:
-        _write_fields_vtk(config.vtk, *vtk_payload, quad_degree=config.quad_degree)
+    if vtk_fields is not None:
+        meshmod.write_vtk(vtk_fields[0], config.vtk, vtk_fields[1])
     return report
-
-
-def _write_fields_vtk(path, msh, problem, sol, system, quad_degree=4):
-    qu = weak_ops.project_field(problem.exact_u, msh, quad_degree)
-    data = {
-        "u_h": sol.u,
-        "Qu": qu,
-        "cell_error": analysis.cell_error_norms(problem, sol.u, msh, quad_degree),
-    }
-    if problem.domain.betti1 > 0:
-        data["eta_h"] = qu - sol.u
-    meshmod.write_vtk(msh, path, data)
 
 
 # -- selftest -----------------------------------------------------------

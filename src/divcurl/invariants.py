@@ -9,10 +9,9 @@ kernel replaced there is the kernel that gets checked.
 import numpy as np
 
 from . import problems, weak_ops
-from .analysis import error_u, triple_norm_dual, triple_norm_s
+from .analysis import solve_level
 from .assembly import assemble_global
 from .mesh import Mesh, build_domain, build_structured_tet_mesh, tet_geometry
-from .solver import solve
 
 __all__ = [
     "commutativity_defect",
@@ -88,11 +87,8 @@ def patch_test_defects() -> tuple:
         lambda p: np.broadcast_to(value, (len(p), 3)).copy(),
         lambda p: np.zeros(len(p)), lambda p: np.zeros_like(p), "constant",
     )
-    mesh = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, mesh)
-    sol = solve(system, method="direct")
-    duals = max(triple_norm_dual(system, sol), triple_norm_s(system, sol))
-    return error_u(spec, sol.u, mesh), duals
+    row = solve_level(spec, 2, "direct").row
+    return row["err_u"], max(row["tnorm_dual"], row["tnorm_s"])
 
 
 def system_defects(rng: np.random.Generator, samples: int) -> tuple:

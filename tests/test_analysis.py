@@ -9,7 +9,7 @@ from divcurl.analysis import (
     convergence_rates,
     error_Qu,
     error_u,
-    extract_discrete_harmonic,
+    solve_level,
 )
 from divcurl.mesh import build_domain, build_structured_tet_mesh
 from divcurl.problems import ProblemSpec, make_problem
@@ -99,25 +99,36 @@ def test_report_serialization(tmp_path):
     assert rep.rates("err_u") == [1.0]
 
 
-def test_extraction_warns_on_simply_connected():
-    spec = make_problem(1)
-    m = build_structured_tet_mesh(spec.domain, 2)
-    with pytest.warns(UserWarning):
-        eta, sol, system = extract_discrete_harmonic(spec, m)
-    assert eta.shape == (m.num_tets, 3)
+def eta_norm(level):
+    """L2 norm of the discrete harmonic field Q_h u - u_h of a level."""
+    eta = level.qu - level.sol.u
+    vols = level.mesh.geometry.volumes
+    return np.sqrt(np.sum(vols * np.einsum("td,td->t", eta, eta)))
+
+
+@pytest.mark.parametrize("example", [1, 4, 7])
+def test_level_errors_match_error_functions(example):
+    # solve_level derives its errors from one evaluation of the exact
+    # field; they are bitwise those of the standalone functions
+    spec = make_problem(example)
+    level = solve_level(spec, 2)
+    u_h, m = level.sol.u, level.mesh
+    assert level.row["err_u"] == error_u(spec, u_h, m)
+    assert level.row["err_Qu"] == error_Qu(spec, u_h, m)
+    assert np.array_equal(level.cell_errors, cell_error_norms(spec, u_h, m))
+    assert np.array_equal(level.qu, project_field(spec.exact_u, m))
+
+
+def test_extraction_small_on_simply_connected():
+    level = solve_level(make_problem(1), 2)
+    assert (level.qu - level.sol.u).shape == (level.mesh.num_tets, 3)
     # the defect is the projection error of the solve, small for smooth data
-    nrm = np.sqrt(np.sum(m.geometry.volumes * np.einsum("td,td->t", eta, eta)))
-    assert nrm < 0.5
+    assert eta_norm(level) < 0.5
 
 
 def test_extraction_decays_on_simply_connected():
     spec = make_problem(1)
-    norms = []
-    for n in (2, 4):
-        m = build_structured_tet_mesh(spec.domain, n)
-        with pytest.warns(UserWarning):
-            eta, _, _ = extract_discrete_harmonic(spec, m)
-        norms.append(np.sqrt(np.sum(m.geometry.volumes * np.einsum("td,td->t", eta, eta))))
+    norms = [eta_norm(solve_level(spec, n)) for n in (2, 4)]
     assert norms[1] < 0.75 * norms[0]
 
 
@@ -140,11 +151,7 @@ def test_combined_multiplier_norms_decrease():
 
 def test_extraction_persists_on_toroid():
     spec = make_problem(7, beta=1.0)
-    norms = []
-    for n in (2, 4):
-        m = build_structured_tet_mesh(spec.domain, n)
-        eta, sol, system = extract_discrete_harmonic(spec, m)
-        norms.append(np.sqrt(np.sum(m.geometry.volumes * np.einsum("td,td->t", eta, eta))))
+    norms = [eta_norm(solve_level(spec, n)) for n in (2, 4)]
     # harmonic defect levels off instead of vanishing
     assert norms[1] > 0.5 * norms[0]
     assert norms[1] > 0.4

@@ -360,3 +360,25 @@ def test_matrix_market_export(tmp_path):
     text = path.read_text()
     assert "MatrixMarket matrix coordinate" in text
     assert "symmetric" in text
+
+
+def test_reduced_is_free_submatrix():
+    # problem 4 constrains a pinned lam0, the cavity traces and the
+    # boundary traces; reduced() must equal the restriction R A R^T
+    from scipy import sparse
+
+    spec = make_problem(4)
+    system = assemble_global(spec, build_structured_tet_mesh(spec.domain, 2))
+    dm, free = system.dofmap, system.dofmap.free
+    assert dm.cavity_faces and dm.pinned_lam0 not in set(free)
+    assert len(free) < dm.total - 1
+    R = sparse.csr_matrix(
+        (np.ones(len(free)), (np.arange(len(free)), free)),
+        shape=(len(free), dm.total),
+    )
+    want = (R @ system.A @ R.T).tocsr()
+    A_ff, F_f = system.reduced()
+    assert np.array_equal(A_ff.indptr, want.indptr)
+    assert np.array_equal(A_ff.indices, want.indices)
+    assert np.array_equal(A_ff.data, want.data)
+    assert np.array_equal(F_f, system.F[free])

@@ -1,5 +1,6 @@
 """Study driver: configuration handling, artifacts, determinism, exit codes."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -129,17 +130,73 @@ def test_selftest_catches_mutated_kernel(monkeypatch, capsys):
 
 
 def test_solver_failure_exit_code(monkeypatch, capsys):
-    from divcurl import cli
-    from divcurl.solver import SolverError
+    from divcurl import solver
 
     def boom(system, method="auto", tol=None, max_iter=None):
-        raise SolverError("injected failure")
+        raise solver.SolverError("injected failure")
 
-    monkeypatch.setattr(cli.solver, "solve", boom)
+    monkeypatch.setattr(solver, "solve", boom)
     code = main(["--example", "1", "--refinements", "2", "4"])
     assert code == 1
     err = capsys.readouterr().err
     assert "injected failure" in err and "solve" in err
+
+
+def test_exact_field_evaluated_once_per_level(tmp_path):
+    # problem 7 drives its boundary data by its own normal trace field, so
+    # every exact_u call comes from the error evaluation; the VTK export
+    # reuses the last level's fields
+    calls = []
+    spec = divcurl.make_problem(7, beta=1.0)
+
+    def counted(points):
+        calls.append(len(points))
+        return spec.exact_u(points)
+
+    config = RunConfig(
+        example=7,
+        refinements=(2, 4),
+        beta=1.0,
+        vtk=str(tmp_path / "toroid.vtk"),
+        problem_spec=dataclasses.replace(spec, exact_u=counted),
+    )
+    report = run_study(config)
+    assert report.failure is None and len(report.rows) == 2
+    assert len(calls) == 2
+
+
+def test_failure_stage_mesh(tmp_path, capsys):
+    # the cavity of problem 4 is not aligned with the 1/h = 1 lattice
+    vtk = tmp_path / "f.vtk"
+    config = RunConfig(example=4, refinements=(1, 2), vtk=str(vtk)).validate()
+    report = run_study(config)
+    assert report.failure["inv_h"] == 1
+    assert report.failure["stage"] == "mesh"
+    assert report.rows == [] and not vtk.exists()
+    assert main(["--example", "4", "--refinements", "1", "2"]) == 1
+    assert "failed during mesh" in capsys.readouterr().err
+
+
+def test_failure_stage_solve_keeps_completed_level(tmp_path, monkeypatch):
+    from divcurl import solver
+
+    true_solve, calls = solver.solve, []
+
+    def second_fails(system, **kwargs):
+        calls.append(system.dofmap.num_free)
+        if len(calls) == 2:
+            raise solver.SolverError("injected failure")
+        return true_solve(system, **kwargs)
+
+    monkeypatch.setattr(solver, "solve", second_fails)
+    vtk = tmp_path / "f.vtk"
+    config = RunConfig(example=1, refinements=(2, 4), vtk=str(vtk)).validate()
+    report = run_study(config)
+    assert len(report.rows) == 1
+    assert report.failure["inv_h"] == 4
+    assert report.failure["stage"] == "solve"
+    assert report.failure["message"] == "injected failure"
+    assert "CELLS 48 " in vtk.read_text()  # the 1/h = 2 mesh
 
 
 def test_module_entry_point_imports_cleanly():
