@@ -2,8 +2,9 @@
 
 Every domain is a box minus axis-aligned boxes, meshed by slicing into
 cubes of edge 1/n and splitting each cube into the same six tetrahedra.
-The script prints a census per domain, verifies two geometric identities
-on the fly, and drops a VTK file per mesh next to this script for
+The script prints a census per domain (the boundary components and
+tunnels are read off each mesh), verifies two geometric identities on
+the fly, and drops a VTK file per mesh next to this script for
 inspection in ParaView.
 """
 
@@ -22,7 +23,7 @@ for example in range(1, 8):
     mesh = build_structured_tet_mesh(domain, 2)
     print(f"{example:>7d} {domain.family:>18s} {mesh.num_tets:>7d} "
           f"{mesh.num_faces:>7d} {len(mesh.boundary_faces):>8d} "
-          f"{domain.num_boundary_components:>10d} {domain.betti1:>7d}")
+          f"{mesh.num_boundary_components:>10d} {mesh.betti1:>7d}")
 
 # two identities every element satisfies:
 #   sum over faces of area-weighted outward normals is zero (closed surface)

@@ -40,14 +40,12 @@ from .mesh import (
     TetGeometry,
     build_domain,
     build_structured_tet_mesh,
-    classify_boundary_faces,
     tet_geometry,
     write_vtk,
 )
 from .problems import (
     ProblemError,
     ProblemSpec,
-    compatibility_check,
     cyl_coords,
     finite_difference_check,
     make_problem,

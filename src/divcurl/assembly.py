@@ -94,10 +94,13 @@ class DofMap:
         start, _ = self.offsets[name]
         return start + _PER_ENTITY[name] * np.asarray(entity) + comp
 
-    def block_counts(self) -> dict:
-        return {
-            name: self.offsets[name][1] - self.offsets[name][0] for name in _BLOCKS
-        }
+    def per_dof(self, tet_values, face_values) -> np.ndarray:
+        """Spread per-tet and per-face values over the raw DoF numbering."""
+        out = np.empty(self.total, dtype=np.result_type(tet_values, face_values))
+        for name, (start, stop) in self.offsets.items():
+            source = tet_values if name in _TET_BLOCKS else face_values
+            out[start:stop] = np.repeat(source, _PER_ENTITY[name])
+        return out
 
 
 def build_dof_map(mesh: Mesh) -> DofMap:
@@ -127,7 +130,7 @@ def build_dof_map(mesh: Mesh) -> DofMap:
     fixed[sb0 + np.flatnonzero(bnd)] = True
 
     cavity_faces = {}
-    for comp in range(1, mesh.domain.num_boundary_components):
+    for comp in range(1, mesh.num_boundary_components):
         cavity_faces[comp] = np.flatnonzero(mesh.face_tags == comp)
 
     pinned = offsets["lam0"][0]
@@ -342,13 +345,6 @@ class GlobalSystem:
         x = np.zeros(self.dofmap.total)
         x[self.dofmap.free] = x_free
         return x
-
-    def export_matrix_market(self, path: str) -> None:
-        """Write the free-DoF matrix in Matrix Market coordinate format."""
-        from scipy.io import mmwrite
-
-        A_ff, _ = self.reduced()
-        mmwrite(path, A_ff, symmetry="symmetric")
 
 
 def assemble_global(

@@ -110,7 +110,7 @@ def run_study(config: RunConfig):
         report.add_row(**level.row)
         if config.vtk:
             data = {"u_h": level.sol.u, "Qu": level.qu, "cell_error": level.cell_errors}
-            if problem.domain.betti1 > 0:
+            if level.mesh.betti1 > 0:
                 data["eta_h"] = level.qu - level.sol.u
             vtk_fields = level.mesh, data
         del level  # free this level's system before the next one is built

@@ -13,12 +13,15 @@ Conventions
   the outward normal of the lowest-index incident tet; the other incident
   tet carries sign -1 in ``tet_face_signs``.
 * Boundary tags: -1 interior, 0 the exterior component, i >= 1 the i-th
-  cavity surface.
+  cavity surface.  The components and the first Betti number are read
+  off the mesh's own boundary surface, never declared.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sparse
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "DomainSpec",
@@ -27,7 +30,6 @@ __all__ = [
     "TetGeometry",
     "build_domain",
     "build_structured_tet_mesh",
-    "classify_boundary_faces",
     "tet_geometry",
     "write_vtk",
     "INTERIOR",
@@ -49,6 +51,8 @@ _CUBE_PERMUTATIONS = (
 
 # local face i = vertices of the tet omitting local vertex i
 _FACE_VERTICES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+# the three edges of a triangle, as local vertex pairs
+_EDGE_ENDS = np.array([[0, 1], [0, 2], [1, 2]])
 
 
 class MeshError(Exception):
@@ -62,33 +66,20 @@ class DomainSpec:
     Attributes
     ----------
     family : str
-        One of ``unit_cube``, ``lshaped_prism``, ``cube_with_cavity``,
-        ``toroid_1hole``, ``toroid_2holes``.
+        A label: ``unit_cube``, ``lshaped_prism``, ``cube_with_cavity``,
+        ``toroid_1hole``, ``toroid_2holes`` for the built-in domains.
     lo, hi : tuple of float
         Bounding box corners.
     excluded : tuple of (lo, hi) box pairs
-        Boxes removed from the bounding box.
-    cavity_indices : tuple of int
-        Positions in ``excluded`` that are strictly interior boxes; each
-        one contributes a separate boundary component Gamma_i.
-    betti1 : int
-        Number of independent tunnels (0 unless toroidal).
+        Boxes removed from the bounding box.  Cavities and tunnels are
+        not declared: the mesh finds them (``Mesh.face_tags``,
+        ``Mesh.betti1``).
     """
 
     family: str
     lo: tuple
     hi: tuple
     excluded: tuple = ()
-    cavity_indices: tuple = ()
-    betti1: int = 0
-
-    @property
-    def num_cavities(self) -> int:
-        return len(self.cavity_indices)
-
-    @property
-    def num_boundary_components(self) -> int:
-        return 1 + self.num_cavities
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Vectorized open-domain membership test for (N, 3) points."""
@@ -122,7 +113,6 @@ def _cube_with_cavity() -> DomainSpec:
         (-1.5, -1.5, -1.5),
         (0.5, 0.5, 0.5),
         excluded=(((-1.0, -1.0, -1.0), (0.0, 0.0, 0.0)),),
-        cavity_indices=(0,),
     )
 
 
@@ -133,7 +123,6 @@ def _toroid_1hole() -> DomainSpec:
         (-1.0, -1.0, 0.0),
         (0.5, 0.5, 0.5),
         excluded=(((-0.5, -0.5, 0.0), (0.0, 0.0, 0.5)),),
-        betti1=1,
     )
 
 
@@ -146,7 +135,6 @@ def _toroid_2holes() -> DomainSpec:
             ((-0.5, -0.5, 0.0), (0.0, 0.0, 0.5)),
             ((0.5, -0.5, 0.0), (1.0, 0.0, 0.5)),
         ),
-        betti1=2,
     )
 
 
@@ -225,17 +213,17 @@ class Mesh:
     Instances are produced by :func:`build_structured_tet_mesh` and are
     immutable by convention; all fields are plain numpy arrays safe to
     share across threads; ``geometry`` is the :class:`TetGeometry` of its tets.
+    ``face_tags``, ``num_boundary_components`` and ``betti1`` are read off
+    the boundary surface of the tets themselves.
     """
 
-    def __init__(self, domain, n, vertices, vertex_ijk, tets):
-        self.domain = domain
-        self.n = n
+    def __init__(self, vertices, vertex_ijk, tets):
         self.vertices = vertices
         self.vertex_ijk = vertex_ijk
         self.tets = tets
         self._build_faces()
         self._build_geometry()
-        self.face_tags = classify_boundary_faces(self, domain)
+        self._build_boundary_topology()
 
     # -- topology -----------------------------------------------------
 
@@ -299,6 +287,66 @@ class Mesh:
         signs = self.tet_face_signs[:, :, None].astype(float)
         normals = self.face_normals[self.tet_faces] * signs
         self.geometry = TetGeometry(volumes, grad, areas, normals, diameters)
+
+    def _build_boundary_topology(self):
+        """Tag the boundary components and count them and the tunnels.
+
+        Boundary faces are joined across shared edges.  The component
+        with a face on the lowest lattice x plane is the exterior (tag 0);
+        the cavities follow as 1, 2, ... in order of their first face.  On
+        one connected solid bounded by closed surfaces, chi(Omega) =
+        chi(boundary) / 2 = b0 - b1 + b2 with b0 = 1 and b2 = components
+        - 1, which gives b1.  A pinched boundary (an edge outside exactly
+        two boundary faces, or sheets meeting at a vertex) breaks that
+        formula and a split solid leaves a lam0 null mode that no pin
+        fixes, so both raise :class:`MeshError`.
+        """
+        bfaces = self.boundary_faces
+        nb = len(bfaces)
+        tri = self.faces[bfaces]  # sorted vertex triples
+        ends = tri[:, _EDGE_ENDS]  # (nb, 3, 2), lower vertex first
+        _, edge = np.unique(
+            ends[..., 0] * self.num_vertices + ends[..., 1], return_inverse=True
+        )
+        edge = edge.ravel()
+        ne = edge.max() + 1
+        if np.any(np.bincount(edge) != 2):
+            raise MeshError(
+                "pinched boundary: an edge does not lie in exactly two boundary faces"
+            )
+        # the face corners at one vertex, joined across the edges they share,
+        # form one ring per sheet of the surface through that vertex
+        slots = np.argsort(edge, kind="stable").reshape(ne, 2)  # 3 * face + edge
+        corners = 3 * (slots // 3)[:, :, None] + _EDGE_ENDS[slots % 3]  # (ne, 2, 2)
+        rings = sparse.coo_matrix(
+            (np.ones(2 * ne), (corners[:, 0].ravel(), corners[:, 1].ravel())),
+            shape=(3 * nb, 3 * nb),
+        )
+        num_boundary_vertices = len(np.unique(tri))
+        if connected_components(rings, directed=False)[0] != num_boundary_vertices:
+            raise MeshError("pinched boundary: surface sheets meet at a vertex")
+
+        nt = self.num_tets
+        inner = self.face_tets[self.face_tet_count == 2]
+        adjacency = sparse.coo_matrix(
+            (np.ones(len(inner)), (inner[:, 0], inner[:, 1])), shape=(nt, nt)
+        )
+        if connected_components(adjacency, directed=False)[0] != 1:
+            raise MeshError("the tets do not form one connected piece")
+
+        faces_edges = sparse.coo_matrix(
+            (np.ones(3 * nb), (np.repeat(np.arange(nb), 3), nb + edge)),
+            shape=(nb + ne, nb + ne),
+        )
+        ncomp, labels = connected_components(faces_edges, directed=False)
+        labels = labels[:nb]
+        first = np.unique(labels, return_index=True)[1]  # first face per component
+        xlow = np.all(self.vertex_ijk[tri, 0] == self.vertex_ijk[:, 0].min(), axis=1)
+        first[labels[np.argmax(xlow)]] = -1  # the exterior comes first
+        self.face_tags = np.full(self.num_faces, INTERIOR, dtype=np.int16)
+        self.face_tags[bfaces] = np.argsort(np.argsort(first))[labels]
+        self.num_boundary_components = int(ncomp)
+        self.betti1 = int(ncomp - (num_boundary_vertices - ne + nb) // 2)
 
     # -- convenience --------------------------------------------------
 
@@ -421,56 +469,7 @@ def build_structured_tet_mesh(domain: DomainSpec, n: int) -> Mesh:
     used[tets.ravel()] = True
     remap = -np.ones(len(full_xyz), dtype=np.int64)
     remap[used] = np.arange(used.sum())
-    return Mesh(domain, n, full_xyz[used], full_ijk[used], remap[tets])
-
-
-def classify_boundary_faces(mesh: Mesh, domain: DomainSpec) -> np.ndarray:
-    """Tag every face: -1 interior, 0 exterior boundary, i >= 1 cavity i.
-
-    Classification uses exact integer lattice coordinates; a boundary face
-    matching no component surface raises :class:`MeshError`.
-    """
-    n = mesh.n
-    counts = _lattice_counts(domain, n)
-    tags = np.full(mesh.num_faces, INTERIOR, dtype=np.int16)
-    bfaces = mesh.boundary_faces
-    ijk = mesh.vertex_ijk[mesh.faces[bfaces]]  # (nb, 3, 3)
-
-    def on_plane(axis, value):
-        return np.all(ijk[:, :, axis] == value, axis=1)
-
-    on_bbox = np.zeros(len(bfaces), dtype=bool)
-    for axis in range(3):
-        on_bbox |= on_plane(axis, 0)
-        on_bbox |= on_plane(axis, counts[axis])
-
-    assigned = np.zeros(len(bfaces), dtype=bool)
-    cavity_rank = 0
-    for idx, box in enumerate(domain.excluded):
-        ilo, ihi = _box_lattice(domain, box, n)
-        on_box = np.zeros(len(bfaces), dtype=bool)
-        within = np.all(
-            (ijk >= ilo[None, None, :]) & (ijk <= ihi[None, None, :]), axis=(1, 2)
-        )
-        for axis in range(3):
-            on_box |= within & (
-                on_plane(axis, ilo[axis]) | on_plane(axis, ihi[axis])
-            )
-        if idx in domain.cavity_indices:
-            cavity_rank += 1
-            tags[bfaces[on_box & ~assigned]] = cavity_rank
-        else:
-            tags[bfaces[on_box & ~assigned]] = 0
-        assigned |= on_box
-
-    tags[bfaces[on_bbox & ~assigned]] = 0
-    assigned |= on_bbox
-    if not np.all(assigned):
-        raise MeshError(
-            f"{np.count_nonzero(~assigned)} boundary faces match no "
-            "component surface (mesh/domain mismatch)"
-        )
-    return tags
+    return Mesh(full_xyz[used], full_ijk[used], remap[tets])
 
 
 def write_vtk(mesh: Mesh, path: str, cell_data: dict | None = None) -> None:

@@ -42,7 +42,6 @@ __all__ = [
     "cyl_coords",
     "sample_interior_points",
     "finite_difference_check",
-    "compatibility_check",
 ]
 
 # quadrature/evaluation points never sit on a singular axis for lattice
@@ -458,8 +457,10 @@ def finite_difference_check(
 ) -> dict:
     """Validate the closed-form loads against central differences of u.
 
-    Returns max scaled deviations {"f": ..., "g": ...} where the scale is
-    max(1, |exact load|) pointwise.
+    Returns max scaled deviations {"f": ..., "g": ..., "div_g": ...}:
+    f and g against central differences of u, scaled by max(1, |exact
+    load|) pointwise, and the central-difference divergence of g, which
+    must vanish for solvable data, scaled by max(1, |g|).
     """
     eps = problem.eps
 
@@ -483,15 +484,10 @@ def finite_difference_check(
     g_exact = problem.g(points)
     scale = np.maximum(1.0, np.linalg.norm(g_exact, axis=1))
     err_g = np.linalg.norm(fd_g - g_exact, axis=1) / scale
-    return {"f": float(err_f.max()), "g": float(err_g.max())}
+    div_g = np.einsum("nii->n", _fd_jacobian(problem.g, points, step))
+    return {
+        "f": float(err_f.max()),
+        "g": float(err_g.max()),
+        "div_g": float(np.max(np.abs(div_g) / scale)),
+    }
 
-
-def compatibility_check(
-    problem: ProblemSpec, points: np.ndarray, step: float = 1e-5
-) -> float:
-    """Max scaled |div g| at the sample points (must vanish for solvable
-    data)."""
-    jac_g = _fd_jacobian(problem.g, points, step)
-    div_g = np.einsum("nii->n", jac_g)
-    scale = np.maximum(1.0, np.linalg.norm(problem.g(points), axis=1))
-    return float(np.max(np.abs(div_g) / scale))

@@ -7,7 +7,7 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .assembly import _PER_ENTITY, _TET_BLOCKS, GlobalSystem
+from .assembly import GlobalSystem
 
 __all__ = [
     "SolutionFields",
@@ -44,46 +44,10 @@ class SolutionFields:
     diagnostics: dict = field(default_factory=dict)
     cavity_constants: dict = field(default_factory=dict)
 
-    def _block(self, name, comps=1):
-        v = self.x[self.dofmap.block(name)]
-        return v.reshape(-1, comps) if comps > 1 else v
-
     @property
     def u(self):
-        return self._block("u", 3)
-
-    @property
-    def s0(self):
-        return self._block("s0")
-
-    @property
-    def sb(self):
-        return self._block("sb")
-
-    @property
-    def lam0(self):
-        return self._block("lam0")
-
-    @property
-    def lamb(self):
-        return self._block("lamb")
-
-    @property
-    def q0(self):
-        return self._block("q0", 3)
-
-    @property
-    def qb(self):
-        return self._block("qb", 2)
-
-
-def _per_dof(dofmap, tet_values, face_values) -> np.ndarray:
-    """Spread per-tet and per-face values over the raw DoF numbering."""
-    out = np.empty(dofmap.total, dtype=np.result_type(tet_values, face_values))
-    for name, (start, stop) in dofmap.offsets.items():
-        source = tet_values if name in _TET_BLOCKS else face_values
-        out[start:stop] = np.repeat(source, _PER_ENTITY[name])
-    return out
+        """The primal field, one vector per tet (num_tets, 3)."""
+        return self.x[self.dofmap.block("u")].reshape(-1, 3)
 
 
 def _equilibration_scale(system: GlobalSystem, A_ff: sparse.csr_matrix):
@@ -97,7 +61,7 @@ def _equilibration_scale(system: GlobalSystem, A_ff: sparse.csr_matrix):
     dm = system.dofmap
     h_of_tet = system.mesh.geometry.diameters
     h_of_face = h_of_tet[system.mesh.face_tets[:, 0]]
-    floor = _per_dof(dm, h_of_tet, h_of_face)[dm.free] ** 3
+    floor = dm.per_dof(h_of_tet, h_of_face)[dm.free] ** 3
     d = np.maximum(np.abs(A_ff.diagonal()), floor)
     return 1.0 / np.sqrt(d)
 
@@ -163,7 +127,7 @@ def _lattice_permutation(mesh, dofmap) -> np.ndarray:
     )
     groups = _lattice_groups(keys)
     tet_group, face_group = groups[: mesh.num_tets], groups[mesh.num_tets :]
-    dof_group = _per_dof(dofmap, tet_group, face_group)
+    dof_group = dofmap.per_dof(tet_group, face_group)
     u_group = np.maximum(tet_group, face_group[mesh.tet_faces].max(axis=1))
     dof_group[dofmap.block("u")] = np.repeat(u_group, 3)
     primal = np.zeros(dofmap.total, dtype=bool)

@@ -1,5 +1,7 @@
 """Error norms, rates, reports, and harmonic-field extraction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from divcurl.analysis import (
     error_u,
     solve_level,
 )
-from divcurl.mesh import build_domain, build_structured_tet_mesh
+from divcurl.mesh import DomainSpec, build_domain, build_structured_tet_mesh
 from divcurl.problems import ProblemSpec, make_problem
 from divcurl.weak_ops import project_field
 
@@ -117,6 +119,19 @@ def test_level_errors_match_error_functions(example):
     assert level.row["err_Qu"] == error_Qu(spec, u_h, m)
     assert np.array_equal(level.cell_errors, cell_error_norms(spec, u_h, m))
     assert np.array_equal(level.qu, project_field(spec.exact_u, m))
+
+
+def test_cavity_found_on_undeclared_domain():
+    # problem 4's box, given only as a bounding box and an excluded box:
+    # the mesh finds the cavity, so its constant is still recovered
+    spec = make_problem(4)
+    dom = spec.domain
+    custom = DomainSpec("custom", dom.lo, dom.hi, dom.excluded)
+    row = solve_level(dataclasses.replace(spec, domain=custom), 2).row
+    want = solve_level(spec, 2).row
+    del row["seconds"], want["seconds"]
+    assert row["cavity_c1"] is not None
+    assert row == want
 
 
 def test_extraction_small_on_simply_connected():

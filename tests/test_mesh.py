@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from divcurl.invariants import kernel_identity_defect
 from divcurl.mesh import (
+    DomainSpec,
     MeshError,
     build_domain,
     build_structured_tet_mesh,
@@ -22,12 +26,19 @@ def test_domain_families():
     assert build_domain(1).family == "unit_cube"
     assert build_domain(2).family == "unit_cube"
     assert build_domain(3).family == "lshaped_prism"
-    dom4 = build_domain(4)
-    assert dom4.family == "cube_with_cavity"
-    assert dom4.num_boundary_components == 2
-    assert build_domain(5).betti1 == 1
-    assert build_domain(6).betti1 == 2
+    assert build_domain(4).family == "cube_with_cavity"
     assert build_domain(7) == build_domain(5)
+
+
+@pytest.mark.parametrize("n", (2, 4))
+@pytest.mark.parametrize(
+    "example, components, betti1",
+    [(1, 1, 0), (2, 1, 0), (3, 1, 0), (4, 2, 0), (5, 1, 1), (6, 1, 2), (7, 1, 1)],
+)
+def test_topology_from_mesh(example, components, betti1, n):
+    m = build_structured_tet_mesh(build_domain(example), n)
+    assert m.num_boundary_components == components
+    assert m.betti1 == betti1
 
 
 def test_unit_cube_counts():
@@ -46,7 +57,6 @@ def test_toroid_counts():
     # 8 active cells at n=2: 3x3 ring minus the hole cell, one layer
     m = build_structured_tet_mesh(build_domain(5), 2)
     assert m.num_tets == 6 * 8
-    assert m.domain.num_boundary_components == 1
 
 
 def test_face_incidence_counts():
@@ -68,15 +78,82 @@ def test_cavity_classification():
     assert np.count_nonzero(m.face_tags >= 0) == len(m.boundary_faces)
 
 
-def test_classification_rejects_mismatched_domain():
-    from divcurl.mesh import DomainSpec, classify_boundary_faces
+def test_pinched_boundary_rejected():
+    low = ((0.0, 0.0, 0.0), (0.5, 0.5, 0.5))
+    diagonal = (low, ((0.5, 0.5, 0.0), (1.0, 1.0, 0.5)))
+    # two cells meeting along one edge: four boundary faces share it
+    slab = DomainSpec("custom", (0.0, 0.0, 0.0), (1.0, 1.0, 0.5), diagonal)
+    with pytest.raises(MeshError, match="edge"):
+        build_structured_tet_mesh(slab, 2)
+    # the same pinch under a layer that joins the two cells
+    cube = DomainSpec("custom", (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), diagonal)
+    with pytest.raises(MeshError, match="edge"):
+        build_structured_tet_mesh(cube, 2)
+    # two notches meeting at the centre: no edge is pinched, the vertex is
+    corners = (low, ((0.5, 0.5, 0.5), (1.0, 1.0, 1.0)))
+    notched = DomainSpec("custom", (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), corners)
+    with pytest.raises(MeshError, match="vertex"):
+        build_structured_tet_mesh(notched, 2)
 
-    m = build_structured_tet_mesh(build_domain(5), 2)
-    # same bounding box but no hole: the hole's lateral faces match no
-    # component surface
-    fake = DomainSpec("unit_cube", m.domain.lo, m.domain.hi)
-    with pytest.raises(MeshError):
-        classify_boundary_faces(m, fake)
+
+def test_split_domain_rejected():
+    slab = ((0.0, 0.0, 0.5), (1.0, 1.0, 1.0))
+    split = DomainSpec("custom", (0.0, 0.0, 0.0), (1.0, 1.0, 1.5), (slab,))
+    with pytest.raises(MeshError, match="connected"):
+        build_structured_tet_mesh(split, 2)
+
+
+_LATTICE = 4  # cells per axis of [0, 2]^3 at n = 2
+
+
+@st.composite
+def _lattice_boxes(draw):
+    """1 to 3 boxes in lattice units, each kept off the bounding box with
+    even odds, so that cavities are common."""
+    boxes = []
+    for _ in range(draw(st.integers(1, 3))):
+        inner = draw(st.booleans())
+        coord = st.integers(1, _LATTICE - 1) if inner else st.integers(0, _LATTICE)
+        ends = [sorted(draw(st.lists(coord, min_size=2, max_size=2, unique=True)))
+                for _ in range(3)]
+        boxes.append(tuple(zip(*ends)))
+    return boxes
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_lattice_boxes())
+def test_topology_on_random_box_unions(boxes):
+    excluded = np.zeros((_LATTICE,) * 3, dtype=bool)
+    for lo, hi in boxes:
+        excluded[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = True
+    halves = tuple(tuple(tuple(c / 2 for c in end) for end in box) for box in boxes)
+    domain = DomainSpec("custom", (0.0, 0.0, 0.0), (2.0, 2.0, 2.0), halves)
+    try:
+        m = build_structured_tet_mesh(domain, 2)
+    except MeshError:  # empty, split or pinched
+        reject()
+
+    # cavities: clusters of excluded cells that keep off the bounding box
+    clusters, count = ndimage.label(excluded)
+    touching = np.unique(np.concatenate(
+        [np.take(clusters, i, axis=a).ravel() for a in range(3) for i in (0, -1)]
+    ))
+    cavities = set(range(1, count + 1)) - set(touching)
+    assert m.num_boundary_components - 1 == len(cavities)
+
+    # Euler characteristic of the solid over all its tet edges
+    pairs = m.tets[:, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]].reshape(-1, 2)
+    num_edges = len(np.unique(np.sort(pairs, axis=1), axis=0))
+    euler = m.num_vertices - num_edges + m.num_faces - m.num_tets
+    assert euler == 1 - m.betti1 + (m.num_boundary_components - 1)
+
+    # the tags partition the boundary faces, the bounding box is exterior
+    boundary = m.face_tet_count == 1
+    assert np.all(m.face_tags[~boundary] == -1)
+    assert set(m.face_tags[boundary]) == set(range(m.num_boundary_components))
+    ijk = m.vertex_ijk[m.faces]
+    on_box = np.any(np.all((ijk == 0) | (ijk == _LATTICE), axis=1), axis=1)
+    assert np.all(m.face_tags[on_box] == 0)
 
 
 def test_alignment_precondition():

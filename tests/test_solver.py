@@ -236,5 +236,5 @@ def test_cavity_recovery_problem4():
     r = system.F - system.A @ base.x
     assert c1 == pytest.approx((AS @ r) / (AS @ AS), rel=1e-12)
     # the recovered constant lands on the cavity trace values
-    sb = sol.sb
+    sb = sol.x[system.dofmap.block("sb")]
     assert np.allclose(sb[m.face_tags == 1], c1)

@@ -94,13 +94,7 @@ def test_sign_consistency_off_lattice():
         boundary[lattice.faces[lattice.face_tet_count == 1].ravel()] = True
         jitter = rng.uniform(-0.05, 0.05, (lattice.num_vertices, 3)) / n
         jitter[boundary] = 0.0
-        m = Mesh(
-            lattice.domain,
-            n,
-            lattice.vertices + jitter,
-            lattice.vertex_ijk,
-            lattice.tets,
-        )
+        m = Mesh(lattice.vertices + jitter, lattice.vertex_ijk, lattice.tets)
         geom = m.geometry
         assert geom.volumes.min() > 0.0
         assert np.abs(m.face_normals - lattice.face_normals).max() > 1e-3
