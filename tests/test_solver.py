@@ -66,7 +66,7 @@ def test_direct_deterministic():
 
 
 @pytest.mark.parametrize("example", [1, 4, 5])
-def test_lattice_permutation_orders_faces_before_u(example):
+def test_lattice_permutation_orders_u_after_three_faces(example):
     spec = make_problem(example)
     m = build_structured_tet_mesh(spec.domain, 2)
     dm = assemble_global(spec, m).dofmap
@@ -79,15 +79,17 @@ def test_lattice_permutation_orders_faces_before_u(example):
     u_pos = pos[dm.index("u", tets[:, None], np.arange(3))]
     assert u_pos.min() >= 0
     faces = m.tet_faces
-    multipliers = np.concatenate(
+    # latest free multiplier (lamb, qb) of each of a tet's four faces
+    last_multiplier = np.stack(
         [
             pos[dm.index("lamb", faces)],
             pos[dm.index("qb", faces, 0)],
             pos[dm.index("qb", faces, 1)],
         ],
-        axis=1,
-    )
-    assert np.all(u_pos.min(axis=1) > multipliers.max(axis=1))
+        axis=-1,
+    ).max(axis=-1)
+    faces_before_u = (last_multiplier < u_pos.min(axis=1)[:, None]).sum(axis=1)
+    assert faces_before_u.min() >= 3
 
 
 def test_lattice_order_beats_colamd_fill():
@@ -99,6 +101,29 @@ def test_lattice_order_beats_colamd_fill():
     S = sparse.diags(solver._equilibration_scale(system, A_ff))
     colamd = spla.splu((S @ A_ff @ S).tocsc(), permc_spec="COLAMD")
     assert fill < colamd.nnz
+
+
+def test_lattice_order_halves_fill():
+    # eliminating u after its fourth face instead gives 973,138
+    spec = make_problem(1)
+    m = build_structured_tet_mesh(spec.domain, 4)
+    system = assemble_global(spec, m)
+    assert solve(system, method="direct").diagnostics["fill_nnz"] < 700_000
+
+
+@pytest.mark.parametrize("example", range(1, 8))
+def test_direct_solve_accurate_despite_zero_u_block(example):
+    spec = make_problem(example)
+    for n in (2, 4):
+        m = build_structured_tet_mesh(spec.domain, n)
+        system = assemble_global(spec, m)
+        sol = solve(system, method="direct")
+        assert sol.diagnostics["relative_residual"] <= 1e-13
+        if n == 2:
+            A_ff, F_f = system.reduced()
+            ref = spla.spsolve(A_ff.tocsc(), F_f, permc_spec="COLAMD")
+            x_f = sol.x[system.dofmap.free]
+            assert np.linalg.norm(x_f - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_failed_factorization_keeps_diagnostics(monkeypatch):
@@ -203,8 +228,10 @@ def test_unknown_method_rejected():
     system = assemble_global(spec, m)
     with pytest.raises(ValueError):
         solve(system, method="cg")
-    with pytest.raises(ValueError):
-        solve(system, method="minres", tol=2.0)
+    for method in ("auto", "direct", "minres"):
+        for tol in (0.0, 1.0, 2.0, -1e-8):
+            with pytest.raises(ValueError, match="tolerance"):
+                solve(system, method=method, tol=tol)
     with pytest.raises(ValueError):
         solve(system, method="minres", max_iter=0)
 
