@@ -40,7 +40,7 @@ ERROR_COLUMNS = ("err_u", "err_Qu", "tnorm_dual", "tnorm_s")
 
 
 def _weighted_sq(d: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    return np.einsum("...d,de,...e->...", d, eps, d)
+    return ((d @ eps) * d).sum(axis=-1)
 
 
 def _exact_at_gauss(problem, mesh, quad_degree):

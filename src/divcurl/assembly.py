@@ -141,25 +141,21 @@ def build_dof_map(mesh: Mesh) -> DofMap:
 
 def _csr_from_triplets(blocks, n) -> sparse.csr_matrix:
     """Duplicate-summing COO -> CSR of broadcastable (rows, cols, vals)
-    blocks, with a deterministic reduction order.
+    blocks.
 
-    ``lexsort`` is stable, so mirrored triplet pairs are summed in the
-    same sequence at (i, j) and (j, i) and symmetry is exact in floating
-    point.
+    The summation order of duplicates is left to scipy, which is safe
+    because no (row, col) of S1, S2 or B gets more than two triplets:
+    only face-face entries collect from two tets, one each.  A sum of
+    two floats is commutative in IEEE arithmetic (a + b == b + a
+    exactly), so every entry is the same whatever the order, and
+    mirrored entries, which have the same two addends, keep symmetry
+    exact.  ``tests/test_assembly.py`` checks the two-triplet bound.
     """
     rows, cols, vals = (
         np.concatenate([a.ravel() for a in arrays])
         for arrays in zip(*(np.broadcast_arrays(*block) for block in blocks))
     )
-    order = np.lexsort((cols, rows))
-    r, c, v = rows[order], cols[order], vals[order]
-    fresh = np.empty(len(r), dtype=bool)
-    fresh[0] = True
-    fresh[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-    head = np.flatnonzero(fresh)
-    return sparse.csr_matrix(
-        (np.add.reduceat(v, head), (r[head], c[head])), shape=(n, n)
-    )
+    return sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def _jump_blocks(cell, face, w):

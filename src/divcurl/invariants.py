@@ -11,7 +11,13 @@ import numpy as np
 from . import problems, weak_ops
 from .analysis import solve_level
 from .assembly import assemble_global
-from .mesh import Mesh, build_domain, build_structured_tet_mesh, tet_geometry
+from .mesh import (
+    DomainSpec,
+    Mesh,
+    build_domain,
+    build_structured_tet_mesh,
+    tet_geometry,
+)
 
 __all__ = [
     "commutativity_defect",
@@ -77,13 +83,15 @@ def kernel_identity_defect(mesh: Mesh, rng: np.random.Generator) -> float:
     return float(worst)
 
 
-def patch_test_defects() -> tuple:
+def patch_test_defects(domain: DomainSpec | None = None) -> tuple:
     """(e_u, larger dual semi-norm) of the direct solve for a constant
-    field with eps = diag(3, 2, 1) on the unit cube at 1/h = 2; the scheme
-    reproduces constants, so both vanish up to round-off."""
+    field with eps = diag(3, 2, 1) on ``domain`` (default: the unit cube)
+    at 1/h = 2; the scheme reproduces constants, so both vanish up to
+    round-off."""
     value = np.array([1.0, -2.0, 0.5])
     spec = problems.ProblemSpec(
-        0, "constant_patch", np.diag([3.0, 2.0, 1.0]), build_domain(1),
+        0, "constant_patch", np.diag([3.0, 2.0, 1.0]),
+        build_domain(1) if domain is None else domain,
         lambda p: np.broadcast_to(value, (len(p), 3)).copy(),
         lambda p: np.zeros(len(p)), lambda p: np.zeros_like(p), "constant",
     )
@@ -91,11 +99,15 @@ def patch_test_defects() -> tuple:
     return row["err_u"], max(row["tnorm_dual"], row["tnorm_s"])
 
 
-def system_defects(rng: np.random.Generator, samples: int) -> tuple:
+def system_defects(
+    rng: np.random.Generator, samples: int, domain: DomainSpec | None = None
+) -> tuple:
     """(largest |A - A^T| entry, smallest x^T S x over S1 and S2) of
-    problem 1 at 1/h = 2, for ``samples`` standard normal vectors x."""
+    problem 1 on ``domain`` (default: its own unit cube) at 1/h = 2, for
+    ``samples`` standard normal vectors x."""
     spec = problems.make_problem(1)
-    system = assemble_global(spec, build_structured_tet_mesh(spec.domain, 2))
+    mesh = build_structured_tet_mesh(spec.domain if domain is None else domain, 2)
+    system = assemble_global(spec, mesh)
     asym = (system.A - system.A.T).tocoo()
     asymmetry = float(np.abs(asym.data).max()) if asym.nnz else 0.0
     x = rng.standard_normal((samples, system.dofmap.total))

@@ -231,9 +231,11 @@ class Mesh:
         nt = len(self.tets)
         all_faces = self.tets[:, _FACE_VERTICES]  # (nt, 4, 3)
         all_faces = np.sort(all_faces.reshape(-1, 3), axis=1)
-        faces, first, inverse = np.unique(
-            all_faces, axis=0, return_index=True, return_inverse=True
-        )
+        # one integer key per sorted triple; its order is lexicographic,
+        # and ravel_multi_index raises rather than overflow int64
+        key = np.ravel_multi_index(all_faces.T, (len(self.vertices),) * 3)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        faces = all_faces[first]
         # renumber faces by order of first appearance to keep mesh-order
         # determinism rather than lexicographic vertex order
         order = np.argsort(first, kind="stable")

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
+from divcurl import assembly
 from divcurl.assembly import (
     assemble_Bh,
     assemble_global,
@@ -230,6 +232,78 @@ def test_global_symmetry_and_block_structure():
     for name in ("s0", "sb"):
         sl = dm.block(name)
         assert (system.A[sl, sl] + system.S2[sl, sl]).nnz == 0
+
+
+def _lexsort_reduction(rows, cols, vals, n):
+    """The former reduction: duplicates summed in stable (row, col) order."""
+    order = np.lexsort((cols, rows))
+    r, c, v = rows[order], cols[order], vals[order]
+    fresh = np.empty(len(r), dtype=bool)
+    fresh[0] = True
+    fresh[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+    head = np.flatnonzero(fresh)
+    return sparse.csr_matrix(
+        (np.add.reduceat(v, head), (r[head], c[head])), shape=(n, n)
+    )
+
+
+@pytest.fixture
+def recorded_triplets(monkeypatch):
+    """The flattened (rows, cols, vals, n, result) of every
+    ``_csr_from_triplets`` call, in call order."""
+    calls = []
+    reduce = assembly._csr_from_triplets
+
+    def record(blocks, n):
+        rows, cols, vals = (
+            np.concatenate([a.ravel() for a in arrays])
+            for arrays in zip(*(np.broadcast_arrays(*block) for block in blocks))
+        )
+        result = reduce(blocks, n)
+        calls.append((rows, cols, vals, n, result))
+        return result
+
+    monkeypatch.setattr(assembly, "_csr_from_triplets", record)
+    return calls
+
+
+def _assert_same_csr(got, want):
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def _check_order_free(problem, mesh, calls):
+    # at most two triplets per (row, col), so the summation order cannot
+    # change a bit: S1, S2, B and A equal the ordered reduction's exactly
+    calls.clear()
+    system = assemble_global(problem, mesh)
+    assert len(calls) == 3  # S1, S2, B
+    reference = []
+    for rows, cols, vals, n, got in calls:
+        _, counts = np.unique(rows * n + cols, return_counts=True)
+        assert counts.max() <= 2
+        want = _lexsort_reduction(rows, cols, vals, n)
+        _assert_same_csr(got, want)
+        reference.append(want)
+    S1, S2, B = reference
+    assert system.S1 is calls[0][4] and system.S2 is calls[1][4]
+    _assert_same_csr(system.A, (S1 - S2 + B + B.T).tocsr())
+
+
+@pytest.mark.parametrize("example", range(1, 8))
+def test_assembly_independent_of_summation_order(example, recorded_triplets):
+    spec = make_problem(example)
+    mesh = build_structured_tet_mesh(spec.domain, 2)
+    _check_order_free(spec, mesh, recorded_triplets)
+
+
+def test_assembly_independent_of_summation_order_off_lattice(
+    jittered_mesh, recorded_triplets
+):
+    rng = np.random.default_rng(3)
+    for example, n in ((1, 3), (4, 4)):
+        _, mesh = jittered_mesh(example, n, rng)
+        _check_order_free(make_problem(example), mesh, recorded_triplets)
 
 
 def test_quadratic_forms_psd():

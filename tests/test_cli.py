@@ -1,5 +1,6 @@
 """Study driver: configuration handling, artifacts, determinism, exit codes."""
 
+import csv
 import dataclasses
 import os
 import subprocess
@@ -65,6 +66,35 @@ def test_csv_reruns_identical(tmp_path):
         run_study(config)
         paths.append(csv.read_bytes())
     assert paths[0] == paths[1]
+
+
+GOLDEN = Path(__file__).parent / "data" / "direct_refinements_2_4.csv"
+
+
+def _rows(path, example):
+    with open(path, newline="") as fh:
+        return [row for row in csv.DictReader(fh) if row["example"] == str(example)]
+
+
+@pytest.mark.parametrize("example", range(1, 8))
+def test_direct_rows_match_recorded(tmp_path, example):
+    # `divcurl --example E --refinements 2 4 --solver direct` against rows
+    # recorded before the discretization kernels were rewritten; the
+    # tolerance leaves room for other BLAS builds, not for a changed scheme
+    out = tmp_path / "out.csv"
+    args = ["--example", str(example), "--refinements", "2", "4"]
+    assert main(args + ["--solver", "direct", "--csv", str(out)]) == 0
+    got, want = _rows(out, example), _rows(GOLDEN, example)
+    assert len(got) == len(want) == 2
+    assert list(got[0]) == list(want[0])
+    for g, w in zip(got, want):
+        for col in w:
+            if col == "solver_residual":
+                assert float(g[col]) <= 1e-10
+            elif w[col] == "" or g[col] == "":
+                assert g[col] == w[col], col
+            else:
+                assert float(g[col]) == pytest.approx(float(w[col]), rel=1e-10), col
 
 
 def test_main_exit_codes(tmp_path):

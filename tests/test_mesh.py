@@ -6,7 +6,11 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from divcurl.invariants import kernel_identity_defect
+from divcurl.invariants import (
+    kernel_identity_defect,
+    patch_test_defects,
+    system_defects,
+)
 from divcurl.mesh import (
     DomainSpec,
     MeshError,
@@ -120,14 +124,19 @@ def _lattice_boxes(draw):
     return boxes
 
 
+def _box_union(boxes) -> DomainSpec:
+    """[0, 2]^3 minus ``boxes``, given in lattice units at n = 2."""
+    halves = tuple(tuple(tuple(c / 2 for c in end) for end in box) for box in boxes)
+    return DomainSpec("custom", (0.0, 0.0, 0.0), (2.0, 2.0, 2.0), halves)
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(_lattice_boxes())
 def test_topology_on_random_box_unions(boxes):
     excluded = np.zeros((_LATTICE,) * 3, dtype=bool)
     for lo, hi in boxes:
         excluded[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = True
-    halves = tuple(tuple(tuple(c / 2 for c in end) for end in box) for box in boxes)
-    domain = DomainSpec("custom", (0.0, 0.0, 0.0), (2.0, 2.0, 2.0), halves)
+    domain = _box_union(boxes)
     try:
         m = build_structured_tet_mesh(domain, 2)
     except MeshError:  # empty, split or pinched
@@ -154,6 +163,21 @@ def test_topology_on_random_box_unions(boxes):
     ijk = m.vertex_ijk[m.faces]
     on_box = np.any(np.all((ijk == 0) | (ijk == _LATTICE), axis=1), axis=1)
     assert np.all(m.face_tags[on_box] == 0)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(_lattice_boxes())
+def test_system_invariants_on_random_box_unions(boxes):
+    # exact symmetry, PSD stabilizers and the constant patch test on
+    # domains with cavities and tunnels, not only the five built-in ones
+    domain = _box_union(boxes)
+    try:
+        asymmetry, min_energy = system_defects(np.random.default_rng(0), 5, domain)
+    except MeshError:  # empty, split or pinched
+        reject()
+    assert asymmetry == 0.0
+    assert min_energy >= -1e-12
+    assert max(patch_test_defects(domain)) <= 1e-10
 
 
 def test_alignment_precondition():

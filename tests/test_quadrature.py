@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from divcurl.mesh import build_domain, build_structured_tet_mesh
 from divcurl.quadrature import (
     TET_REF_MEASURE,
     TRI_REF_MEASURE,
     map_to_tetrahedra,
+    map_to_triangles,
     tetrahedron_rule,
     triangle_rule,
 )
@@ -68,3 +70,31 @@ def test_mapping_scales_with_volume():
     # integral of x: centroid identity
     got = np.sum(wts * phys[0, :, 0]) * vol / TET_REF_MEASURE / vol
     assert got == pytest.approx(verts[0, :, 0].mean())
+
+
+def _einsum_map(points, verts):
+    """The affine map by its einsum definition."""
+    edges = verts[:, 1:, :] - verts[:, :1, :]
+    return verts[:, None, 0, :] + np.einsum("kr,trd->tkd", points, edges)
+
+
+def test_maps_equal_einsum_definition_on_lattice():
+    m = build_structured_tet_mesh(build_domain(3), 4)
+    pts = tetrahedron_rule(4)[0]
+    tets = m.vertices[m.tets]
+    assert np.array_equal(map_to_tetrahedra(pts, tets), _einsum_map(pts, tets))
+    tpts = triangle_rule(4)[0]
+    faces = m.vertices[m.faces]
+    assert np.array_equal(map_to_triangles(tpts, faces), _einsum_map(tpts, faces))
+
+
+def test_maps_match_einsum_definition_off_lattice():
+    rng = np.random.default_rng(17)
+    for mapping, pts, shape in (
+        (map_to_tetrahedra, tetrahedron_rule(4)[0], (200, 4, 3)),
+        (map_to_triangles, triangle_rule(4)[0], (200, 3, 3)),
+    ):
+        verts = rng.uniform(-1.0, 1.0, shape)
+        got, want = mapping(pts, verts), _einsum_map(pts, verts)
+        assert got.shape == want.shape == (200, len(pts), 3)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(verts).max()

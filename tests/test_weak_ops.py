@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from divcurl.invariants import commutativity_defect
-from divcurl.mesh import Mesh, build_domain, build_structured_tet_mesh, tet_geometry
+from divcurl.mesh import build_domain, build_structured_tet_mesh, tet_geometry
 from divcurl.weak_ops import project_field, weak_curl, weak_gradient
 
 REF = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -84,17 +84,12 @@ def test_sign_consistency():
         assert np.abs(grad).max() < 1e-12, example
 
 
-def test_sign_consistency_off_lattice():
+def test_sign_consistency_off_lattice(jittered_mesh):
     # on lattice meshes normals recomputed per tet also cancel exactly, so
     # only a jittered mesh shows that both tets read one shared face normal
     rng = np.random.default_rng(3)
     for example, n in ((1, 3), (4, 4)):
-        lattice = build_structured_tet_mesh(build_domain(example), n)
-        boundary = np.zeros(lattice.num_vertices, dtype=bool)
-        boundary[lattice.faces[lattice.face_tet_count == 1].ravel()] = True
-        jitter = rng.uniform(-0.05, 0.05, (lattice.num_vertices, 3)) / n
-        jitter[boundary] = 0.0
-        m = Mesh(lattice.vertices + jitter, lattice.vertex_ijk, lattice.tets)
+        lattice, m = jittered_mesh(example, n, rng)
         geom = m.geometry
         assert geom.volumes.min() > 0.0
         assert np.abs(m.face_normals - lattice.face_normals).max() > 1e-3
