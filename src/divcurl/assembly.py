@@ -320,8 +320,6 @@ class GlobalSystem:
     S2: sparse.csr_matrix
     dofmap: DofMap
     mesh: Mesh
-    problem: ProblemSpec
-    params: dict
 
     @property
     def indicators(self) -> dict:
@@ -346,7 +344,6 @@ class GlobalSystem:
 def assemble_global(
     problem: ProblemSpec,
     mesh: Mesh,
-    dofmap: DofMap | None = None,
     rho1: float = 1.0,
     rho2: float = 1.0,
     rho3: float = 1.0,
@@ -358,18 +355,10 @@ def assemble_global(
         raise ValueError("stabilization weights rho_i must be positive")
     if gamma_exp < -1:
         raise ValueError("stabilizer exponent gamma must be >= -1")
-    if dofmap is None:
-        dofmap = build_dof_map(mesh)
+    dofmap = build_dof_map(mesh)
     S1 = assemble_s1(mesh, dofmap, rho1, rho2)
     S2 = assemble_s2(mesh, dofmap, rho3, gamma_exp)
     B = assemble_Bh(mesh, problem.eps, dofmap)
     A = (S1 - S2 + B + B.T).tocsr()
     F = assemble_rhs(problem, mesh, dofmap, quad_degree)
-    params = {
-        "rho1": rho1,
-        "rho2": rho2,
-        "rho3": rho3,
-        "gamma_exp": gamma_exp,
-        "quad_degree": quad_degree,
-    }
-    return GlobalSystem(A, F, S1, S2, dofmap, mesh, problem, params)
+    return GlobalSystem(A, F, S1, S2, dofmap, mesh)

@@ -8,8 +8,8 @@ Exit codes: 0 success, 1 solver failure, 2 invalid configuration,
 """
 
 import argparse
+import dataclasses
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ class ConfigError(ValueError):
     """Invalid run configuration."""
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     """Validated study configuration (see module docstring for the CLI)."""
 
@@ -50,8 +50,6 @@ class RunConfig:
     problem_spec: object = None  # filled by validate()
 
     def validate(self):
-        if self.example not in range(1, 8):
-            raise ConfigError(f"example must be 1..7, got {self.example}")
         refs = tuple(int(n) for n in self.refinements)
         if len(refs) < 1 or any(n < 1 for n in refs):
             raise ConfigError(f"bad refinement ladder {refs}")
@@ -156,43 +154,39 @@ def selftest(seed: int = 20240901) -> bool:
 # -- argument handling ---------------------------------------------------
 
 
-def _parse_config_file(path) -> dict:
-    """key = value lines; '#' starts a comment; lists are comma separated."""
-    out = {}
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag or value as a ConfigError instead of exiting."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+# the study settings, which flags and --config keys name alike
+_SETTINGS = {f.name for f in dataclasses.fields(RunConfig)} - {"problem_spec"}
+
+
+def _config_tokens(path) -> list:
+    """Flag tokens for the key = value lines of ``path``; '#' starts a comment."""
+    tokens = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            out[key.replace("-", "_")] = value
-    return out
-
-
-_INT_KEYS = {"example", "quad_degree"}
-_FLOAT_KEYS = {"rho1", "rho2", "rho3", "gamma_exp", "tol", "gamma", "beta"}
-_STR_KEYS = {"solver", "csv", "md", "vtk"}
-
-
-def _coerce(key, value):
-    try:
-        if key == "refinements":
-            return tuple(int(tok) for tok in str(value).replace(",", " ").split())
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {value!r}") from exc
-    if key in _STR_KEYS:
-        return str(value)
-    raise ConfigError(f"unknown configuration key {key!r}")
+            key, eq, value = (part.strip() for part in line.partition("="))
+            name = key.replace("-", "_")
+            if not eq or name not in _SETTINGS:
+                raise ConfigError(f"{path}:{lineno}: unknown setting in {line!r}")
+            flag = "--" + name.replace("_", "-")
+            if name == "refinements":
+                tokens += [flag, *value.replace(",", " ").split()]
+            else:
+                tokens.append(f"{flag}={value}")
+    return tokens
 
 
 def _build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="divcurl",
         description="Convergence studies for the primal-dual weak Galerkin "
         "div-curl solver.",
@@ -229,26 +223,22 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.selftest:
-        return 0 if selftest(args.seed) else 3
-
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
     try:
-        settings = {}
+        args = parser.parse_args(argv)
+        if args.selftest:
+            return 0 if selftest(args.seed) else 3
         if args.config:
-            for key, raw in _parse_config_file(args.config).items():
-                settings[key] = _coerce(key, raw)
-        for key in (
-            "example refinements rho1 rho2 rho3 gamma_exp quad_degree "
-            "solver tol csv md vtk gamma beta".split()
-        ):
-            value = getattr(args, key)
-            if value is not None:
-                settings[key] = value
+            # argparse keeps a flag's last value, so the flags win
+            args = parser.parse_args(_config_tokens(args.config) + argv)
+        settings = {
+            k: v for k, v in vars(args).items() if k in _SETTINGS and v is not None
+        }
         if "example" not in settings:
             raise ConfigError("--example is required (or provide it in --config)")
         config = RunConfig(**settings).validate()
-    except (ConfigError, TypeError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

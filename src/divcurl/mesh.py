@@ -266,9 +266,7 @@ class Mesh:
 
     def _build_geometry(self):
         volumes, grad, outward, diameters = _solid_geometry(self.vertices[self.tets])
-        fverts = self.vertices[self.faces]
-        self.face_areas = _triangle_areas(fverts)
-        self.face_centroids = fverts.mean(axis=1)
+        self.face_areas = _triangle_areas(self.vertices[self.faces])
 
         # canonical face normal := outward normal of the first incident tet
         nf = len(self.faces)

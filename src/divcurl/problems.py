@@ -86,31 +86,21 @@ class ProblemSpec:
         return np.einsum("nd,nd->n", ub(points) @ self.eps.T, normals)
 
 
-def cyl_coords(points: np.ndarray, center=(0.0, 0.0), branch: str = "positive_x"):
-    """Cylindrical (r, theta) about a vertical axis through ``center``.
+def cyl_coords(points: np.ndarray):
+    """Cylindrical (r, theta) about the z-axis, theta in [0, 2 pi).
 
-    branch = "positive_x": theta in [0, 2 pi), cut along the positive
-    x-axis (L-shaped domain convention, the cut lies in the excluded
-    quadrant).  branch = "third_quadrant": theta in (-3 pi/4, 5 pi/4],
-    cut along the ray bisecting the third quadrant (inside the excluded
-    corner box near the axis).
+    The cut runs along the positive x-axis (L-shaped domain convention,
+    the cut lies in the excluded quadrant).
 
     Raises ``ValueError`` on the axis (r = 0).
     """
     pts = np.atleast_2d(points)
-    x = pts[:, 0] - center[0]
-    y = pts[:, 1] - center[1]
+    x, y = pts[:, 0], pts[:, 1]
     r = np.hypot(x, y)
     if np.any(r == 0.0):
         raise ValueError("cylindrical angle undefined on the axis r = 0")
     theta = np.arctan2(y, x)
-    if branch == "positive_x":
-        theta = np.where(theta < 0.0, theta + 2.0 * np.pi, theta)
-    elif branch == "third_quadrant":
-        theta = np.where(theta <= -0.75 * np.pi, theta + 2.0 * np.pi, theta)
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
-    return r, theta
+    return r, np.where(theta < 0.0, theta + 2.0 * np.pi, theta)
 
 
 def _corner_potential(gamma: float, center=(0.0, 0.0)):
@@ -216,7 +206,7 @@ def _problem_2():
 
 def _problem_3():
     def exact_u(pts):
-        r, theta = cyl_coords(pts, branch="positive_x")
+        r, theta = cyl_coords(pts)
         scale = (2.0 / 3.0) * r ** (-1.0 / 3.0)
         out = np.zeros_like(pts)
         out[:, 0] = scale * np.cos(theta / 3.0)
@@ -267,7 +257,7 @@ def _problem_4():
     )
 
 
-def _toroid_curl_problem(example, name, gammas, centers, betti_domain, beta=0.0):
+def _toroid_curl_problem(example, name, gammas, centers, beta=0.0):
     derivs = [_corner_potential(gam, c) for gam, c in zip(gammas, centers)]
 
     def potential_part(pts):
@@ -311,7 +301,7 @@ def _toroid_curl_problem(example, name, gammas, centers, betti_domain, beta=0.0)
         example,
         name,
         np.eye(3),
-        betti_domain,
+        build_domain(example),
         exact_u,
         f,
         g,
@@ -322,15 +312,27 @@ def _toroid_curl_problem(example, name, gammas, centers, betti_domain, beta=0.0)
     )
 
 
-_EX5_GAMMAS = (5.0 / 4.0, 1.0, 2.0 / 3.0)
-_EX7_BETAS = (1.0, 5.0)
+# the values each problem parameter may take, the default first
+_PARAMETERS = {
+    5: {"gamma": (2.0 / 3.0, 5.0 / 4.0, 1.0)},
+    7: {"gamma": (2.0 / 3.0,), "beta": (1.0, 5.0)},
+}
 
-
-def _match(value, allowed, label):
-    for a in allowed:
-        if np.isclose(value, a, rtol=1e-9, atol=1e-12):
-            return a
-    raise ProblemError(f"{label} must be one of {allowed}, got {value}")
+_BUILDERS = {
+    1: _problem_1,
+    2: _problem_2,
+    3: _problem_3,
+    4: _problem_4,
+    5: lambda gamma: _toroid_curl_problem(
+        5, "toroid_curl_singular", (gamma,), ((0.0, 0.0),)
+    ),
+    6: lambda: _toroid_curl_problem(
+        6, "toroid2_curl_singular", (0.5, 2.0 / 3.0), ((0.0, 0.0), (1.0, 0.0))
+    ),
+    7: lambda gamma, beta: _toroid_curl_problem(
+        7, "toroid_harmonic_pollution", (gamma,), ((0.0, 0.0),), beta=beta
+    ),
+}
 
 
 def make_problem(example_id: int, **params) -> ProblemSpec:
@@ -340,64 +342,29 @@ def make_problem(example_id: int, **params) -> ProblemSpec:
     ----------
     example_id : int
     gamma : float, optional
-        Singularity exponent for problem 5 (one of 5/4, 1, 2/3; default
-        2/3) and problem 7 (fixed 2/3).
+        Singularity exponent of problem 5 (one of 2/3, 5/4, 1; default
+        2/3) and of problem 7 (2/3 only).
     beta : float, optional
-        Strength of the smooth rotational part in problem 7 (1 or 5;
+        Strength of the smooth rotational part of problem 7 (1 or 5;
         default 1).
+
+    Problems 1-4 and 6 take no parameters.  A value matches an allowed one
+    to a relative 1e-9; anything else raises :class:`ProblemError`.
     """
-    known = {"gamma", "beta"}
-    extra = set(params) - known
+    if example_id not in _BUILDERS:
+        raise ProblemError(f"unknown example id {example_id}, expected 1..7")
+    allowed = _PARAMETERS.get(example_id, {})
+    extra = set(params) - set(allowed)
     if extra:
-        raise ProblemError(f"unknown parameters {sorted(extra)}")
-
-    if example_id == 1:
-        _reject_params(params, example_id)
-        return _problem_1()
-    if example_id == 2:
-        _reject_params(params, example_id)
-        return _problem_2()
-    if example_id == 3:
-        _reject_params(params, example_id)
-        return _problem_3()
-    if example_id == 4:
-        _reject_params(params, example_id)
-        return _problem_4()
-    if example_id == 5:
-        gamma = _match(params.get("gamma", 2.0 / 3.0), _EX5_GAMMAS, "gamma")
-        if "beta" in params:
-            raise ProblemError("beta is only a parameter of problem 7")
-        return _toroid_curl_problem(
-            5, "toroid_curl_singular", (gamma,), ((0.0, 0.0),), build_domain(5)
-        )
-    if example_id == 6:
-        _reject_params(params, example_id)
-        return _toroid_curl_problem(
-            6,
-            "toroid2_curl_singular",
-            (0.5, 2.0 / 3.0),
-            ((0.0, 0.0), (1.0, 0.0)),
-            build_domain(6),
-        )
-    if example_id == 7:
-        gamma = _match(params.get("gamma", 2.0 / 3.0), (2.0 / 3.0,), "gamma")
-        beta = _match(params.get("beta", 1.0), _EX7_BETAS, "beta")
-        return _toroid_curl_problem(
-            7,
-            "toroid_harmonic_pollution",
-            (gamma,),
-            ((0.0, 0.0),),
-            build_domain(7),
-            beta=beta,
-        )
-    raise ProblemError(f"unknown example id {example_id}, expected 1..7")
-
-
-def _reject_params(params, example_id):
-    if params:
-        raise ProblemError(
-            f"problem {example_id} takes no parameters, got {sorted(params)}"
-        )
+        raise ProblemError(f"problem {example_id} has no parameter {sorted(extra)}")
+    values = {}
+    for name, choices in allowed.items():
+        value = params.get(name, choices[0])
+        match = [c for c in choices if np.isclose(value, c, rtol=1e-9, atol=1e-12)]
+        if not match:
+            raise ProblemError(f"{name} must be one of {choices}, got {value}")
+        values[name] = match[0]
+    return _BUILDERS[example_id](**values)
 
 
 # -- verification helpers ---------------------------------------------

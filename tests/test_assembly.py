@@ -364,7 +364,8 @@ def test_consistency_identity_affine():
     defect = np.zeros(dm.total)
     areas = m.geometry.areas
     n_out = m.geometry.normals
-    fcent = m.face_centroids[m.tet_faces]  # (nt, 4, 3) exact mean of affine
+    face_centroids = m.vertices[m.faces].mean(axis=1)
+    fcent = face_centroids[m.tet_faces]  # (nt, 4, 3) exact mean of affine
     ubar_T = centroids @ C.T + d
     ubar_F = np.einsum("tfd,cd->tfc", fcent, C) + d
     du = ubar_F - ubar_T[:, None, :]  # mean of u - Q_h u per face

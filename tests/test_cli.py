@@ -105,7 +105,7 @@ def test_main_exit_codes(tmp_path):
     assert main(["--selftest", "--seed", "5"]) == 0
 
 
-def test_config_file_and_flag_precedence(tmp_path):
+def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(
         "# convergence study\n"
@@ -130,6 +130,37 @@ def test_config_file_and_flag_precedence(tmp_path):
     seeded = tmp_path / "seed.cfg"
     seeded.write_text("example = 1\nrefinements = 2\nseed = 1\n")
     assert main(["--config", str(seeded)]) == 2
+    # the flags' own parser reads every value; a bad flag, key or value
+    # is a configuration error, not an argparse exit
+    for line in (
+        "example = abc",
+        "solver = gauss",
+        "refinements =",
+        "config = x",
+        "selftest = 1",
+    ):
+        bad.write_text(f"example = 1\nrefinements = 2\n{line}\n")
+        capsys.readouterr()
+        assert main(["--config", str(bad)]) == 2, line
+        assert "configuration error" in capsys.readouterr().err, line
+    assert main(["--example", "1", "--bogus"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    # hyphenated keys, negative values, space-separated refinements and a
+    # path with a space; the CSV equals the one of the same flags
+    spaced = tmp_path / "with space"
+    spaced.mkdir()
+    cfg.write_text(
+        "example = 1\n"
+        "refinements = 2 4\n"
+        "gamma-exp = -0.5\n"
+        "solver = direct\n"
+        f"csv = {spaced / 'o.csv'}\n"
+    )
+    assert main(["--config", str(cfg)]) == 0
+    flags = tmp_path / "flags.csv"
+    args = ["--example", "1", "--refinements", "2", "4", "--gamma-exp", "-0.5"]
+    assert main(args + ["--solver", "direct", "--csv", str(flags)]) == 0
+    assert (spaced / "o.csv").read_bytes() == flags.read_bytes()
 
 
 def test_report_contains_cavity_constant():

@@ -98,12 +98,8 @@ def test_cyl_coords_conventions():
     assert np.allclose(r, 1.0)
     assert th[0] == pytest.approx(0.0, abs=1e-14)
     assert th[1] == pytest.approx(1.5 * np.pi)
-    _, th = cyl_coords(np.array([[-1.0, -1.0, 0.0]]), branch="third_quadrant")
-    assert th[0] == pytest.approx(1.25 * np.pi)
     with pytest.raises(ValueError):
         cyl_coords(np.array([[0.0, 0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        cyl_coords(np.array([[1.0, 0.0, 0.0]]), branch="nope")
 
 
 def test_parameter_validation():
@@ -117,8 +113,17 @@ def test_parameter_validation():
         make_problem(1, gamma=1.0)
     with pytest.raises(ProblemError):
         make_problem(5, beta=1.0)
+    with pytest.raises(ProblemError):
+        make_problem(7, gamma=1.0)
+    with pytest.raises(ProblemError):
+        make_problem(6, gamma=0.5)
+    with pytest.raises(ProblemError):
+        make_problem(8)
     make_problem(5, gamma=1.0)
     make_problem(7, beta=5.0)
+    make_problem(7, gamma=2.0 / 3.0)
+    assert make_problem(5).params["gamma"] == 2.0 / 3.0
+    assert make_problem(7).params["beta"] == 1.0
 
 
 def test_phi1_antisymmetry(rng):
