@@ -11,7 +11,7 @@ third refinement level on the command line budget permitting:
 
 import sys
 
-from divcurl import RunConfig, run_study
+from divcurl.cli import RunConfig, run_study
 
 refinements = (2, 4, 8) if "--fine" in sys.argv else (2, 4)
 config = RunConfig(example=1, refinements=refinements).validate()

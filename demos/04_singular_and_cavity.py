@@ -12,7 +12,7 @@ the recovered constant should be near zero while never increasing the
 algebraic residual.
 """
 
-from divcurl import RunConfig, run_study
+from divcurl.cli import RunConfig, run_study
 
 print("L-shaped prism, projected-field error and rates")
 report = run_study(RunConfig(example=3, refinements=(2, 4)).validate())

@@ -55,15 +55,3 @@ from .solver import SolutionFields, SolverError, recover_cavity_constants, solve
 from .weak_ops import project_field, weak_curl, weak_gradient
 
 __version__ = "0.1.0"
-
-_CLI_NAMES = ("RunConfig", "run_study", "selftest")
-
-
-def __getattr__(name):
-    # the CLI loads on first use, so that ``python -m divcurl.cli`` does not
-    # find ``divcurl.cli`` already imported by its own package
-    if name in _CLI_NAMES:
-        from . import cli
-
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,26 +3,17 @@
 Runs a refinement ladder for one of the built-in problems, reports the
 error table, and optionally exports CSV / Markdown / VTK artifacts.
 
-Exit codes: 0 success, 1 solver failure, 2 invalid configuration,
-3 selftest failure.
+Exit codes: 0 success, 1 solver failure, 2 invalid configuration.
 """
 
 import argparse
 import dataclasses
+import os
 import sys
 
-import numpy as np
-
 from . import analysis, mesh as meshmod, problems
-from .invariants import (
-    commutativity_defect,
-    kernel_identity_defect,
-    load_oracle_defect,
-    patch_test_defects,
-    system_defects,
-)
 
-__all__ = ["RunConfig", "ConfigError", "run_study", "selftest", "main"]
+__all__ = ["RunConfig", "ConfigError", "run_study", "main"]
 
 
 class ConfigError(ValueError):
@@ -70,6 +61,11 @@ class RunConfig:
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.tol is not None and not 0 < self.tol < 1:
             raise ConfigError("tol must be in (0, 1)")
+        for name in ("csv", "md", "vtk"):
+            path = getattr(self, name)
+            parent = os.path.dirname(path or "") or "."
+            if path and (os.path.isdir(path) or not os.path.isdir(parent)):
+                raise ConfigError(f"{name}: cannot write a file at {path!r}")
         params = {}
         if self.gamma is not None:
             params["gamma"] = self.gamma
@@ -119,36 +115,6 @@ def run_study(config: RunConfig):
     if vtk_fields is not None:
         meshmod.write_vtk(vtk_fields[0], config.vtk, vtk_fields[1])
     return report
-
-
-# -- selftest -----------------------------------------------------------
-
-
-def selftest(seed: int = 20240901) -> bool:
-    """Run the :mod:`divcurl.invariants` checks, one status line each."""
-    rng = np.random.default_rng(seed)
-    cube = meshmod.build_structured_tet_mesh(meshmod.build_domain(1), 1)
-
-    def symmetric_psd():
-        asymmetry, min_energy = system_defects(rng, 20)
-        return asymmetry == 0.0 and min_energy >= -1e-12
-
-    suites = [
-        ("kernel identities", lambda: kernel_identity_defect(cube, rng) < 1e-12),
-        ("projection commutativity", lambda: commutativity_defect(rng, 200) < 1e-11),
-        ("patch test", lambda: max(patch_test_defects()) <= 1e-8),
-        ("system symmetry and semidefiniteness", symmetric_psd),
-        ("finite-difference load oracle", lambda: load_oracle_defect(rng) < 1e-5),
-    ]
-    all_ok = True
-    for name, fn in suites:
-        try:
-            ok, note = bool(fn()), ""
-        except Exception as exc:  # a crashing suite is a failing suite
-            ok, note = False, f": {exc}"
-        print(f"[{'ok' if ok else 'FAIL'}] {name}{note}")
-        all_ok &= ok
-    return all_ok
 
 
 # -- argument handling ---------------------------------------------------
@@ -214,11 +180,7 @@ def _build_parser():
     p.add_argument("--vtk", help="write solution fields (finest level)")
     p.add_argument("--gamma", type=float, help="singularity exponent (problem 5)")
     p.add_argument("--beta", type=float, help="smooth-part strength (problem 7)")
-    p.add_argument("--seed", type=int, default=20240901, help="--selftest seed")
     p.add_argument("--config", help="key = value file; flags take precedence")
-    p.add_argument(
-        "--selftest", action="store_true", help="run invariant checks and exit"
-    )
     return p
 
 
@@ -227,8 +189,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.selftest:
-            return 0 if selftest(args.seed) else 3
         if args.config:
             # argparse keeps a flag's last value, so the flags win
             args = parser.parse_args(_config_tokens(args.config) + argv)

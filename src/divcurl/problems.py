@@ -104,10 +104,10 @@ def cyl_coords(points: np.ndarray):
 
 
 def _corner_potential(gamma: float, center=(0.0, 0.0)):
-    """Derivatives of w = r^gamma sin(2 theta) about a vertical axis.
+    """w = r^gamma sin(2 theta) about a vertical axis, and its derivatives.
 
-    Returns callables wx(pts), wy(pts), neg_lap(pts) for the rotated
-    gradient field and its curl strength.
+    Returns callables w(pts), wx(pts), wy(pts), neg_lap(pts): the
+    potential, its rotated gradient field and that field's curl strength.
     """
     cx, cy = center
 
@@ -116,6 +116,10 @@ def _corner_potential(gamma: float, center=(0.0, 0.0)):
         y = pts[:, 1] - cy
         rr = np.maximum(x * x + y * y, _R2_FLOOR)
         return x, y, rr
+
+    def w(pts):
+        x, y, rr = parts(pts)
+        return 2.0 * x * y * rr ** (0.5 * gamma - 1.0)
 
     def wx(pts):
         x, y, rr = parts(pts)
@@ -129,7 +133,7 @@ def _corner_potential(gamma: float, center=(0.0, 0.0)):
         x, y, rr = parts(pts)
         return 2.0 * (4.0 - gamma * gamma) * x * y * rr ** (0.5 * gamma - 2.0)
 
-    return wx, wy, neg_lap
+    return w, wx, wy, neg_lap
 
 
 def _rotating_field(pts, beta=1.0):
@@ -164,12 +168,7 @@ def _problem_1():
 
 def _problem_2():
     gamma = 2.0 / 3.0
-    wx, wy, _ = _corner_potential(gamma)
-
-    def w(pts):
-        x, y = pts[:, 0], pts[:, 1]
-        rr = np.maximum(x * x + y * y, _R2_FLOOR)
-        return 2.0 * x * y * rr ** (0.5 * gamma - 1.0)
+    w, wx, wy, _ = _corner_potential(gamma)
 
     def exact_u(pts):
         x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
@@ -262,7 +261,7 @@ def _toroid_curl_problem(example, name, gammas, centers, beta=0.0):
 
     def potential_part(pts):
         out = np.zeros_like(pts)
-        for wx, wy, _ in derivs:
+        for _, wx, wy, _ in derivs:
             out[:, 0] += wy(pts)
             out[:, 1] -= wx(pts)
         return out
@@ -279,7 +278,7 @@ def _toroid_curl_problem(example, name, gammas, centers, beta=0.0):
     def g(pts):
         x, y = pts[:, 0], pts[:, 1]
         out = np.zeros_like(pts)
-        for _, _, neg_lap in derivs:
+        for *_, neg_lap in derivs:
             out[:, 2] += neg_lap(pts)
         if beta:
             out[:, 2] += 2.0 * np.pi * beta * np.sin(np.pi * x) * np.sin(np.pi * y)

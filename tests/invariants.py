@@ -1,4 +1,4 @@
-"""Invariant checks shared by ``divcurl --selftest`` and the test suite.
+"""Invariant checks shared by the test modules.
 
 Each function measures one property of the discretization and returns
 its defect; callers compare the defect with their own tolerance.  The
@@ -8,10 +8,10 @@ kernel replaced there is the kernel that gets checked.
 
 import numpy as np
 
-from . import problems, weak_ops
-from .analysis import solve_level
-from .assembly import assemble_global
-from .mesh import (
+from divcurl import problems, weak_ops
+from divcurl.analysis import solve_level
+from divcurl.assembly import assemble_global
+from divcurl.mesh import (
     DomainSpec,
     Mesh,
     build_domain,

@@ -13,15 +13,16 @@ import numpy as np
 from divcurl.analysis import error_u, triple_norm_dual, triple_norm_s
 from divcurl.assembly import assemble_global
 from divcurl.cli import RunConfig, run_study
-from divcurl.invariants import (
+from divcurl.mesh import build_structured_tet_mesh
+from divcurl.problems import ProblemSpec, make_problem
+from divcurl.solver import solve
+
+from invariants import (
     commutativity_defect,
     load_oracle_defect,
     patch_test_defects,
     system_defects,
 )
-from divcurl.mesh import build_structured_tet_mesh
-from divcurl.problems import ProblemSpec, make_problem
-from divcurl.solver import solve
 
 
 def report_line(num, text):

@@ -13,11 +13,12 @@ from divcurl.assembly import (
     assemble_s2,
     build_dof_map,
 )
-from divcurl.invariants import system_defects
 from divcurl.mesh import build_domain, build_structured_tet_mesh
 from divcurl.problems import ProblemSpec, make_problem
 from divcurl.solver import solve
 from divcurl.weak_ops import weak_curl, weak_gradient
+
+from invariants import system_defects
 
 
 def constant_problem(value, eps=None, domain=None):

@@ -6,11 +6,6 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from divcurl.invariants import (
-    kernel_identity_defect,
-    patch_test_defects,
-    system_defects,
-)
 from divcurl.mesh import (
     DomainSpec,
     MeshError,
@@ -18,6 +13,12 @@ from divcurl.mesh import (
     build_structured_tet_mesh,
     tet_geometry,
     write_vtk,
+)
+
+from invariants import (
+    kernel_identity_defect,
+    patch_test_defects,
+    system_defects,
 )
 
 

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from divcurl.invariants import commutativity_defect
+from divcurl import weak_ops
 from divcurl.mesh import build_domain, build_structured_tet_mesh, tet_geometry
 from divcurl.weak_ops import project_field, weak_curl, weak_gradient
+
+from invariants import commutativity_defect, kernel_identity_defect
 
 REF = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -145,3 +147,26 @@ def test_commutativity_property_random_affine():
     # weak kernels of projected affine fields equal the projected exact
     # derivative fields; a tighter bound than acceptance criterion 2
     assert commutativity_defect(np.random.default_rng(20240817), 200) < 1e-12
+
+
+# deliberate fault injection: the invariant checks read the kernels off
+# divcurl.weak_ops at call time, so a sign error in a kernel must push its
+# defects past the bounds the suite holds the true kernels to
+
+
+def test_commutativity_catches_flipped_gradient(monkeypatch):
+    assert commutativity_defect(np.random.default_rng(1), 25) < 1e-12
+    monkeypatch.setattr(
+        weak_ops, "weak_gradient", lambda geom, vb: -weak_gradient(geom, vb)
+    )
+    assert commutativity_defect(np.random.default_rng(1), 25) > 1e-11
+
+
+def test_invariants_catch_flipped_curl(monkeypatch):
+    cube = build_structured_tet_mesh(build_domain(1), 1)
+    assert kernel_identity_defect(cube, np.random.default_rng(1)) < 1e-12
+    monkeypatch.setattr(
+        weak_ops, "weak_curl", lambda geom, psib: -weak_curl(geom, psib)
+    )
+    assert commutativity_defect(np.random.default_rng(1), 25) > 1e-11
+    assert kernel_identity_defect(cube, np.random.default_rng(1)) > 1e-12
