@@ -2,16 +2,20 @@
 
 A domain is a bounding box minus a list of axis-aligned excluded boxes.
 The mesh is built by slicing the box into cubes of edge 1/n and splitting
-every cube into the same 6 tetrahedra around its main diagonal, which
-yields a conforming, shape-regular partition with globally consistent
-face identities.
+every cube into the same 6 tetrahedra around its main diagonal (the Kuhn
+or Freudenthal split), which yields a conforming, shape-regular partition
+with globally consistent face identities.
 
 Conventions
 -----------
+* The tet of axis order pi walks the cube edges along pi[0], pi[1],
+  pi[2]; its volume has the sign of pi, so the odd axis orders swap their
+  last two corners and every tet is positively oriented.
 * Tet local face i is the face opposite local vertex i.
-* A face is identified by its sorted vertex triple.  Its stored normal is
-  the outward normal of the lowest-index incident tet; the other incident
-  tet carries sign -1 in ``tet_face_signs``.
+* A face is identified by its sorted vertex triple.  ``face_tets[:, 0]``
+  is the tet where the face first appears in mesh order, the lowest-index
+  incident tet, and the stored normal is its outward normal; the other
+  incident tet carries sign -1 in ``tet_face_signs``.
 * Boundary tags: -1 interior, 0 the exterior component, i >= 1 the i-th
   cavity surface.  The components and the first Betti number are read
   off the mesh's own boundary surface, never declared.
@@ -38,16 +42,18 @@ __all__ = [
 INTERIOR = -1
 
 # The 6 tetrahedra of the cube split share the main diagonal; walking the
-# cube edges in each axis permutation order gives equal volumes 1/6 and
-# face triangulations that match between neighbouring cubes.
-_CUBE_PERMUTATIONS = (
-    (0, 1, 2),
-    (0, 2, 1),
-    (1, 0, 2),
-    (1, 2, 0),
-    (2, 0, 1),
-    (2, 1, 0),
-)
+# cube edges in each axis order gives equal volumes 1/6 and face
+# triangulations that match between neighbouring cubes.  Corner offsets
+# per axis order (0,1,2), (0,2,1), (1,0,2), (1,2,0), (2,0,1), (2,1,0); the
+# odd orders have their last two corners swapped to orient them positively.
+_KUHN_CORNERS = np.array([
+    [[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 1, 1]],
+    [[0, 0, 0], [1, 0, 0], [1, 1, 1], [1, 0, 1]],
+    [[0, 0, 0], [0, 1, 0], [1, 1, 1], [1, 1, 0]],
+    [[0, 0, 0], [0, 1, 0], [0, 1, 1], [1, 1, 1]],
+    [[0, 0, 0], [0, 0, 1], [1, 0, 1], [1, 1, 1]],
+    [[0, 0, 0], [0, 0, 1], [1, 1, 1], [0, 1, 1]],
+])
 
 # local face i = vertices of the tet omitting local vertex i
 _FACE_VERTICES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
@@ -93,66 +99,44 @@ class DomainSpec:
         return inside
 
 
-def _unit_cube() -> DomainSpec:
-    return DomainSpec("unit_cube", (0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
-
-
-def _lshaped_prism() -> DomainSpec:
+_UNIT_CUBE = DomainSpec("unit_cube", (0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+# square annulus extruded in z; the hole runs through the full height
+_TOROID_1HOLE = DomainSpec(
+    "toroid_1hole", (-1.0, -1.0, 0.0), (0.5, 0.5, 0.5),
+    excluded=(((-0.5, -0.5, 0.0), (0.0, 0.0, 0.5)),),
+)
+_EXAMPLE_DOMAINS = {
+    1: _UNIT_CUBE,
+    2: _UNIT_CUBE,
     # (-1,1)^2 x (0,1) minus the quadrant x>=0, y<=0
-    return DomainSpec(
-        "lshaped_prism",
-        (-1.0, -1.0, 0.0),
-        (1.0, 1.0, 1.0),
+    3: DomainSpec(
+        "lshaped_prism", (-1.0, -1.0, 0.0), (1.0, 1.0, 1.0),
         excluded=(((0.0, -1.0, 0.0), (1.0, 0.0, 1.0)),),
-    )
-
-
-def _cube_with_cavity() -> DomainSpec:
-    return DomainSpec(
-        "cube_with_cavity",
-        (-1.5, -1.5, -1.5),
-        (0.5, 0.5, 0.5),
+    ),
+    4: DomainSpec(
+        "cube_with_cavity", (-1.5, -1.5, -1.5), (0.5, 0.5, 0.5),
         excluded=(((-1.0, -1.0, -1.0), (0.0, 0.0, 0.0)),),
-    )
-
-
-def _toroid_1hole() -> DomainSpec:
-    # square annulus extruded in z; the hole runs through the full height
-    return DomainSpec(
-        "toroid_1hole",
-        (-1.0, -1.0, 0.0),
-        (0.5, 0.5, 0.5),
-        excluded=(((-0.5, -0.5, 0.0), (0.0, 0.0, 0.5)),),
-    )
-
-
-def _toroid_2holes() -> DomainSpec:
-    return DomainSpec(
-        "toroid_2holes",
-        (-1.0, -1.0, 0.0),
-        (1.5, 1.5, 0.5),
+    ),
+    5: _TOROID_1HOLE,
+    6: DomainSpec(
+        "toroid_2holes", (-1.0, -1.0, 0.0), (1.5, 1.5, 0.5),
         excluded=(
             ((-0.5, -0.5, 0.0), (0.0, 0.0, 0.5)),
             ((0.5, -0.5, 0.0), (1.0, 0.0, 0.5)),
         ),
-    )
-
-
-_EXAMPLE_DOMAINS = {
-    1: _unit_cube,
-    2: _unit_cube,
-    3: _lshaped_prism,
-    4: _cube_with_cavity,
-    5: _toroid_1hole,
-    6: _toroid_2holes,
-    7: _toroid_1hole,
+    ),
+    7: _TOROID_1HOLE,
 }
 
 
 def build_domain(example_id: int) -> DomainSpec:
-    """Return the computational domain of benchmark problem 1..7."""
+    """Return the computational domain of benchmark problem 1..7.
+
+    The specs are frozen and shared: every call for one problem returns
+    the same object, and problems 1, 2 and 5, 7 share theirs.
+    """
     try:
-        return _EXAMPLE_DOMAINS[example_id]()
+        return _EXAMPLE_DOMAINS[example_id]
     except KeyError:
         raise MeshError(f"unknown example id {example_id}, expected 1..7") from None
 
@@ -221,13 +205,15 @@ class Mesh:
         self.vertices = vertices
         self.vertex_ijk = vertex_ijk
         self.tets = tets
-        self._build_faces()
-        self._build_geometry()
+        first = self._build_faces()
+        self._build_geometry(first)
         self._build_boundary_topology()
 
     # -- topology -----------------------------------------------------
 
-    def _build_faces(self):
+    def _build_faces(self) -> np.ndarray:
+        """Number the faces by first appearance and return, per face, the
+        slot 4 t + i of its first appearance as local face i of tet t."""
         nt = len(self.tets)
         all_faces = self.tets[:, _FACE_VERTICES]  # (nt, 4, 3)
         all_faces = np.sort(all_faces.reshape(-1, 3), axis=1)
@@ -235,13 +221,13 @@ class Mesh:
         # and ravel_multi_index raises rather than overflow int64
         key = np.ravel_multi_index(all_faces.T, (len(self.vertices),) * 3)
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        faces = all_faces[first]
         # renumber faces by order of first appearance to keep mesh-order
         # determinism rather than lexicographic vertex order
-        order = np.argsort(first, kind="stable")
+        order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-        self.faces = faces[order]
+        first = first[order]
+        self.faces = all_faces[first]
         self.tet_faces = rank[inverse].reshape(nt, 4)
 
         counts = np.bincount(self.tet_faces.ravel(), minlength=len(self.faces))
@@ -249,30 +235,19 @@ class Mesh:
             raise MeshError("non-manifold face incidence")
         self.face_tet_count = counts
 
-        # the two incident tets per face (second = -1 on the boundary),
-        # first = lowest tet index
-        nf = len(self.faces)
-        face_tets = np.full((nf, 2), -1, dtype=np.int64)
-        tet_ids = np.repeat(np.arange(nt), 4)
-        flat = self.tet_faces.ravel()
-        order = np.argsort(flat, kind="stable")  # per-face groups, tets ascending
-        sorted_faces = flat[order]
-        sorted_tets = tet_ids[order]
-        starts = np.searchsorted(sorted_faces, np.arange(nf))
-        face_tets[:, 0] = sorted_tets[starts]
-        second = counts == 2
-        face_tets[second, 1] = sorted_tets[starts[second] + 1]
-        self.face_tets = face_tets
+        # the two incident tets per face: the first appearance, which is
+        # the lowest tet index, then the other one (-1 on the boundary)
+        last = np.zeros(len(self.faces), dtype=np.int64)
+        np.maximum.at(last, self.tet_faces.ravel(), np.arange(4 * nt) // 4)
+        self.face_tets = np.column_stack([first // 4, np.where(counts == 2, last, -1)])
+        return first
 
-    def _build_geometry(self):
+    def _build_geometry(self, first: np.ndarray):
         volumes, grad, outward, diameters = _solid_geometry(self.vertices[self.tets])
         self.face_areas = _triangle_areas(self.vertices[self.faces])
 
         # canonical face normal := outward normal of the first incident tet
-        nf = len(self.faces)
-        t0 = self.face_tets[:, 0]
-        loc0 = np.argmax(self.tet_faces[t0] == np.arange(nf)[:, None], axis=1)
-        self.face_normals = outward[t0, loc0]
+        self.face_normals = outward.reshape(-1, 3)[first]
 
         dots = np.einsum(
             "tfd,tfd->tf", outward, self.face_normals[self.tet_faces]
@@ -372,31 +347,12 @@ class Mesh:
         return np.flatnonzero(self.face_tet_count == 1)
 
 
-def _lattice_counts(domain: DomainSpec, n: int) -> np.ndarray:
-    lo = np.asarray(domain.lo)
-    hi = np.asarray(domain.hi)
-    counts = (hi - lo) * n
-    rounded = np.rint(counts).astype(np.int64)
-    if not np.allclose(counts, rounded, atol=1e-9) or np.any(rounded < 1):
-        raise MeshError(
-            f"resolution n={n} does not fit the bounding box extents {hi - lo}"
-        )
-    return rounded
-
-
-def _box_lattice(domain: DomainSpec, box, n: int) -> tuple:
-    """Excluded-box corners in lattice units; errors if off-lattice."""
-    lo = np.asarray(domain.lo)
-    blo = (np.asarray(box[0]) - lo) * n
-    bhi = (np.asarray(box[1]) - lo) * n
-    ilo = np.rint(blo).astype(np.int64)
-    ihi = np.rint(bhi).astype(np.int64)
-    if not (np.allclose(blo, ilo, atol=1e-9) and np.allclose(bhi, ihi, atol=1e-9)):
-        raise MeshError(
-            f"excluded box {box} is not aligned with the n={n} lattice; "
-            "use an even number of cells per unit length"
-        )
-    return ilo, ihi
+def _lattice_index(points, domain: DomainSpec, n: int):
+    """Lattice indices of ``points`` at n cells per unit length, counted
+    from ``domain.lo``; None if any point is off the lattice."""
+    scaled = (np.asarray(points) - np.asarray(domain.lo)) * n
+    index = np.rint(scaled).astype(np.int64)
+    return index if np.allclose(scaled, index, atol=1e-9) else None
 
 
 def build_structured_tet_mesh(domain: DomainSpec, n: int) -> Mesh:
@@ -416,60 +372,36 @@ def build_structured_tet_mesh(domain: DomainSpec, n: int) -> Mesh:
     """
     if n < 1:
         raise MeshError(f"n must be >= 1, got {n}")
-    counts = _lattice_counts(domain, n)
-    nx, ny, nz = (int(c) for c in counts)
-    boxes = [_box_lattice(domain, box, n) for box in domain.excluded]
-
-    # active cells: lattice cells not inside any excluded box
-    ii, jj, kk = np.meshgrid(
-        np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
-    )
-    active = np.ones((nx, ny, nz), dtype=bool)
-    for ilo, ihi in boxes:
-        inside = (
-            (ii >= ilo[0]) & (ii < ihi[0])
-            & (jj >= ilo[1]) & (jj < ihi[1])
-            & (kk >= ilo[2]) & (kk < ihi[2])
+    counts = _lattice_index(domain.hi, domain, n)
+    if counts is None or np.any(counts < 1):
+        extents = np.asarray(domain.hi) - np.asarray(domain.lo)
+        raise MeshError(
+            f"resolution n={n} does not fit the bounding box extents {extents}"
         )
-        active &= ~inside
-    cells = np.column_stack([a[active] for a in (ii, jj, kk)])
+
+    # active cells: the lattice cells outside every excluded box; a box
+    # reaching past the bounding box is clipped to it
+    active = np.ones(counts, dtype=bool)
+    for box in domain.excluded:
+        ends = _lattice_index(box, domain, n)
+        if ends is None:
+            raise MeshError(
+                f"excluded box {box} is not aligned with the n={n} lattice; "
+                "use an even number of cells per unit length"
+            )
+        active[tuple(map(slice, *np.clip(ends, 0, counts)))] = False
+    cells = np.argwhere(active)
     if len(cells) == 0:
         raise MeshError("domain contains no cells at this resolution")
 
-    def vid(i, j, k):
-        return (i * (ny + 1) + j) * (nz + 1) + k
-
-    # 6 tets per cell (consecutive in mesh order): walk cube edges in each
-    # axis permutation order
-    tets = np.empty((len(cells) * 6, 4), dtype=np.int64)
-    for p, perm in enumerate(_CUBE_PERMUTATIONS):
-        steps = np.zeros((4, 3), dtype=np.int64)
-        for m, axis in enumerate(perm):
-            steps[m + 1] = steps[m]
-            steps[m + 1, axis] += 1
-        corners = cells[:, None, :] + steps[None, :, :]  # (nc, 4, 3)
-        tets[p::6] = vid(corners[..., 0], corners[..., 1], corners[..., 2])
-
-    # fix orientation: odd permutations produce negative volumes
-    lo = np.asarray(domain.lo)
-    full_ijk = np.stack(
-        np.meshgrid(
-            np.arange(nx + 1), np.arange(ny + 1), np.arange(nz + 1), indexing="ij"
-        ),
-        axis=-1,
-    ).reshape(-1, 3)
-    full_xyz = lo + full_ijk / float(n)
-    verts_t = full_xyz[tets]
-    vol6 = np.linalg.det(verts_t[:, 1:] - verts_t[:, :1])
-    flip = vol6 < 0
-    tets[flip, 2], tets[flip, 3] = tets[flip, 3].copy(), tets[flip, 2].copy()
-
-    # drop unused lattice vertices and renumber
-    used = np.zeros(len(full_xyz), dtype=bool)
-    used[tets.ravel()] = True
-    remap = -np.ones(len(full_xyz), dtype=np.int64)
-    remap[used] = np.arange(used.sum())
-    return Mesh(full_xyz[used], full_ijk[used], remap[tets])
+    # 6 tets per cell (consecutive in mesh order); number the lattice
+    # vertices they use in lattice order
+    shape = tuple(counts + 1)
+    corners = cells[:, None, None, :] + _KUHN_CORNERS  # (nc, 6, 4, 3)
+    lattice_ids = np.ravel_multi_index(tuple(np.moveaxis(corners, -1, 0)), shape)
+    used, tets = np.unique(lattice_ids.ravel(), return_inverse=True)
+    ijk = np.column_stack(np.unravel_index(used, shape))
+    return Mesh(np.asarray(domain.lo) + ijk / float(n), ijk, tets.reshape(-1, 4))
 
 
 def write_vtk(mesh: Mesh, path: str, cell_data: dict | None = None) -> None:

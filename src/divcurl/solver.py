@@ -212,14 +212,16 @@ def solve(
     The relative residual must reach ``tol`` (default 1e-10 direct,
     1e-8 MINRES) or :class:`SolverError` is raised.
     """
+    if method not in ("auto", "direct", "minres"):
+        raise ValueError(f"unknown solver method {method!r}")
+    if tol is not None and not 0.0 < tol < 1.0:
+        raise ValueError("tolerance must be in (0, 1)")
+    if max_iter is not None and max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     A_ff, F_f = system.reduced()
     n = len(F_f)
     if method == "auto":
         method = "direct" if n <= DIRECT_DOF_LIMIT else "minres"
-    if method not in ("direct", "minres"):
-        raise ValueError(f"unknown solver method {method!r}")
-    if tol is not None and not 0.0 < tol < 1.0:
-        raise ValueError("tolerance must be in (0, 1)")
 
     fnorm = np.linalg.norm(F_f)
     t0 = time.perf_counter()
@@ -265,8 +267,6 @@ def solve(
     else:
         accept = 1e-8 if tol is None else tol
         maxiter = max_iter if max_iter is not None else 60_000
-        if maxiter < 1:
-            raise ValueError("max_iter must be at least 1")
 
         def true_residual(y):
             return float(np.linalg.norm(A_ff @ (scale * y) - F_f) / fnorm)

@@ -1,5 +1,9 @@
 """Mesh construction: counts, topology, geometry identities, boundary tags."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -20,6 +24,32 @@ from invariants import (
     patch_test_defects,
     system_defects,
 )
+
+
+# SHA-256 of the integer and lattice-coordinate arrays of the built-in
+# meshes at 1/h = 2, 4, 8.  These arrays are integers or lo + ijk / n, so
+# they are bit-stable on any CPU; the LAPACK-derived geometry stays out.
+_DIGEST_FILE = Path(__file__).parent / "data" / "mesh_digests.json"
+_DIGEST_ARRAYS = (
+    "vertices", "vertex_ijk", "tets", "faces", "tet_faces", "face_tets", "face_tags",
+)
+
+
+def _mesh_digests(example: int, n: int) -> dict:
+    m = build_structured_tet_mesh(build_domain(example), n)
+    return {
+        name: hashlib.sha256(np.ascontiguousarray(getattr(m, name)).tobytes()).hexdigest()
+        for name in _DIGEST_ARRAYS
+    }
+
+
+_RECORDED = json.loads(_DIGEST_FILE.read_text())
+
+
+@pytest.mark.parametrize("key", sorted(_RECORDED))
+def test_mesh_arrays_match_recorded_digests(key):
+    example, n = (int(part) for part in key.split("/"))
+    assert _mesh_digests(example, n) == _RECORDED[key]
 
 
 def test_unknown_example_rejected():
@@ -106,6 +136,27 @@ def test_split_domain_rejected():
     split = DomainSpec("custom", (0.0, 0.0, 0.0), (1.0, 1.0, 1.5), (slab,))
     with pytest.raises(MeshError, match="connected"):
         build_structured_tet_mesh(split, 2)
+
+
+@pytest.mark.parametrize(
+    "box, clipped",
+    [
+        # reaching past the low and high sides of the bounding box
+        (((-0.5, -1.0, 0.5), (1.0, 0.5, 3.0)), ((0.0, 0.0, 0.5), (1.0, 0.5, 2.0))),
+        (((1.0, 1.5, -2.0), (2.5, 4.0, 1.0)), ((1.0, 1.5, 0.0), (2.0, 2.0, 1.0))),
+        # entirely outside, below and above
+        (((-1.0, -1.0, -1.0), (-0.5, -0.5, -0.5)), None),
+        (((2.5, 0.0, 0.0), (3.0, 1.0, 1.0)), None),
+    ],
+)
+def test_excluded_box_clipped_to_bounding_box(box, clipped):
+    def mesh(*boxes):
+        domain = DomainSpec("custom", (0.0, 0.0, 0.0), (2.0, 2.0, 2.0), boxes)
+        return build_structured_tet_mesh(domain, 2)
+
+    got, want = mesh(box), mesh(clipped) if clipped else mesh()
+    for name in _DIGEST_ARRAYS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 _LATTICE = 4  # cells per axis of [0, 2]^3 at n = 2

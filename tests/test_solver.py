@@ -234,6 +234,14 @@ def test_unknown_method_rejected():
                 solve(system, method=method, tol=tol)
     with pytest.raises(ValueError):
         solve(system, method="minres", max_iter=0)
+    # the options are checked before the zero-load early return
+    zero = assemble_global(constant_problem([0.0, 0.0, 0.0], np.eye(3)), m)
+    with pytest.raises(ValueError, match="unknown"):
+        solve(zero, method="cg")
+    with pytest.raises(ValueError, match="tolerance"):
+        solve(zero, tol=0.0)
+    with pytest.raises(ValueError, match="max_iter"):
+        solve(zero, method="minres", max_iter=0)
 
 
 def test_recovery_passthrough_simply_connected():
