@@ -18,9 +18,10 @@ __all__ = [
 ]
 
 # beyond this many free unknowns the automatic method switches to MINRES;
-# the LU fill grows like n^(4/3) at about 14 bytes per entry: the study of
-# problem 4 at 1/h = 2, 4, 8 (340k free) runs in 17 s direct with a 1.4 GB
-# peak, against 52 s and 0.3 GB by MINRES (2-core machine)
+# the LU fill grows like n^(4/3) at about 9.5 bytes of peak memory per entry
+# with the float32 factor: the study of problem 4 at 1/h = 2, 4, 8 (340k
+# free, 104M fill) runs in 8-9 s direct with a 0.98 GB peak, against 52 s
+# and 0.3 GB by MINRES (2-core machine)
 DIRECT_DOF_LIMIT = 400_000
 
 
@@ -152,6 +153,12 @@ def _lattice_permutation(mesh, dofmap) -> np.ndarray:
 # 1e-9 stop, 5.4e-7 at 1e-10 and 4.8e-8 at 1e-11
 MINRES_TARGET = 1e-11
 
+# the direct path refines a float32 factor in float64 until the true
+# relative residual reaches min(tol, REFINE_TARGET), within REFINE_STEPS
+# corrections after the first solve; problems 1-7 at 1/h <= 8 take 2 or 3
+REFINE_TARGET = 1e-13
+REFINE_STEPS = 8
+
 
 def _minres(A, b, residual, target, max_iter):
     """MINRES on symmetric ``A`` from a zero start (Paige & Saunders, 1975).
@@ -203,11 +210,20 @@ def solve(
 
     method "direct" factorizes with a sparse pivoted LU (the assembled
     matrix is symmetric indefinite) in the lattice nested-dissection
-    order of :func:`_lattice_permutation`; "minres" runs one diagonally
-    preconditioned MINRES (:func:`_minres`) until the true relative
-    residual reaches ``min(tol, MINRES_TARGET)``, within ``max_iter``
-    iterations in all (default 60,000); "auto" picks direct up to
-    ``DIRECT_DOF_LIMIT`` free unknowns and MINRES beyond.
+    order of :func:`_lattice_permutation`.  The factor is float32, which
+    has the fill of a float64 one at two thirds of its memory; float64
+    iterative refinement (Langou et al., SC 2006) then corrects the
+    solution from the true residual until the true relative residual
+    reaches ``min(tol, REFINE_TARGET)``.  If the float32 factor breaks
+    down, a correction fails to halve the residual, or ``REFINE_STEPS``
+    corrections do not suffice, the matrix is refactored in float64 and
+    solved once.  The diagnostics record ``factor_dtype`` and
+    ``refine_steps`` (float32 corrections after the first solve).
+
+    "minres" runs one diagonally preconditioned MINRES (:func:`_minres`)
+    until the true relative residual reaches ``min(tol, MINRES_TARGET)``,
+    within ``max_iter`` iterations in all (default 60,000); "auto" picks
+    direct up to ``DIRECT_DOF_LIMIT`` free unknowns and MINRES beyond.
 
     The relative residual must reach ``tol`` (default 1e-10 direct,
     1e-8 MINRES) or :class:`SolverError` is raised.
@@ -238,25 +254,53 @@ def solve(
 
     if method == "direct":
         accept = 1e-10 if tol is None else tol
+        target = min(accept, REFINE_TARGET)
         p = _lattice_permutation(system.mesh, system.dofmap)
-        try:
-            lu = spla.splu(
-                A_s[p][:, p],
+
+        def factor(dtype):
+            return spla.splu(
+                A_s[p][:, p].astype(dtype),
                 permc_spec="NATURAL",
                 diag_pivot_thresh=0.1,
                 options={"SymmetricMode": True},
             )
-            y = np.empty(n)
-            y[p] = lu.solve(F_s[p])
-            x_f = scale * y
-        except RuntimeError as exc:  # singular factor reports pivot location
-            raise SolverError(
-                f"direct factorization failed: {exc}", diagnostics
-            ) from exc
-        rel = float(np.linalg.norm(A_ff @ x_f - F_f) / fnorm)
+
+        y, rel, steps, dtype = np.zeros(n), 1.0, 0, "float32"
+        try:
+            lu = factor(np.float32)
+        except RuntimeError:  # a float32 pivot broke down; refactor below
+            lu = None
+        if lu is not None:
+            r = F_f
+            # the first solve from y = 0, then up to REFINE_STEPS corrections
+            for steps in range(REFINE_STEPS + 1):
+                # S r is the residual of the scaled system; normalising it
+                # before the cast keeps a tiny residual from underflowing
+                r_s = (scale * r)[p]
+                r_norm = np.linalg.norm(r_s)
+                y[p] += r_norm * lu.solve((r_s / r_norm).astype(np.float32))
+                r = F_f - A_ff @ (scale * y)
+                prev, rel = rel, float(np.linalg.norm(r) / fnorm)
+                if rel <= target or not rel <= 0.5 * prev:
+                    break
+            if not rel <= target:
+                lu = None  # stalled or out of steps; refactor below
+        if lu is None:
+            dtype = "float64"
+            try:
+                lu = factor(np.float64)
+                y[p] = lu.solve(F_s[p])
+            except RuntimeError as exc:  # singular factor reports pivot location
+                raise SolverError(
+                    f"direct factorization failed: {exc}", diagnostics
+                ) from exc
+            rel = float(np.linalg.norm(A_ff @ (scale * y) - F_f) / fnorm)
+        x_f = scale * y
         diagnostics.update(
             relative_residual=rel,
             fill_nnz=int(lu.nnz),
+            factor_dtype=dtype,
+            refine_steps=steps,
             solve_seconds=time.perf_counter() - t0,
         )
         if not np.isfinite(rel) or rel > accept:

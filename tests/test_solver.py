@@ -1,5 +1,7 @@
 """Linear solves, the iterative path, and cavity-constant recovery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -139,6 +141,122 @@ def test_failed_factorization_keeps_diagnostics(monkeypatch):
         solve(system, method="direct")
     assert info.value.diagnostics["method"] == "direct"
     assert info.value.diagnostics["num_free"] == system.dofmap.num_free
+
+
+class NoisyFactor:
+    """A factor whose solves are off by a relative ``amplitude`` of noise."""
+
+    def __init__(self, lu, amplitude):
+        self.lu, self.nnz, self.amplitude = lu, lu.nnz, amplitude
+        self.rng = np.random.default_rng(0)
+
+    def solve(self, b):
+        out = self.lu.solve(b)
+        noise = self.rng.standard_normal(out.shape).astype(out.dtype)
+        return out * (1 + self.amplitude * noise)
+
+
+def patch_float32_splu(monkeypatch, float32_factor):
+    """Route float32 ``splu`` calls through ``float32_factor(splu, A, **kw)``."""
+    splu = spla.splu
+
+    def patched(A, **kwargs):
+        if A.dtype == np.float32:
+            return float32_factor(splu, A, **kwargs)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "splu", patched)
+
+
+def float64_reference(system):
+    """Solution of one float64 factor in the direct path's order, and its fill."""
+    A_ff, F_f = system.reduced()
+    scale = solver._equilibration_scale(system, A_ff)
+    S = sparse.diags(scale)
+    A_s = (S @ A_ff @ S).tocsc()
+    p = solver._lattice_permutation(system.mesh, system.dofmap)
+    lu = spla.splu(
+        A_s[p][:, p],
+        permc_spec="NATURAL",
+        diag_pivot_thresh=0.1,
+        options={"SymmetricMode": True},
+    )
+    y = np.empty(len(F_f))
+    y[p] = lu.solve((scale * F_f)[p])
+    return scale * y, lu.nnz
+
+
+def test_float32_factor_matches_float64_fill_and_solution():
+    spec = make_problem(4)
+    m = build_structured_tet_mesh(spec.domain, 4)
+    system = assemble_global(spec, m)
+    sol = solve(system, method="direct")
+    diagnostics = sol.diagnostics
+    assert diagnostics["factor_dtype"] == "float32"
+    assert 1 <= diagnostics["refine_steps"] <= solver.REFINE_STEPS
+    assert diagnostics["relative_residual"] <= 1e-13
+    x64, nnz64 = float64_reference(system)
+    assert diagnostics["fill_nnz"] == nnz64
+    x_f = sol.x[system.dofmap.free]
+    assert np.linalg.norm(x_f - x64) <= 1e-10 * np.linalg.norm(x64)
+
+
+def test_refinement_survives_a_tiny_load():
+    # a 1e-36 load leaves residuals below float32's smallest normal number
+    # (1.2e-38) unless each correction's right-hand side is normalised
+    # before the cast; unnormalised, the refinement stalls from 1e-33 down
+    spec = make_problem(1)
+    m = build_structured_tet_mesh(spec.domain, 2)
+    system = assemble_global(spec, m)
+    tiny = dataclasses.replace(system, F=1e-36 * system.F)
+    sol = solve(tiny, method="direct")
+    assert sol.diagnostics["factor_dtype"] == "float32"
+    assert sol.diagnostics["relative_residual"] <= 1e-13
+    x = 1e-36 * solve(system, method="direct").x
+    assert np.linalg.norm(sol.x - x) <= 1e-12 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize(
+    "amplitude, dtype, steps",
+    [
+        (1e-3, "float32", None),  # refinement absorbs the error
+        (0.1, "float64", solver.REFINE_STEPS),  # too slow for the budget
+        (0.3, "float64", 0),  # the first solve fails to halve the residual
+    ],
+)
+def test_noisy_float32_factor_falls_back_to_float64(
+    monkeypatch, amplitude, dtype, steps
+):
+    spec = make_problem(1)
+    m = build_structured_tet_mesh(spec.domain, 2)
+    system = assemble_global(spec, m)
+    patch_float32_splu(
+        monkeypatch, lambda splu, A, **kw: NoisyFactor(splu(A, **kw), amplitude)
+    )
+    sol = solve(system, method="direct")
+    assert sol.diagnostics["factor_dtype"] == dtype
+    assert sol.diagnostics["relative_residual"] <= 1e-13
+    x64, nnz64 = float64_reference(system)
+    assert sol.diagnostics["fill_nnz"] == nnz64
+    if steps is not None:  # the float64 factor's one solve, bit for bit
+        assert sol.diagnostics["refine_steps"] == steps
+        assert np.array_equal(sol.x[system.dofmap.free], x64)
+
+
+def test_float32_factor_failure_falls_back_to_float64(monkeypatch):
+    spec = make_problem(1)
+    m = build_structured_tet_mesh(spec.domain, 2)
+    system = assemble_global(spec, m)
+
+    def singular(splu, A, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    patch_float32_splu(monkeypatch, singular)
+    sol = solve(system, method="direct")
+    assert sol.diagnostics["factor_dtype"] == "float64"
+    assert sol.diagnostics["refine_steps"] == 0
+    assert sol.diagnostics["relative_residual"] <= 1e-13
+    assert np.array_equal(sol.x[system.dofmap.free], float64_reference(system)[0])
 
 
 def test_minres_matches_direct():
