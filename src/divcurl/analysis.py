@@ -138,32 +138,28 @@ class ConvergenceReport:
     def add_row(self, **row):
         self.rows.append(row)
 
-    def errors(self, column: str) -> list:
-        return [row.get(column) for row in self.rows]
-
     def rates(self, column: str) -> list:
-        return convergence_rates(self.errors(column))
+        return convergence_rates([row.get(column) for row in self.rows])
 
-    def _table(self):
+    def _cells(self, value: str, rate: str, blank: str):
+        """Yield each row and its error cells: each error column in format
+        ``value``, then its rate in format ``rate`` (``blank`` if undefined)."""
+        rates = {col: [None] + self.rates(col) for col in ERROR_COLUMNS}
+        for i, row in enumerate(self.rows):
+            cells = []
+            for col in ERROR_COLUMNS:
+                r = rates[col][i]
+                cells += [format(row[col], value),
+                          blank if r is None else format(r, rate)]
+            yield row, cells
+
+    def to_markdown(self) -> str:
         header = ["1/h"]
         for col in ERROR_COLUMNS:
             header += [col, "rate"]
-        body = []
-        rates = {col: self.rates(col) for col in ERROR_COLUMNS}
-        for i, row in enumerate(self.rows):
-            line = [f"{row['inv_h']:g}"]
-            for col in ERROR_COLUMNS:
-                line.append(f"{row[col]:.6e}")
-                r = rates[col][i - 1] if i > 0 else None
-                line.append("--" if r is None else f"{r:.2f}")
-            body.append(line)
-        return header, body
-
-    def to_markdown(self) -> str:
-        header, body = self._table()
-        out = ["| " + " | ".join(header) + " |"]
-        out.append("|" + "---|" * len(header))
-        out += ["| " + " | ".join(line) + " |" for line in body]
+        out = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+        for row, cells in self._cells(".6e", ".2f", "--"):
+            out.append("| " + " | ".join([f"{row['inv_h']:g}", *cells]) + " |")
         meta = [f"problem {self.example}"]
         meta += [f"{k}={v}" for k, v in self.params.items()]
         if self.failure:
@@ -182,32 +178,19 @@ class ConvergenceReport:
             cols += [col, f"rate_{col}"]
         cols += ["cavity_c1", "solver_residual"]
         writer.writerow(cols)
-        rates = {col: self.rates(col) for col in ERROR_COLUMNS}
-        for i, row in enumerate(self.rows):
-            line = [
+        for row, cells in self._cells(".12e", ".12e", ""):
+            c1 = row.get("cavity_c1")
+            writer.writerow([
                 self.example,
                 f"{row['inv_h']:g}",
                 f"{row['h']:.12e}",
                 row["num_tets"],
                 row["num_free"],
-            ]
-            for col in ERROR_COLUMNS:
-                line.append(f"{row[col]:.12e}")
-                r = rates[col][i - 1] if i > 0 else None
-                line.append("" if r is None else f"{r:.12e}")
-            c1 = row.get("cavity_c1")
-            line.append("" if c1 is None else f"{c1:.12e}")
-            line.append(f"{row.get('solver_residual', float('nan')):.6e}")
-            writer.writerow(line)
+                *cells,
+                "" if c1 is None else f"{c1:.12e}",
+                f"{row.get('solver_residual', float('nan')):.6e}",
+            ])
         return buf.getvalue()
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
-
-    def write_markdown(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_markdown())
 
 
 class LevelError(Exception):

@@ -26,9 +26,9 @@ zero.
 
 Constraints are recorded, not eliminated: trace values of q vanish on the
 whole boundary, traces of s vanish on the exterior boundary component and
-are held at zero on every cavity component during the base solve (cavity
-indicator vectors are kept for the post-processing that recovers the
-cavity constants), and one lam0 value is pinned to fix the mean.
+are held at zero on every cavity component during the base solve (a
+post-processing step recovers the cavity constants), and one lam0 value
+is pinned to fix the mean.
 """
 
 from dataclasses import dataclass, field
@@ -309,9 +309,7 @@ class GlobalSystem:
 
     ``A`` keeps rows/columns for constrained DoFs; ``reduced`` hands the
     solver the free subsystem (all constraint values are zero, so no
-    lifting is needed).  ``indicators[i]`` is the 0/1 vector over the sb
-    trace DoFs of cavity component i, used to recover the cavity constant
-    after the base solve.
+    lifting is needed).
     """
 
     A: sparse.csr_matrix
@@ -320,15 +318,6 @@ class GlobalSystem:
     S2: sparse.csr_matrix
     dofmap: DofMap
     mesh: Mesh
-
-    @property
-    def indicators(self) -> dict:
-        out = {}
-        for comp, faces in self.dofmap.cavity_faces.items():
-            vec = np.zeros(self.dofmap.total)
-            vec[self.dofmap.index("sb", faces)] = 1.0
-            out[comp] = vec
-        return out
 
     def reduced(self):
         """Free-DoF system (A_ff, F_f)."""

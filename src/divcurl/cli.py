@@ -108,10 +108,10 @@ def run_study(config: RunConfig):
                 data["eta_h"] = level.qu - level.sol.u
             vtk_fields = level.mesh, data
         del level  # free this level's system before the next one is built
-    if config.csv:
-        report.write_csv(config.csv)
-    if config.md:
-        report.write_markdown(config.md)
+    for path, text in ((config.csv, report.to_csv), (config.md, report.to_markdown)):
+        if path:
+            with open(path, "w") as fh:
+                fh.write(text())
     if vtk_fields is not None:
         meshmod.write_vtk(vtk_fields[0], config.vtk, vtk_fields[1])
     return report
@@ -177,7 +177,7 @@ def _build_parser():
     p.add_argument("--tol", type=float, help="solver residual acceptance")
     p.add_argument("--csv", help="write the report as CSV")
     p.add_argument("--md", help="write the report as a Markdown table")
-    p.add_argument("--vtk", help="write solution fields (finest level)")
+    p.add_argument("--vtk", help="write solution fields (last completed level)")
     p.add_argument("--gamma", type=float, help="singularity exponent (problem 5)")
     p.add_argument("--beta", type=float, help="smooth-part strength (problem 7)")
     p.add_argument("--config", help="key = value file; flags take precedence")

@@ -225,8 +225,9 @@ def solve(
     within ``max_iter`` iterations in all (default 60,000); "auto" picks
     direct up to ``DIRECT_DOF_LIMIT`` free unknowns and MINRES beyond.
 
-    The relative residual must reach ``tol`` (default 1e-10 direct,
-    1e-8 MINRES) or :class:`SolverError` is raised.
+    Either way the true relative residual must reach ``tol`` (default
+    1e-10 direct, 1e-8 MINRES), or :class:`SolverError` is raised with
+    the diagnostics.
     """
     if method not in ("auto", "direct", "minres"):
         raise ValueError(f"unknown solver method {method!r}")
@@ -243,17 +244,22 @@ def solve(
     t0 = time.perf_counter()
     diagnostics = {"method": method, "num_free": n}
     if fnorm == 0.0:
-        x_f = np.zeros(n)
         diagnostics.update(relative_residual=0.0, solve_seconds=0.0)
-        return SolutionFields(system.expand(x_f), system.dofmap, diagnostics)
+        return SolutionFields(system.expand(np.zeros(n)), system.dofmap, diagnostics)
 
     scale = _equilibration_scale(system, A_ff)
     S = sparse.diags(scale)
     A_s = (S @ A_ff @ S).tocsc()
     F_s = scale * F_f
+    # tol and max_iter are positive if set
+    accept = tol or (1e-10 if method == "direct" else 1e-8)
+
+    def residual(y):
+        """True residual F_f - A_ff x at x = scale * y, and its relative norm."""
+        r = F_f - A_ff @ (scale * y)
+        return r, float(np.linalg.norm(r) / fnorm)
 
     if method == "direct":
-        accept = 1e-10 if tol is None else tol
         target = min(accept, REFINE_TARGET)
         p = _lattice_permutation(system.mesh, system.dofmap)
 
@@ -279,8 +285,7 @@ def solve(
                 r_s = (scale * r)[p]
                 r_norm = np.linalg.norm(r_s)
                 y[p] += r_norm * lu.solve((r_s / r_norm).astype(np.float32))
-                r = F_f - A_ff @ (scale * y)
-                prev, rel = rel, float(np.linalg.norm(r) / fnorm)
+                prev, (r, rel) = rel, residual(y)
                 if rel <= target or not rel <= 0.5 * prev:
                     break
             if not rel <= target:
@@ -294,45 +299,21 @@ def solve(
                 raise SolverError(
                     f"direct factorization failed: {exc}", diagnostics
                 ) from exc
-            rel = float(np.linalg.norm(A_ff @ (scale * y) - F_f) / fnorm)
-        x_f = scale * y
-        diagnostics.update(
-            relative_residual=rel,
-            fill_nnz=int(lu.nnz),
-            factor_dtype=dtype,
-            refine_steps=steps,
-            solve_seconds=time.perf_counter() - t0,
-        )
-        if not np.isfinite(rel) or rel > accept:
-            raise SolverError(
-                f"direct solve residual {rel:.3e} exceeds {accept:.1e}",
-                diagnostics,
-            )
+            rel = residual(y)[1]
+        diagnostics.update(fill_nnz=int(lu.nnz), factor_dtype=dtype, refine_steps=steps)
     else:
-        accept = 1e-8 if tol is None else tol
-        maxiter = max_iter if max_iter is not None else 60_000
-
-        def true_residual(y):
-            return float(np.linalg.norm(A_ff @ (scale * y) - F_f) / fnorm)
-
+        target = min(accept, MINRES_TARGET)
         y, iterations, history = _minres(
-            A_s, F_s, true_residual, min(accept, MINRES_TARGET), maxiter
+            A_s, F_s, lambda y: residual(y)[1], target, max_iter or 60_000
         )
-        x_f = scale * y
         rel = history[-1]
-        diagnostics.update(
-            relative_residual=rel,
-            iterations=iterations,
-            residual_history=history,
-            solve_seconds=time.perf_counter() - t0,
+        diagnostics.update(iterations=iterations, residual_history=history)
+    diagnostics.update(relative_residual=rel, solve_seconds=time.perf_counter() - t0)
+    if not rel <= accept:  # NaN fails too
+        raise SolverError(
+            f"{method} solve residual {rel:.3e} exceeds {accept:.1e}", diagnostics
         )
-        if not rel <= accept:
-            raise SolverError(
-                f"MINRES stalled at residual {rel:.3e} after {iterations} "
-                f"iterations (target {accept:.1e})",
-                diagnostics,
-            )
-    return SolutionFields(system.expand(x_f), system.dofmap, diagnostics)
+    return SolutionFields(system.expand(scale * y), system.dofmap, diagnostics)
 
 
 def recover_cavity_constants(
@@ -341,17 +322,19 @@ def recover_cavity_constants(
     """Recover the constant trace value on each cavity component.
 
     The base solve holds the cavity traces at zero; the constants minimize
-    the full-system residual || A (x + sum_i a_i S_i) - F ||_2 over the
-    cavity indicator vectors S_i, a small dense least-squares problem.
-    On a domain without cavities this is an identity pass-through.
+    the full-system residual || A (x + sum_i a_i S_i) - F ||_2, where S_i
+    is 1 on the sb trace DoFs of cavity i and 0 elsewhere (A S_i sums those
+    columns of A), a small dense least-squares problem.  Without cavities
+    this is an identity pass-through.
     """
-    indicators = system.indicators
-    if not indicators:
+    dm = system.dofmap
+    if not dm.cavity_faces:
         return base
-    comps = sorted(indicators)
+    comps = sorted(dm.cavity_faces)
+    cols = [dm.index("sb", dm.cavity_faces[c]) for c in comps]
     A, F = system.A, system.F
     x = base.x
-    AS = np.column_stack([A @ indicators[c] for c in comps])
+    AS = np.column_stack([A[:, ci] @ np.ones(len(ci)) for ci in cols])
     resid = F - A @ x
     G = AS.T @ AS
     b = AS.T @ resid
@@ -363,8 +346,8 @@ def recover_cavity_constants(
     if not ok:
         coeffs = np.zeros(len(comps))
     x_new = x.copy()
-    for c, a in zip(comps, coeffs):
-        x_new += a * indicators[c]
+    for ci, a in zip(cols, coeffs):
+        x_new[ci] += a
     before = float(np.linalg.norm(resid))
     after = float(np.linalg.norm(F - A @ x_new))
     if after > before:  # ill-conditioned fit; keep the base solution

@@ -82,7 +82,7 @@ def test_convergence_rates():
     assert convergence_rates([1.0]) == []
 
 
-def test_report_serialization(tmp_path):
+def test_report_serialization():
     rep = ConvergenceReport(example=1, params={"rho1": 1.0})
     rep.add_row(inv_h=2, h=0.87, num_tets=48, num_free=719,
                 err_u=4.0, err_Qu=2.0, tnorm_dual=1.0, tnorm_s=0.5,
@@ -93,12 +93,49 @@ def test_report_serialization(tmp_path):
     md = rep.to_markdown()
     assert "| 1/h |" in md
     assert "1.00" in md  # the rate column
-    csv_path = tmp_path / "report.csv"
-    rep.write_csv(str(csv_path))
-    lines = csv_path.read_text().splitlines()
+    lines = rep.to_csv().splitlines()
     assert lines[0].startswith("example,inv_h,h,num_tets,num_free,err_u,rate_err_u")
     assert len(lines) == 3
     assert rep.rates("err_u") == [1.0]
+
+
+def test_report_text_pinned():
+    # a cavity constant on some rows, a zero error (undefined rate: "--" in
+    # Markdown, blank in CSV), a row without a solver residual and a failure
+    rep = ConvergenceReport(example=4, params={"rho1": 1.0, "quad_degree": 4})
+    rep.add_row(inv_h=2, h=0.5, num_tets=48, num_free=719,
+                err_u=0.25, err_Qu=0.125, tnorm_dual=1.0, tnorm_s=0.5,
+                solver_residual=1e-12, cavity_c1=-0.75)
+    rep.add_row(inv_h=4, h=0.25, num_tets=384, num_free=5951,
+                err_u=0.0, err_Qu=0.0625, tnorm_dual=0.5, tnorm_s=0.125)
+    rep.add_row(inv_h=8, h=0.125, num_tets=3072, num_free=46000,
+                err_u=0.03125, err_Qu=0.03125, tnorm_dual=0.125, tnorm_s=0.0625,
+                solver_residual=3.5e-14, cavity_c1=0.5)
+    rep.failure = {"inv_h": 16, "stage": "solve", "message": "out of memory"}
+    assert rep.to_csv() == (
+        "example,inv_h,h,num_tets,num_free,err_u,rate_err_u,err_Qu,rate_err_Qu,"
+        "tnorm_dual,rate_tnorm_dual,tnorm_s,rate_tnorm_s,cavity_c1,solver_residual\n"
+        "4,2,5.000000000000e-01,48,719,2.500000000000e-01,,1.250000000000e-01,,"
+        "1.000000000000e+00,,5.000000000000e-01,,-7.500000000000e-01,1.000000e-12\n"
+        "4,4,2.500000000000e-01,384,5951,0.000000000000e+00,,6.250000000000e-02,"
+        "1.000000000000e+00,5.000000000000e-01,1.000000000000e+00,"
+        "1.250000000000e-01,2.000000000000e+00,,nan\n"
+        "4,8,1.250000000000e-01,3072,46000,3.125000000000e-02,,3.125000000000e-02,"
+        "1.000000000000e+00,1.250000000000e-01,2.000000000000e+00,"
+        "6.250000000000e-02,1.000000000000e+00,5.000000000000e-01,3.500000e-14\n"
+    )
+    assert rep.to_markdown() == (
+        "| 1/h | err_u | rate | err_Qu | rate | tnorm_dual | rate | tnorm_s | rate |\n"
+        "|---|---|---|---|---|---|---|---|---|\n"
+        "| 2 | 2.500000e-01 | -- | 1.250000e-01 | -- | 1.000000e+00 | -- "
+        "| 5.000000e-01 | -- |\n"
+        "| 4 | 0.000000e+00 | -- | 6.250000e-02 | 1.00 | 5.000000e-01 | 1.00 "
+        "| 1.250000e-01 | 2.00 |\n"
+        "| 8 | 3.125000e-02 | -- | 3.125000e-02 | 1.00 | 1.250000e-01 | 2.00 "
+        "| 6.250000e-02 | 1.00 |\n"
+        "\n"
+        "problem 4; rho1=1.0; quad_degree=4; FAILED at level 16: out of memory\n"
+    )
 
 
 def eta_norm(level):

@@ -362,6 +362,27 @@ def test_unknown_method_rejected():
         solve(zero, method="minres", max_iter=0)
 
 
+def test_missed_tolerance_raises_with_diagnostics():
+    spec = make_problem(1)
+    m = build_structured_tet_mesh(spec.domain, 2)
+    system = assemble_global(spec, m)
+    # no solve reaches 1e-300: refinement stalls and the float64 fallback
+    # misses it too
+    with pytest.raises(SolverError, match="residual") as info:
+        solve(system, method="direct", tol=1e-300)
+    d = info.value.diagnostics
+    assert d["factor_dtype"] == "float64"
+    assert d["fill_nnz"] == 37_994
+    assert np.isfinite(d["relative_residual"])
+    assert 0.0 < d["relative_residual"] < 1e-13
+    with pytest.raises(SolverError, match="residual") as info:
+        solve(system, method="minres", max_iter=5)
+    d = info.value.diagnostics
+    assert d["iterations"] == 5
+    assert len(d["residual_history"]) >= 1
+    assert d["relative_residual"] == pytest.approx(0.42, abs=0.01)
+
+
 def test_recovery_passthrough_simply_connected():
     spec = make_problem(1)
     m = build_structured_tet_mesh(spec.domain, 2)
@@ -384,7 +405,9 @@ def test_cavity_recovery_problem4():
     before = sol.diagnostics["raw_residual_before"]
     assert after <= before
     # one-variable least squares: c1 = (S^T A r) / (S^T A^T A S)
-    S = system.indicators[1]
+    dm = system.dofmap
+    S = np.zeros(dm.total)
+    S[dm.index("sb", dm.cavity_faces[1])] = 1.0
     AS = system.A @ S
     r = system.F - system.A @ base.x
     assert c1 == pytest.approx((AS @ r) / (AS @ AS), rel=1e-12)
