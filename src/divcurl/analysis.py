@@ -18,7 +18,7 @@ from . import assembly, mesh as meshmod, solver
 from .assembly import GlobalSystem
 from .mesh import Mesh
 from .problems import ProblemSpec
-from .quadrature import TET_REF_MEASURE, map_to_tetrahedra, tetrahedron_rule
+from .quadrature import TET_REF_MEASURE, gauss_points
 from .solver import SolutionFields
 from .weak_ops import project_field
 
@@ -45,8 +45,7 @@ def _weighted_sq(d: np.ndarray, eps: np.ndarray) -> np.ndarray:
 
 def _exact_at_gauss(problem, mesh, quad_degree):
     """(exact_u at the Gauss points of every tet, (num_tets, k, 3); weights)."""
-    pts, wts = tetrahedron_rule(quad_degree)
-    phys = map_to_tetrahedra(pts, mesh.vertices[mesh.tets])
+    phys, wts = gauss_points(mesh.vertices[mesh.tets], quad_degree)
     uex = problem.exact_u(phys.reshape(-1, 3)).reshape(mesh.num_tets, -1, 3)
     return uex, wts
 

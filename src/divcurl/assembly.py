@@ -38,14 +38,7 @@ import scipy.sparse as sparse
 
 from .mesh import Mesh
 from .problems import ProblemSpec
-from .quadrature import (
-    TET_REF_MEASURE,
-    TRI_REF_MEASURE,
-    map_to_tetrahedra,
-    map_to_triangles,
-    tetrahedron_rule,
-    triangle_rule,
-)
+from .quadrature import TET_REF_MEASURE, TRI_REF_MEASURE, gauss_points
 
 __all__ = [
     "DofMap",
@@ -279,8 +272,7 @@ def assemble_rhs(
     F = np.zeros(dofmap.total)
     tets = np.arange(mesh.num_tets)
 
-    pts, wts = tetrahedron_rule(quad_degree)
-    phys = map_to_tetrahedra(pts, mesh.vertices[mesh.tets])
+    phys, wts = gauss_points(mesh.vertices[mesh.tets], quad_degree)
     flat = phys.reshape(-1, 3)
     scale = mesh.geometry.volumes / TET_REF_MEASURE
 
@@ -293,8 +285,7 @@ def assemble_rhs(
 
     bfaces = mesh.boundary_faces
     if len(bfaces):
-        tpts, twts = triangle_rule(quad_degree)
-        fphys = map_to_triangles(tpts, mesh.vertices[mesh.faces[bfaces]])
+        fphys, twts = gauss_points(mesh.vertices[mesh.faces[bfaces]], quad_degree)
         # canonical normal of a boundary face is the domain outward normal
         norms = np.repeat(mesh.face_normals[bfaces], len(twts), axis=0)
         p1 = problem.phi1(fphys.reshape(-1, 3), norms).reshape(len(bfaces), -1)
@@ -340,10 +331,10 @@ def assemble_global(
     quad_degree: int = 4,
 ) -> GlobalSystem:
     """Assemble the full system [[S1, B], [B^T, -S2]] and load vector."""
-    if rho1 <= 0 or rho2 <= 0 or rho3 <= 0:
-        raise ValueError("stabilization weights rho_i must be positive")
-    if gamma_exp < -1:
-        raise ValueError("stabilizer exponent gamma must be >= -1")
+    if not all(0 < rho < np.inf for rho in (rho1, rho2, rho3)):
+        raise ValueError("stabilization weights rho_i must be positive and finite")
+    if not -1 <= gamma_exp < np.inf:
+        raise ValueError("stabilizer exponent gamma must be finite and >= -1")
     dofmap = build_dof_map(mesh)
     S1 = assemble_s1(mesh, dofmap, rho1, rho2)
     S2 = assemble_s2(mesh, dofmap, rho3, gamma_exp)

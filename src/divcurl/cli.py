@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 solver failure, 2 invalid configuration.
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -51,10 +52,10 @@ class RunConfig:
                 )
         self.refinements = refs
         for name in ("rho1", "rho2", "rho3"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.gamma_exp < -1:
-            raise ConfigError("gamma-exp must be >= -1")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
+        if not -1 <= self.gamma_exp < math.inf:
+            raise ConfigError("gamma-exp must be finite and >= -1")
         if self.quad_degree < 1:
             raise ConfigError("quad-degree must be >= 1")
         if self.solver not in ("auto", "direct", "minres"):

@@ -352,7 +352,7 @@ def _lattice_index(points, domain: DomainSpec, n: int):
     from ``domain.lo``; None if any point is off the lattice."""
     scaled = (np.asarray(points) - np.asarray(domain.lo)) * n
     index = np.rint(scaled).astype(np.int64)
-    return index if np.allclose(scaled, index, atol=1e-9) else None
+    return index if np.allclose(scaled, index, rtol=0.0, atol=1e-9) else None
 
 
 def build_structured_tet_mesh(domain: DomainSpec, n: int) -> Mesh:

@@ -19,7 +19,7 @@ safe to call concurrently.
 import numpy as np
 
 from .mesh import TetGeometry
-from .quadrature import TET_REF_MEASURE, map_to_tetrahedra, tetrahedron_rule
+from .quadrature import TET_REF_MEASURE, gauss_points
 
 __all__ = [
     "weak_gradient",
@@ -58,8 +58,7 @@ def project_field(u, mesh, degree: int = 4) -> np.ndarray:
 
     Returns the (num_tets, 3) array of cell averages of ``u``.
     """
-    pts, wts = tetrahedron_rule(degree)
-    phys = map_to_tetrahedra(pts, mesh.vertices[mesh.tets])  # (nt, k, 3)
+    phys, wts = gauss_points(mesh.vertices[mesh.tets], degree)  # (nt, k, 3)
     vals = np.asarray(u(phys.reshape(-1, 3)), dtype=float)
     vals = vals.reshape(mesh.num_tets, len(wts), 3)
     return np.einsum("k,tkd->td", wts, vals) / TET_REF_MEASURE

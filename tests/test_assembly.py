@@ -425,6 +425,10 @@ def test_parameter_validation():
         assemble_global(spec, m, rho1=0.0)
     with pytest.raises(ValueError):
         assemble_global(spec, m, gamma_exp=-2.0)
+    for bad in (dict(rho1=np.nan), dict(rho2=np.inf), dict(rho3=np.nan),
+                dict(gamma_exp=np.nan), dict(gamma_exp=np.inf)):
+        with pytest.raises(ValueError):
+            assemble_global(spec, m, **bad)
 
 
 def test_reduced_is_free_submatrix():

@@ -25,6 +25,11 @@ def test_config_validation():
         RunConfig(example=1, rho1=-1.0).validate()
     with pytest.raises(ConfigError):
         RunConfig(example=1, gamma_exp=-2.0).validate()
+    # NaN compares false both ways, so a one-sided bound lets it through
+    for bad in (dict(rho1=np.nan), dict(rho2=np.nan), dict(rho3=np.inf),
+                dict(gamma_exp=np.nan), dict(gamma_exp=np.inf)):
+        with pytest.raises(ConfigError):
+            RunConfig(example=1, **bad).validate()
     with pytest.raises(ConfigError):
         RunConfig(example=1, solver="gauss").validate()
     with pytest.raises(ConfigError):
@@ -105,6 +110,7 @@ def test_main_exit_codes(tmp_path):
     assert main([]) == 2  # example is required
     assert main(["--selftest"]) == 2  # the invariant checks live in the tests
     assert main(["--seed", "5"]) == 2
+    assert main(["--example", "1", "--refinements", "2", "--rho1", "nan"]) == 2
 
 
 def test_output_path_in_missing_directory(tmp_path, monkeypatch, capsys):

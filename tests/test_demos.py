@@ -1,12 +1,14 @@
-"""The demo scripts run against the current API."""
+"""The demo scripts and the README quickstart run against the current API."""
 
 import pathlib
+import re
 import runpy
 import shutil
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).parents[1] / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
@@ -15,4 +17,11 @@ def test_demo_runs(demo, tmp_path, capsys):
     script = tmp_path / demo.name
     shutil.copy(demo, script)
     runpy.run_path(str(script), run_name="__main__")
+    assert capsys.readouterr().out
+
+
+def test_readme_quickstart_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out

@@ -237,6 +237,15 @@ def test_alignment_precondition():
         with pytest.raises(MeshError):
             build_structured_tet_mesh(build_domain(ex), 1)
         build_structured_tet_mesh(build_domain(ex), 2)
+    # a corner 1e-5 off the lattice is rejected, not snapped onto it; a
+    # relative tolerance would scale with the coordinate and let it pass
+    off_box = DomainSpec(
+        "custom", (0, 0, 0), (6, 6, 1), excluded=(((5.00005, 5, 0), (6, 6, 1)),)
+    )
+    off_hi = DomainSpec("custom", (0, 0, 0), (3.00002, 1, 1))
+    for dom in (off_box, off_hi):
+        with pytest.raises(MeshError):
+            build_structured_tet_mesh(dom, 2)
 
 
 def test_closed_surface_identity():
