@@ -2,6 +2,7 @@
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
@@ -18,10 +19,10 @@ __all__ = [
 ]
 
 # beyond this many free unknowns the automatic method switches to MINRES;
-# the LU fill grows like n^(4/3) at about 9.5 bytes of peak memory per entry
-# with the float32 factor: the study of problem 4 at 1/h = 2, 4, 8 (340k
-# free, 104M fill) runs in 8-9 s direct with a 0.98 GB peak, against 52 s
-# and 0.3 GB by MINRES (2-core machine)
+# the multifrontal factor stores 4-byte entries with no index, and their
+# number grows like n^(4/3): the study of problem 4 at 1/h = 2, 4, 8 (340k
+# free, 78M factor entries) runs in about 4.6 s direct with a 0.63 GB
+# peak, against 52 s and 0.3 GB by MINRES (2-core machine)
 DIRECT_DOF_LIMIT = 400_000
 
 
@@ -52,28 +53,38 @@ class SolutionFields:
         return self.x[self.dofmap.block("u")].reshape(-1, 3)
 
 
-def _equilibration_scale(system: GlobalSystem, A_ff: sparse.csr_matrix):
-    """Symmetric Jacobi scaling 1/sqrt(max(|diag|, h_loc^3)).
+def _equilibrate(system: GlobalSystem, A_ff: sparse.csr_matrix):
+    """Symmetric Jacobi scaling 1/sqrt(max(|diag|, h_loc^3)) and D^-1/2 A D^-1/2.
 
     The primal block has an exactly zero diagonal, so it is floored at the
     local element-volume scale h^3, which balances the coupling entries
     (surface terms of size h^2) against the stabilizer diagonal (size h).
-    Both solver paths work on D^-1/2 A D^-1/2.
+    Both solver paths work on the scaled matrix.  Entry (i, j) is scaled
+    by ``scale[i] * scale[j]``, which is the same product for (j, i), so
+    the scaled matrix is exactly as symmetric as ``A_ff``.  Returns
+    ``(scale, A_s)`` with ``A_s`` in CSR form.
     """
     dm = system.dofmap
     h_of_tet = system.mesh.geometry.diameters
     h_of_face = h_of_tet[system.mesh.face_tets[:, 0]]
     floor = dm.per_dof(h_of_tet, h_of_face)[dm.free] ** 3
     d = np.maximum(np.abs(A_ff.diagonal()), floor)
-    return 1.0 / np.sqrt(d)
+    scale = 1.0 / np.sqrt(d)
+    data = np.repeat(scale, np.diff(A_ff.indptr))  # scale[i] of each entry
+    data *= scale[A_ff.indices]
+    data *= A_ff.data
+    A_s = sparse.csr_matrix(
+        (data, A_ff.indices.copy(), A_ff.indptr.copy()), shape=A_ff.shape
+    )
+    return scale, A_s
 
 
 _LEAF_SIZE = 16  # entities per leaf group; 8 to 24 give the same fill, 32 more
 _PRIMAL_BLOCKS = ("u", "s0", "sb")
 
 
-def _lattice_groups(keys: np.ndarray) -> np.ndarray:
-    """Nested-dissection group ordinal of each entity.
+def _lattice_groups(keys: np.ndarray):
+    """Nested-dissection group ordinal of each entity, and each group's height.
 
     ``keys`` (N, 3) are exact integer centroids in 1/12-lattice units, so
     the entities on the lattice plane ``x_a = c`` are those with key
@@ -82,13 +93,16 @@ def _lattice_groups(keys: np.ndarray) -> np.ndarray:
     lattice plane separate the entities on either side exactly.  Each set
     is split at the plane nearest the middle of its longest axis; groups
     are numbered left, right, then separator, down to leaves of
-    ``_LEAF_SIZE`` entities.
+    ``_LEAF_SIZE`` entities.  A leaf has height 0 and a separator one more
+    than the highest group on either side, so every group is higher than
+    all the groups it separates.
     """
     groups = np.empty(len(keys), dtype=np.int64)
-    counter = 0
+    heights = []
 
     def split(idx):
-        nonlocal counter
+        """Number the groups of ``idx``; the height of its top one, -1 if none."""
+        below = -1
         if len(idx) > _LEAF_SIZE:
             k = keys[idx]
             lo, hi = k.min(axis=0), k.max(axis=0)
@@ -101,19 +115,21 @@ def _lattice_groups(keys: np.ndarray) -> np.ndarray:
                 mid = (lo[axis] + hi[axis] + 12) // 24 * 12
                 plane = min(max(mid, first), last)
                 side = k[:, axis]
-                split(idx[side < plane])
-                split(idx[side > plane])
+                left = split(idx[side < plane])
+                below = max(left, split(idx[side > plane]))
                 idx = idx[side == plane]
                 break
-        if len(idx):
-            groups[idx] = counter
-            counter += 1
+        if not len(idx):
+            return below
+        groups[idx] = len(heights)
+        heights.append(below + 1)
+        return below + 1
 
     split(np.arange(len(keys)))
-    return groups
+    return groups, np.array(heights, dtype=np.int64)
 
 
-def _lattice_permutation(mesh, dofmap) -> np.ndarray:
+def _lattice_permutation(mesh, dofmap):
     """Fill-reducing order of the free DoFs for the direct solve.
 
     Nested dissection of the structured mesh's tets and faces by lattice
@@ -127,13 +143,14 @@ def _lattice_permutation(mesh, dofmap) -> np.ndarray:
     separator and double the fill.  Three faces are likely enough because
     three face normals of a tet span R^3; a two-face rule, measured, fills
     more and pivots off the diagonal.  Returns ``p`` with ``A_ff[p][:, p]``
-    the reordered matrix.
+    the reordered matrix, the ``bounds`` of the groups that hold free DoFs
+    (group ``f`` is ``p[bounds[f]:bounds[f + 1]]``) and their heights.
     """
     ijk = mesh.vertex_ijk
     keys = np.concatenate(
         [3 * ijk[mesh.tets].sum(axis=1), 4 * ijk[mesh.faces].sum(axis=1)]
     )
-    groups = _lattice_groups(keys)
+    groups, heights = _lattice_groups(keys)
     tet_group, face_group = groups[: mesh.num_tets], groups[mesh.num_tets :]
     dof_group = dofmap.per_dof(tet_group, face_group)
     third_face = np.sort(face_group[mesh.tet_faces], axis=1)[:, 2]
@@ -143,7 +160,203 @@ def _lattice_permutation(mesh, dofmap) -> np.ndarray:
     for name in _PRIMAL_BLOCKS:
         primal[dofmap.block(name)] = True
     free = dofmap.free
-    return np.lexsort((free, primal[free], dof_group[free]))
+    p = np.lexsort((free, primal[free], dof_group[free]))
+    group = dof_group[free][p]
+    first = np.flatnonzero(np.diff(group, prepend=-1))
+    return p, np.append(first, len(p)), heights[group[first]]
+
+
+class _Fronts(NamedTuple):
+    """Symbolic multifrontal structure; front ``f``'s parts of the flat
+    arrays are at ``row_start[f]:row_start[f+1]`` (update rows) and
+    ``entry_start[f]:entry_start[f+1]`` (pivot-column entries)."""
+
+    parent: np.ndarray  # -1 for a root
+    rows: np.ndarray  # update rows, ascending within each front
+    row_start: np.ndarray
+    loc: np.ndarray  # position of each update row in its parent's front
+    entry: np.ndarray  # flat position of each pivot-column entry in its front
+    entry_value: np.ndarray  # float32
+    entry_start: np.ndarray
+    nnz: int  # float32 entries the factor stores without delayed pivots
+
+
+def _fronts(A_s, p, bounds, heights) -> _Fronts:
+    """Symbolic phase of the multifrontal factor: one front per lattice group.
+
+    Front ``f`` eliminates the permuted positions ``bounds[f]:bounds[f+1]``
+    (its pivots) in the order of :func:`_lattice_permutation`.  Its update
+    rows are the later positions that its pivot columns reach in the
+    filled matrix: the rows of its own off-front entries, and those update
+    rows of its children that lie beyond its pivots.  Its parent is the
+    front of its first update row (Liu, SIAM Review 34, 1992).  Lattice
+    planes separate exactly, so a parent is a separator above its child in
+    the nested dissection; the fronts are resolved one height at a time
+    with whole-array operations.  ``A_s`` is exactly symmetric, so the rows
+    of ``A_s[p]`` are the columns of the permuted matrix.
+    """
+    n, num = len(p), len(bounds) - 1
+    size = np.diff(bounds)
+    front = np.repeat(np.arange(num), size)  # of each permuted position
+    # int32 positions halve the memory traffic of the passes over entries
+    inv = np.empty(n, dtype=np.int32)
+    inv[p] = np.arange(n, dtype=np.int32)
+    B = A_s[p]
+    count = np.diff(B.indptr)
+    row = inv[B.indices]
+    # a front reads its pivot columns from its first pivot down
+    start = bounds[front].astype(np.int32)
+    keep = row >= np.repeat(start, count)
+    col = np.repeat(np.arange(n, dtype=np.int32) - start, count)[keep]
+    f = np.repeat(front.astype(np.int32), count)[keep]
+    row, value = row[keep], B.data[keep]
+    off = row >= bounds[1:][f]
+
+    # (front, update row) pairs are keys front * n + row, queued by height
+    pending = [[] for _ in range(heights.max() + 1)]
+
+    def push(keys):
+        at = heights[keys // n]
+        for h in np.unique(at):
+            pending[h].append(keys[at == h])
+
+    push(f[off].astype(np.int64) * n + row[off])
+    parent = np.full(num, -1)
+    found = []
+    for h, queued in enumerate(pending):
+        keys = np.sort(np.concatenate(queued)) if queued else np.zeros(0, np.int64)
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        found.append(keys)
+        kf, kr = np.divmod(keys, n)
+        first = np.flatnonzero(np.diff(kf, prepend=-1))
+        parents = front[kr[first]]
+        if np.any(heights[parents] <= h):
+            raise SolverError("a front's parent is not above it in the dissection")
+        parent[kf[first]] = parents
+        kp = np.repeat(parents, np.diff(np.append(first, len(keys))))
+        up = kr >= bounds[kp + 1]
+        push(kp[up] * n + kr[up])
+    keys = np.sort(np.concatenate(found))
+    row_front, rows = np.divmod(keys, n)
+    row_start = np.searchsorted(row_front, np.arange(num + 1))
+
+    def position(fr, r):
+        """Position of permuted row ``r`` in front ``fr``: pivots, then update rows."""
+        pos = r - bounds[fr]
+        beyond = pos >= size[fr]
+        fb = fr[beyond].astype(np.int64)
+        at = np.searchsorted(keys, fb * n + r[beyond])
+        pos[beyond] = size[fb] + at - row_start[fb]
+        return pos
+
+    order = size + np.diff(row_start)  # of each front's dense matrix
+    return _Fronts(
+        parent,
+        rows,
+        row_start,
+        position(parent[row_front], rows),
+        position(f, row) * order[f] + col,
+        value.astype(np.float32),
+        np.searchsorted(f, np.arange(num + 1)),
+        int(np.sum(size * order)),
+    )
+
+
+# a front whose pivot block P has an inverse with an entry above this
+# passes its variables to its parent front (a delayed pivot).  The
+# equilibrated matrix has a unit diagonal scale: on problems 1-7 at
+# 1/h <= 8 the healthy blocks have |P^-1| <= 12.7, and the one exactly
+# singular block (problems 5 and 7 at 1/h = 2) reads 6.7e7 in float32.
+PIVOT_GROWTH_LIMIT = 1e4
+
+
+class _FrontalFactor:
+    """Multifrontal float32 block LDL^T of ``A_s[p][:, p]`` on the lattice fronts.
+
+    Each front is assembled dense from its pivot columns and the Schur
+    complements of its children (extend-add), and its pivot block ``P`` is
+    inverted and tested.  It stores ``P^-1`` and ``L21 = F21 P^-1``
+    (``F12 = F21^T``, so there is no ``U`` and no per-entry index) and
+    passes ``F22 - L21 F21^T`` to its parent.  Fronts whose pivot blocks
+    are bitwise equal share one ``P^-1``.  A front whose pivot block
+    fails the test passes its whole front instead, and the parent
+    eliminates those variables first (Duff & Reid, ACM TOMS 9, 1983).  The
+    dense work stays in numpy, whose BLAS the refinement loop also uses:
+    alternating two BLAS libraries stalls both thread pools.  ``nnz``
+    counts the stored entries and ``delayed`` the delayed fronts.
+    """
+
+    def __init__(self, A_s, p, bounds, heights):
+        fronts = _fronts(A_s, p, bounds, heights)
+        parent, rows, row_start, loc, entry, value, entry_start, _ = fronts
+        self.blocks, self.nnz, self.delayed = [], 0, 0
+        # front -> [(row positions, matrix, delayed pivots)]: a child's
+        # Schur complement with its rows' positions in the parent, or a
+        # delayed front with its rows' permuted positions
+        waiting = {}
+        # congruent fronts of the lattice assemble bitwise-equal pivot
+        # blocks (724 of 903 on problem 4 at 1/h = 4), which share one
+        # inverse: LAPACK's small inverses dominate the factor otherwise
+        inverses = {}
+        for f in range(len(bounds) - 1):
+            s, e = bounds[f], bounds[f + 1]
+            up = rows[row_start[f] : row_start[f + 1]]
+            children = waiting.pop(f, [])
+            # pivots delayed by children, all earlier, are eliminated first
+            held = [where[:k] for where, _, k in children if k]
+            d = sum(map(len, held))
+            k, m = d + e - s, d + e - s + len(up)
+            at = entry[entry_start[f] : entry_start[f + 1]]
+            if held:
+                pivots = np.concatenate(held + [np.arange(s, e)])
+                pivots.sort()
+                index = np.concatenate([pivots, up])
+                r, c = np.divmod(at, m - d)
+                at = (r + d) * m + c + d
+            else:
+                pivots = slice(s, e)
+            F = np.zeros((m, m), dtype=np.float32)
+            F.reshape(-1)[at] = value[entry_start[f] : entry_start[f + 1]]
+            for where, S, delayed in children:
+                at = np.searchsorted(index, where) if delayed else where + d
+                np.add.at(F.reshape(-1), (at[:, None] * m + at).ravel(), S.ravel())
+            P, F21 = F[:k, :k], F[k:, :k]
+            key = P.tobytes()
+            Pinv = inverses.get(key)
+            if Pinv is None:
+                try:
+                    Pinv = np.linalg.inv(P)
+                except np.linalg.LinAlgError:
+                    Pinv = P * np.nan
+                inverses[key] = Pinv
+            if not np.abs(Pinv).max() <= PIVOT_GROWTH_LIMIT:  # NaN fails too
+                if parent[f] < 0:
+                    raise SolverError(f"the pivot block of root front {f} is singular")
+                F[:k, k:] = F21.T
+                if not held:
+                    index = np.concatenate([np.arange(s, e), up])
+                waiting.setdefault(parent[f], []).append((index, F, k))
+                self.delayed += 1
+                continue
+            L21 = F21 @ Pinv
+            S = L21 @ F21.T
+            np.subtract(F[k:, k:], S, out=S)
+            if len(up):
+                where = loc[row_start[f] : row_start[f + 1]]
+                waiting.setdefault(parent[f], []).append((where, S, 0))
+            self.blocks.append((pivots, up, Pinv, L21))
+            self.nnz += Pinv.size + L21.size
+
+    def solve(self, b):
+        """Solve with the factor; ``b`` and the result are float32."""
+        x = b.copy()
+        for pivots, up, Pinv, L21 in self.blocks:
+            xp = x[pivots]
+            x[up] -= L21 @ xp
+            x[pivots] = Pinv @ xp
+        for pivots, up, Pinv, L21 in reversed(self.blocks):
+            x[pivots] -= L21.T @ x[up]
+        return x
 
 
 # MINRES drives the true relative residual to min(tol, MINRES_TARGET), below
@@ -208,17 +421,21 @@ def solve(
 ) -> SolutionFields:
     """Solve the reduced system and return all solution fields.
 
-    method "direct" factorizes with a sparse pivoted LU (the assembled
-    matrix is symmetric indefinite) in the lattice nested-dissection
-    order of :func:`_lattice_permutation`.  The factor is float32, which
-    has the fill of a float64 one at two thirds of its memory; float64
-    iterative refinement (Langou et al., SC 2006) then corrects the
-    solution from the true residual until the true relative residual
-    reaches ``min(tol, REFINE_TARGET)``.  If the float32 factor breaks
-    down, a correction fails to halve the residual, or ``REFINE_STEPS``
-    corrections do not suffice, the matrix is refactored in float64 and
-    solved once.  The diagnostics record ``factor_dtype`` and
-    ``refine_steps`` (float32 corrections after the first solve).
+    method "direct" factorizes the equilibrated matrix (symmetric
+    indefinite) in float32 with a multifrontal block LDL^T
+    (:class:`_FrontalFactor`) whose fronts are the lattice
+    nested-dissection groups of :func:`_lattice_permutation`.  It stores
+    4 bytes per factor entry and no index; float64 iterative refinement
+    (Langou et al., SC 2006) then corrects the solution from the true
+    residual until the true relative residual reaches
+    ``min(tol, REFINE_TARGET)``.  If the float32 factor breaks down, a
+    correction fails to halve the residual, or ``REFINE_STEPS``
+    corrections do not suffice, the matrix is refactored in float64 by
+    SuperLU in the same order and solved once.  The diagnostics record
+    ``factor_dtype``, ``refine_steps`` (float32 corrections after the
+    first solve), ``fill_nnz`` (entries of the factor used) and, once the
+    float32 factor is built, ``delayed_fronts`` (fronts whose pivot block
+    failed its test and moved to the parent front).
 
     "minres" runs one diagonally preconditioned MINRES (:func:`_minres`)
     until the true relative residual reaches ``min(tol, MINRES_TARGET)``,
@@ -247,9 +464,7 @@ def solve(
         diagnostics.update(relative_residual=0.0, solve_seconds=0.0)
         return SolutionFields(system.expand(np.zeros(n)), system.dofmap, diagnostics)
 
-    scale = _equilibration_scale(system, A_ff)
-    S = sparse.diags(scale)
-    A_s = (S @ A_ff @ S).tocsc()
+    scale, A_s = _equilibrate(system, A_ff)
     F_s = scale * F_f
     # tol and max_iter are positive if set
     accept = tol or (1e-10 if method == "direct" else 1e-8)
@@ -261,22 +476,14 @@ def solve(
 
     if method == "direct":
         target = min(accept, REFINE_TARGET)
-        p = _lattice_permutation(system.mesh, system.dofmap)
-
-        def factor(dtype):
-            return spla.splu(
-                A_s[p][:, p].astype(dtype),
-                permc_spec="NATURAL",
-                diag_pivot_thresh=0.1,
-                options={"SymmetricMode": True},
-            )
-
+        p, bounds, heights = _lattice_permutation(system.mesh, system.dofmap)
         y, rel, steps, dtype = np.zeros(n), 1.0, 0, "float32"
         try:
-            lu = factor(np.float32)
-        except RuntimeError:  # a float32 pivot broke down; refactor below
+            lu = _FrontalFactor(A_s, p, bounds, heights)
+        except RuntimeError:  # a root pivot block broke down; refactor below
             lu = None
         if lu is not None:
+            diagnostics["delayed_fronts"] = lu.delayed
             r = F_f
             # the first solve from y = 0, then up to REFINE_STEPS corrections
             for steps in range(REFINE_STEPS + 1):
@@ -293,7 +500,12 @@ def solve(
         if lu is None:
             dtype = "float64"
             try:
-                lu = factor(np.float64)
+                lu = spla.splu(
+                    A_s[p][:, p].tocsc(),
+                    permc_spec="NATURAL",
+                    diag_pivot_thresh=0.1,
+                    options={"SymmetricMode": True},
+                )
                 y[p] = lu.solve(F_s[p])
             except RuntimeError as exc:  # singular factor reports pivot location
                 raise SolverError(

@@ -59,12 +59,26 @@ def test_smoke_problem1():
 
 
 def test_direct_deterministic():
-    spec = make_problem(1)
+    for example in (1, 5):  # problem 5 delays a front at 1/h = 2
+        spec = make_problem(example)
+        m = build_structured_tet_mesh(spec.domain, 2)
+        system = assemble_global(spec, m)
+        x1 = solve(system, method="direct").x
+        x2 = solve(system, method="direct").x
+        assert np.array_equal(x1, x2)
+
+
+@pytest.mark.parametrize("example", range(1, 8))
+def test_equilibrated_matrix_is_exactly_symmetric(example):
+    spec = make_problem(example)
     m = build_structured_tet_mesh(spec.domain, 2)
     system = assemble_global(spec, m)
-    x1 = solve(system, method="direct").x
-    x2 = solve(system, method="direct").x
-    assert np.array_equal(x1, x2)
+    A_ff, _ = system.reduced()
+    scale, A_s = solver._equilibrate(system, A_ff)
+    assert A_s.format == "csr"
+    assert (A_s != A_s.T).nnz == 0
+    S = sparse.diags(scale)
+    assert abs(A_s - S @ A_ff @ S).max() <= 1e-15 * abs(A_s).max()
 
 
 @pytest.mark.parametrize("example", [1, 4, 5])
@@ -72,8 +86,10 @@ def test_lattice_permutation_orders_u_after_three_faces(example):
     spec = make_problem(example)
     m = build_structured_tet_mesh(spec.domain, 2)
     dm = assemble_global(spec, m).dofmap
-    p = solver._lattice_permutation(m, dm)
+    p, bounds, heights = solver._lattice_permutation(m, dm)
     assert np.array_equal(np.sort(p), np.arange(dm.num_free))
+    assert bounds[0] == 0 and bounds[-1] == dm.num_free
+    assert np.all(np.diff(bounds) > 0) and len(heights) == len(bounds) - 1
     # position in the factor order of each raw DoF; -1 for constrained ones
     pos = np.full(dm.total, -1)
     pos[dm.free[p]] = np.arange(dm.num_free)
@@ -100,17 +116,25 @@ def test_lattice_order_beats_colamd_fill():
     system = assemble_global(spec, m)
     fill = solve(system, method="direct").diagnostics["fill_nnz"]
     A_ff, _ = system.reduced()
-    S = sparse.diags(solver._equilibration_scale(system, A_ff))
-    colamd = spla.splu((S @ A_ff @ S).tocsc(), permc_spec="COLAMD")
+    A_s = solver._equilibrate(system, A_ff)[1]
+    colamd = spla.splu(A_s.tocsc(), permc_spec="COLAMD")
     assert fill < colamd.nnz
 
 
 def test_lattice_order_halves_fill():
-    # eliminating u after its fourth face instead gives 973,138
+    # eliminating u after its fourth face instead stores 926,061 entries
     spec = make_problem(1)
     m = build_structured_tet_mesh(spec.domain, 4)
     system = assemble_global(spec, m)
     assert solve(system, method="direct").diagnostics["fill_nnz"] < 700_000
+
+
+def predicted_nnz(system):
+    """Entries the symbolic phase predicts for the float32 factor."""
+    A_ff, _ = system.reduced()
+    A_s = solver._equilibrate(system, A_ff)[1]
+    order = solver._lattice_permutation(system.mesh, system.dofmap)
+    return solver._fronts(A_s, *order).nnz
 
 
 @pytest.mark.parametrize("example", range(1, 8))
@@ -120,7 +144,17 @@ def test_direct_solve_accurate_despite_zero_u_block(example):
         m = build_structured_tet_mesh(spec.domain, n)
         system = assemble_global(spec, m)
         sol = solve(system, method="direct")
-        assert sol.diagnostics["relative_residual"] <= 1e-13
+        d = sol.diagnostics
+        assert d["factor_dtype"] == "float32"
+        assert 1 <= d["refine_steps"] <= 3
+        assert d["relative_residual"] <= 1e-13
+        # at 1/h = 2 one pivot block of problems 5 and 7 is exactly
+        # singular, so that front passes its pivots to its parent
+        if example in (5, 7) and n == 2:
+            assert d["delayed_fronts"] >= 1
+        else:
+            assert d["delayed_fronts"] == 0
+            assert d["fill_nnz"] == predicted_nnz(system)
         if n == 2:
             A_ff, F_f = system.reduced()
             ref = spla.spsolve(A_ff.tocsc(), F_f, permc_spec="COLAMD")
@@ -136,6 +170,7 @@ def test_failed_factorization_keeps_diagnostics(monkeypatch):
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
+    monkeypatch.setattr(solver, "_FrontalFactor", singular)
     monkeypatch.setattr(solver.spla, "splu", singular)
     with pytest.raises(SolverError, match="exactly singular") as info:
         solve(system, method="direct")
@@ -147,7 +182,8 @@ class NoisyFactor:
     """A factor whose solves are off by a relative ``amplitude`` of noise."""
 
     def __init__(self, lu, amplitude):
-        self.lu, self.nnz, self.amplitude = lu, lu.nnz, amplitude
+        self.lu, self.nnz, self.delayed = lu, lu.nnz, lu.delayed
+        self.amplitude = amplitude
         self.rng = np.random.default_rng(0)
 
     def solve(self, b):
@@ -156,27 +192,21 @@ class NoisyFactor:
         return out * (1 + self.amplitude * noise)
 
 
-def patch_float32_splu(monkeypatch, float32_factor):
-    """Route float32 ``splu`` calls through ``float32_factor(splu, A, **kw)``."""
-    splu = spla.splu
-
-    def patched(A, **kwargs):
-        if A.dtype == np.float32:
-            return float32_factor(splu, A, **kwargs)
-        return splu(A, **kwargs)
-
-    monkeypatch.setattr(solver.spla, "splu", patched)
+def patch_float32_factor(monkeypatch, float32_factor):
+    """Route the float32 factor through ``float32_factor(factor, *args)``."""
+    factor = solver._FrontalFactor
+    monkeypatch.setattr(
+        solver, "_FrontalFactor", lambda *args: float32_factor(factor, *args)
+    )
 
 
 def float64_reference(system):
     """Solution of one float64 factor in the direct path's order, and its fill."""
     A_ff, F_f = system.reduced()
-    scale = solver._equilibration_scale(system, A_ff)
-    S = sparse.diags(scale)
-    A_s = (S @ A_ff @ S).tocsc()
-    p = solver._lattice_permutation(system.mesh, system.dofmap)
+    scale, A_s = solver._equilibrate(system, A_ff)
+    p = solver._lattice_permutation(system.mesh, system.dofmap)[0]
     lu = spla.splu(
-        A_s[p][:, p],
+        A_s[p][:, p].tocsc(),
         permc_spec="NATURAL",
         diag_pivot_thresh=0.1,
         options={"SymmetricMode": True},
@@ -196,7 +226,8 @@ def test_float32_factor_matches_float64_fill_and_solution():
     assert 1 <= diagnostics["refine_steps"] <= solver.REFINE_STEPS
     assert diagnostics["relative_residual"] <= 1e-13
     x64, nnz64 = float64_reference(system)
-    assert diagnostics["fill_nnz"] == nnz64
+    # 4-byte entries, fewer of them than SuperLU's L and U in the same order
+    assert diagnostics["fill_nnz"] == predicted_nnz(system) < nnz64
     x_f = sol.x[system.dofmap.free]
     assert np.linalg.norm(x_f - x64) <= 1e-10 * np.linalg.norm(x64)
 
@@ -230,14 +261,15 @@ def test_noisy_float32_factor_falls_back_to_float64(
     spec = make_problem(1)
     m = build_structured_tet_mesh(spec.domain, 2)
     system = assemble_global(spec, m)
-    patch_float32_splu(
-        monkeypatch, lambda splu, A, **kw: NoisyFactor(splu(A, **kw), amplitude)
+    patch_float32_factor(
+        monkeypatch, lambda factor, *args: NoisyFactor(factor(*args), amplitude)
     )
     sol = solve(system, method="direct")
     assert sol.diagnostics["factor_dtype"] == dtype
     assert sol.diagnostics["relative_residual"] <= 1e-13
     x64, nnz64 = float64_reference(system)
-    assert sol.diagnostics["fill_nnz"] == nnz64
+    fill = nnz64 if dtype == "float64" else predicted_nnz(system)
+    assert sol.diagnostics["fill_nnz"] == fill
     if steps is not None:  # the float64 factor's one solve, bit for bit
         assert sol.diagnostics["refine_steps"] == steps
         assert np.array_equal(sol.x[system.dofmap.free], x64)
@@ -248,15 +280,75 @@ def test_float32_factor_failure_falls_back_to_float64(monkeypatch):
     m = build_structured_tet_mesh(spec.domain, 2)
     system = assemble_global(spec, m)
 
-    def singular(splu, A, **kwargs):
+    def singular(factor, *args):
         raise RuntimeError("Factor is exactly singular")
 
-    patch_float32_splu(monkeypatch, singular)
+    patch_float32_factor(monkeypatch, singular)
     sol = solve(system, method="direct")
     assert sol.diagnostics["factor_dtype"] == "float64"
     assert sol.diagnostics["refine_steps"] == 0
     assert sol.diagnostics["relative_residual"] <= 1e-13
     assert np.array_equal(sol.x[system.dofmap.free], float64_reference(system)[0])
+
+
+def test_pivots_delayed_to_the_root_fall_back_to_float64(monkeypatch):
+    # with no growth allowed every pivot block fails its test, every front
+    # passes its variables up, and the root front has no parent to take them
+    spec = make_problem(1)
+    m = build_structured_tet_mesh(spec.domain, 2)
+    system = assemble_global(spec, m)
+    A_ff, _ = system.reduced()
+    args = (solver._equilibrate(system, A_ff)[1],) + solver._lattice_permutation(
+        m, system.dofmap
+    )
+    monkeypatch.setattr(solver, "PIVOT_GROWTH_LIMIT", 0.0)
+    with pytest.raises(SolverError, match="root front"):
+        solver._FrontalFactor(*args)
+    sol = solve(system, method="direct")
+    assert sol.diagnostics["factor_dtype"] == "float64"
+    assert "delayed_fronts" not in sol.diagnostics
+    assert np.array_equal(sol.x[system.dofmap.free], float64_reference(system)[0])
+
+
+def test_chains_of_delayed_fronts_keep_the_factor_accurate(monkeypatch):
+    # a limit below the healthy |P^-1| of up to 12.7 delays about half of
+    # the fronts, some into parents that delay again
+    spec = make_problem(4)
+    m = build_structured_tet_mesh(spec.domain, 2)
+    system = assemble_global(spec, m)
+    monkeypatch.setattr(solver, "PIVOT_GROWTH_LIMIT", 8.0)
+    sol = solve(system, method="direct")
+    d = sol.diagnostics
+    assert d["factor_dtype"] == "float32" and d["delayed_fronts"] >= 30
+    assert 1 <= d["refine_steps"] <= 3 and d["relative_residual"] <= 1e-13
+    x64 = float64_reference(system)[0]
+    x_f = sol.x[system.dofmap.free]
+    assert np.linalg.norm(x_f - x64) <= 1e-10 * np.linalg.norm(x64)
+
+
+@pytest.mark.parametrize("example", [1, 3, 4, 5])
+def test_symbolic_fronts_match_the_filled_graph(example):
+    # the update rows of each front are the rows below its pivots that its
+    # pivot columns reach in the filled graph of the permuted matrix, and
+    # its parent is the front of the first of them
+    spec = make_problem(example)
+    m = build_structured_tet_mesh(spec.domain, 2)
+    system = assemble_global(spec, m)
+    A_ff, _ = system.reduced()
+    A_s = solver._equilibrate(system, A_ff)[1]
+    p, bounds, heights = solver._lattice_permutation(m, system.dofmap)
+    fronts = solver._fronts(A_s, p, bounds, heights)
+    filled = A_s[p][:, p].toarray() != 0
+    for j in range(len(p)):  # symbolic Gaussian elimination
+        below = j + 1 + np.flatnonzero(filled[j + 1 :, j])
+        filled[np.ix_(below, below)] = True
+    front = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    for f, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
+        rows = fronts.rows[fronts.row_start[f] : fronts.row_start[f + 1]]
+        expected = e + np.flatnonzero(filled[e:, s:e].any(axis=1))
+        assert np.array_equal(rows, expected)
+        assert fronts.parent[f] == (front[rows[0]] if len(rows) else -1)
+        assert fronts.parent[f] < 0 or heights[fronts.parent[f]] > heights[f]
 
 
 def test_minres_matches_direct():
