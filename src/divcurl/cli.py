@@ -11,6 +11,7 @@ import dataclasses
 import math
 import os
 import sys
+from numbers import Integral
 
 from . import analysis, mesh as meshmod, problems
 
@@ -42,9 +43,10 @@ class RunConfig:
     problem_spec: object = None  # filled by validate()
 
     def validate(self):
-        refs = tuple(int(n) for n in self.refinements)
-        if len(refs) < 1 or any(n < 1 for n in refs):
+        refs = tuple(self.refinements)
+        if not refs or not all(isinstance(n, Integral) and n >= 1 for n in refs):
             raise ConfigError(f"bad refinement ladder {refs}")
+        refs = tuple(map(int, refs))
         for a, b in zip(refs[:-1], refs[1:]):
             if b != 2 * a:
                 raise ConfigError(
@@ -56,8 +58,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive and finite")
         if not -1 <= self.gamma_exp < math.inf:
             raise ConfigError("gamma-exp must be finite and >= -1")
-        if self.quad_degree < 1:
-            raise ConfigError("quad-degree must be >= 1")
+        if not (isinstance(self.quad_degree, Integral) and self.quad_degree >= 1):
+            raise ConfigError("quad-degree must be an integer >= 1")
         if self.solver not in ("auto", "direct", "minres"):
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.tol is not None and not 0 < self.tol < 1:
@@ -78,7 +80,6 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         self.problem_spec = spec
         return self
-
 
 def run_study(config: RunConfig):
     """Mesh, assemble, solve, and measure every refinement level.
@@ -199,7 +200,7 @@ def main(argv=None) -> int:
         if "example" not in settings:
             raise ConfigError("--example is required (or provide it in --config)")
         config = RunConfig(**settings).validate()
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,6 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
+# unused here, but perfbench/tracing.py times scipy calls through this name
 import scipy.sparse.linalg as spla
 
 from .assembly import GlobalSystem
@@ -176,12 +177,12 @@ class _Fronts(NamedTuple):
     row_start: np.ndarray
     loc: np.ndarray  # position of each update row in its parent's front
     entry: np.ndarray  # flat position of each pivot-column entry in its front
-    entry_value: np.ndarray  # float32
+    entry_value: np.ndarray  # in the factor's working dtype
     entry_start: np.ndarray
-    nnz: int  # float32 entries the factor stores without delayed pivots
+    nnz: int  # entries the factor stores without delayed pivots
 
 
-def _fronts(A_s, p, bounds, heights) -> _Fronts:
+def _fronts(A_s, p, bounds, heights, dtype) -> _Fronts:
     """Symbolic phase of the multifrontal factor: one front per lattice group.
 
     Front ``f`` eliminates the permuted positions ``bounds[f]:bounds[f+1]``
@@ -193,7 +194,8 @@ def _fronts(A_s, p, bounds, heights) -> _Fronts:
     planes separate exactly, so a parent is a separator above its child in
     the nested dissection; the fronts are resolved one height at a time
     with whole-array operations.  ``A_s`` is exactly symmetric, so the rows
-    of ``A_s[p]`` are the columns of the permuted matrix.
+    of ``A_s[p]`` are the columns of the permuted matrix.  The entry
+    values are cast to ``dtype``, the factor's working precision.
     """
     n, num = len(p), len(bounds) - 1
     size = np.diff(bounds)
@@ -256,38 +258,40 @@ def _fronts(A_s, p, bounds, heights) -> _Fronts:
         row_start,
         position(parent[row_front], rows),
         position(f, row) * order[f] + col,
-        value.astype(np.float32),
+        value.astype(dtype),
         np.searchsorted(f, np.arange(num + 1)),
         int(np.sum(size * order)),
     )
 
 
 # a front whose pivot block P has an inverse with an entry above this
-# passes its variables to its parent front (a delayed pivot).  The
-# equilibrated matrix has a unit diagonal scale: on problems 1-7 at
-# 1/h <= 8 the healthy blocks have |P^-1| <= 12.7, and the one exactly
-# singular block (problems 5 and 7 at 1/h = 2) reads 6.7e7 in float32.
+# passes its variables to its parent front (a delayed pivot); a root
+# front has no parent.  The equilibrated matrix has a unit diagonal
+# scale: on problems 1-7 at 1/h <= 8 the healthy blocks have
+# |P^-1| <= 12.7, and the one exactly singular block (problems 5 and 7
+# at 1/h = 2) reads 6.7e7 in float32 and 9.0e15 in float64.
 PIVOT_GROWTH_LIMIT = 1e4
 
 
 class _FrontalFactor:
-    """Multifrontal float32 block LDL^T of ``A_s[p][:, p]`` on the lattice fronts.
+    """Multifrontal ``dtype`` block LDL^T of ``A_s[p][:, p]`` on the lattice fronts.
 
     Each front is assembled dense from its pivot columns and the Schur
     complements of its children (extend-add), and its pivot block ``P`` is
-    inverted and tested.  It stores ``P^-1`` and ``L21 = F21 P^-1``
-    (``F12 = F21^T``, so there is no ``U`` and no per-entry index) and
-    passes ``F22 - L21 F21^T`` to its parent.  Fronts whose pivot blocks
-    are bitwise equal share one ``P^-1``.  A front whose pivot block
-    fails the test passes its whole front instead, and the parent
-    eliminates those variables first (Duff & Reid, ACM TOMS 9, 1983).  The
-    dense work stays in numpy, whose BLAS the refinement loop also uses:
-    alternating two BLAS libraries stalls both thread pools.  ``nnz``
-    counts the stored entries and ``delayed`` the delayed fronts.
+    inverted.  It stores ``P^-1`` and ``L21 = F21 P^-1`` (``F12 = F21^T``,
+    so there is no ``U`` and no per-entry index) and passes
+    ``F22 - L21 F21^T`` to its parent.  Fronts whose pivot blocks are
+    bitwise equal share one ``P^-1``.  A front whose ``P^-1`` fails the
+    growth test passes its whole front instead, and the parent eliminates
+    those variables first (Duff & Reid, ACM TOMS 9, 1983); a root front
+    has no parent and keeps any finite ``P^-1``.  The dense work stays in
+    numpy, whose BLAS the refinement loop also uses: alternating two BLAS
+    libraries stalls both thread pools.  ``nnz`` counts the stored entries
+    and ``delayed`` the delayed fronts.
     """
 
-    def __init__(self, A_s, p, bounds, heights):
-        fronts = _fronts(A_s, p, bounds, heights)
+    def __init__(self, A_s, p, bounds, heights, dtype):
+        fronts = _fronts(A_s, p, bounds, heights, dtype)
         parent, rows, row_start, loc, entry, value, entry_start, _ = fronts
         self.blocks, self.nnz, self.delayed = [], 0, 0
         # front -> [(row positions, matrix, delayed pivots)]: a child's
@@ -315,7 +319,7 @@ class _FrontalFactor:
                 at = (r + d) * m + c + d
             else:
                 pivots = slice(s, e)
-            F = np.zeros((m, m), dtype=np.float32)
+            F = np.zeros((m, m), dtype=dtype)
             F.reshape(-1)[at] = value[entry_start[f] : entry_start[f + 1]]
             for where, S, delayed in children:
                 at = np.searchsorted(index, where) if delayed else where + d
@@ -329,9 +333,10 @@ class _FrontalFactor:
                 except np.linalg.LinAlgError:
                     Pinv = P * np.nan
                 inverses[key] = Pinv
-            if not np.abs(Pinv).max() <= PIVOT_GROWTH_LIMIT:  # NaN fails too
-                if parent[f] < 0:
+            if parent[f] < 0:
+                if not np.isfinite(Pinv).all():
                     raise SolverError(f"the pivot block of root front {f} is singular")
+            elif not np.abs(Pinv).max() <= PIVOT_GROWTH_LIMIT:  # NaN fails too
                 F[:k, k:] = F21.T
                 if not held:
                     index = np.concatenate([np.arange(s, e), up])
@@ -348,7 +353,7 @@ class _FrontalFactor:
             self.nnz += Pinv.size + L21.size
 
     def solve(self, b):
-        """Solve with the factor; ``b`` and the result are float32."""
+        """Solve with the factor; ``b`` and the result are in its dtype."""
         x = b.copy()
         for pivots, up, Pinv, L21 in self.blocks:
             xp = x[pivots]
@@ -366,9 +371,10 @@ class _FrontalFactor:
 # 1e-9 stop, 5.4e-7 at 1e-10 and 4.8e-8 at 1e-11
 MINRES_TARGET = 1e-11
 
-# the direct path refines a float32 factor in float64 until the true
+# the direct path refines its factor's solves in float64 until the true
 # relative residual reaches min(tol, REFINE_TARGET), within REFINE_STEPS
-# corrections after the first solve; problems 1-7 at 1/h <= 8 take 2 or 3
+# corrections after the first solve; from the float32 factor, problems 1-7
+# at 1/h <= 8 take 2 or 3, and a float64 factor's first solve suffices
 REFINE_TARGET = 1e-13
 REFINE_STEPS = 8
 
@@ -430,12 +436,12 @@ def solve(
     residual until the true relative residual reaches
     ``min(tol, REFINE_TARGET)``.  If the float32 factor breaks down, a
     correction fails to halve the residual, or ``REFINE_STEPS``
-    corrections do not suffice, the matrix is refactored in float64 by
-    SuperLU in the same order and solved once.  The diagnostics record
-    ``factor_dtype``, ``refine_steps`` (float32 corrections after the
-    first solve), ``fill_nnz`` (entries of the factor used) and, once the
-    float32 factor is built, ``delayed_fronts`` (fronts whose pivot block
-    failed its test and moved to the parent front).
+    corrections do not suffice, it is dropped and the same fronts are
+    factored in float64 and solved from zero by the same loop.  The
+    diagnostics record, for the factor used, ``factor_dtype``,
+    ``refine_steps`` (corrections after its first solve), ``fill_nnz``
+    (its entries) and ``delayed_fronts`` (fronts whose pivot block failed
+    its test and moved to the parent front).
 
     "minres" runs one diagonally preconditioned MINRES (:func:`_minres`)
     until the true relative residual reaches ``min(tol, MINRES_TARGET)``,
@@ -465,7 +471,6 @@ def solve(
         return SolutionFields(system.expand(np.zeros(n)), system.dofmap, diagnostics)
 
     scale, A_s = _equilibrate(system, A_ff)
-    F_s = scale * F_f
     # tol and max_iter are positive if set
     accept = tol or (1e-10 if method == "direct" else 1e-8)
 
@@ -477,46 +482,37 @@ def solve(
     if method == "direct":
         target = min(accept, REFINE_TARGET)
         p, bounds, heights = _lattice_permutation(system.mesh, system.dofmap)
-        y, rel, steps, dtype = np.zeros(n), 1.0, 0, "float32"
-        try:
-            lu = _FrontalFactor(A_s, p, bounds, heights)
-        except RuntimeError:  # a root pivot block broke down; refactor below
-            lu = None
-        if lu is not None:
-            diagnostics["delayed_fronts"] = lu.delayed
-            r = F_f
+        for dtype in ("float32", "float64"):
+            try:
+                lu = _FrontalFactor(A_s, p, bounds, heights, dtype)
+            except RuntimeError as exc:  # a root pivot block broke down
+                if dtype == "float64":
+                    raise SolverError(
+                        f"direct factorization failed: {exc}", diagnostics
+                    ) from exc
+                continue
+            diagnostics.update(
+                delayed_fronts=lu.delayed, fill_nnz=lu.nnz, factor_dtype=dtype
+            )
+            y, rel, r = np.zeros(n), 1.0, F_f
             # the first solve from y = 0, then up to REFINE_STEPS corrections
             for steps in range(REFINE_STEPS + 1):
                 # S r is the residual of the scaled system; normalising it
                 # before the cast keeps a tiny residual from underflowing
                 r_s = (scale * r)[p]
                 r_norm = np.linalg.norm(r_s)
-                y[p] += r_norm * lu.solve((r_s / r_norm).astype(np.float32))
+                y[p] += r_norm * lu.solve((r_s / r_norm).astype(dtype))
                 prev, (r, rel) = rel, residual(y)
                 if rel <= target or not rel <= 0.5 * prev:
                     break
-            if not rel <= target:
-                lu = None  # stalled or out of steps; refactor below
-        if lu is None:
-            dtype = "float64"
-            try:
-                lu = spla.splu(
-                    A_s[p][:, p].tocsc(),
-                    permc_spec="NATURAL",
-                    diag_pivot_thresh=0.1,
-                    options={"SymmetricMode": True},
-                )
-                y[p] = lu.solve(F_s[p])
-            except RuntimeError as exc:  # singular factor reports pivot location
-                raise SolverError(
-                    f"direct factorization failed: {exc}", diagnostics
-                ) from exc
-            rel = residual(y)[1]
-        diagnostics.update(fill_nnz=int(lu.nnz), factor_dtype=dtype, refine_steps=steps)
+            diagnostics["refine_steps"] = steps
+            if rel <= target:
+                break
+            del lu  # stalled or out of steps; free it before the refactor
     else:
         target = min(accept, MINRES_TARGET)
         y, iterations, history = _minres(
-            A_s, F_s, lambda y: residual(y)[1], target, max_iter or 60_000
+            A_s, scale * F_f, lambda y: residual(y)[1], target, max_iter or 60_000
         )
         rel = history[-1]
         diagnostics.update(iterations=iterations, residual_history=history)

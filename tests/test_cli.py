@@ -34,6 +34,12 @@ def test_config_validation():
         RunConfig(example=1, solver="gauss").validate()
     with pytest.raises(ConfigError):
         RunConfig(example=5, gamma=0.11).validate()
+    # a fraction is not truncated to an integer
+    for bad in (dict(refinements=(2.9,)), dict(refinements=(2, 4.0)),
+                dict(quad_degree=2.5)):
+        with pytest.raises(ConfigError):
+            RunConfig(example=1, **bad).validate()
+    assert RunConfig(example=1, refinements=(np.int64(2),)).validate().refinements == (2,)
 
 
 def test_run_study_small(tmp_path):
@@ -111,6 +117,9 @@ def test_main_exit_codes(tmp_path):
     assert main(["--selftest"]) == 2  # the invariant checks live in the tests
     assert main(["--seed", "5"]) == 2
     assert main(["--example", "1", "--refinements", "2", "--rho1", "nan"]) == 2
+    undecodable = tmp_path / "latin1.cfg"
+    undecodable.write_bytes(b"example = 1\nrefinements = 2\xff\n")
+    assert main(["--config", str(undecodable)]) == 2
 
 
 def test_output_path_in_missing_directory(tmp_path, monkeypatch, capsys):

@@ -134,7 +134,7 @@ def predicted_nnz(system):
     A_ff, _ = system.reduced()
     A_s = solver._equilibrate(system, A_ff)[1]
     order = solver._lattice_permutation(system.mesh, system.dofmap)
-    return solver._fronts(A_s, *order).nnz
+    return solver._fronts(A_s, *order, "float32").nnz
 
 
 @pytest.mark.parametrize("example", range(1, 8))
@@ -171,7 +171,6 @@ def test_failed_factorization_keeps_diagnostics(monkeypatch):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(solver, "_FrontalFactor", singular)
-    monkeypatch.setattr(solver.spla, "splu", singular)
     with pytest.raises(SolverError, match="exactly singular") as info:
         solve(system, method="direct")
     assert info.value.diagnostics["method"] == "direct"
@@ -183,25 +182,35 @@ class NoisyFactor:
 
     def __init__(self, lu, amplitude):
         self.lu, self.nnz, self.delayed = lu, lu.nnz, lu.delayed
-        self.amplitude = amplitude
+        self.amplitude, self.solves = amplitude, 0
         self.rng = np.random.default_rng(0)
 
     def solve(self, b):
+        self.solves += 1
         out = self.lu.solve(b)
         noise = self.rng.standard_normal(out.shape).astype(out.dtype)
         return out * (1 + self.amplitude * noise)
 
 
 def patch_float32_factor(monkeypatch, float32_factor):
-    """Route the float32 factor through ``float32_factor(factor, *args)``."""
+    """Route the float32 factor through ``float32_factor(factor, *args)``;
+    the float64 factor is built as usual."""
     factor = solver._FrontalFactor
-    monkeypatch.setattr(
-        solver, "_FrontalFactor", lambda *args: float32_factor(factor, *args)
-    )
+
+    def build(*args):
+        if args[-1] == "float32":
+            return float32_factor(factor, *args)
+        return factor(*args)
+
+    monkeypatch.setattr(solver, "_FrontalFactor", build)
 
 
 def float64_reference(system):
-    """Solution of one float64 factor in the direct path's order, and its fill."""
+    """Solution and L+U fill of SuperLU in float64, in the direct path's order.
+
+    SuperLU is an independent factorization, the reference that the
+    frontal factor is checked against in either precision.
+    """
     A_ff, F_f = system.reduced()
     scale, A_s = solver._equilibrate(system, A_ff)
     p = solver._lattice_permutation(system.mesh, system.dofmap)[0]
@@ -247,6 +256,18 @@ def test_refinement_survives_a_tiny_load():
     assert np.linalg.norm(sol.x - x) <= 1e-12 * np.linalg.norm(x)
 
 
+def assert_float64_fallback(system, sol):
+    """The float64 frontal factor's first solve, checked against SuperLU."""
+    d = sol.diagnostics
+    assert d["factor_dtype"] == "float64" and d["refine_steps"] == 0
+    if not d["delayed_fronts"]:  # delayed pivots change the count
+        assert d["fill_nnz"] == predicted_nnz(system)
+    assert d["relative_residual"] <= 1e-13
+    x64 = float64_reference(system)[0]
+    x_f = sol.x[system.dofmap.free]
+    assert np.linalg.norm(x_f - x64) <= 1e-12 * np.linalg.norm(x64)
+
+
 @pytest.mark.parametrize(
     "amplitude, dtype, steps",
     [
@@ -261,18 +282,22 @@ def test_noisy_float32_factor_falls_back_to_float64(
     spec = make_problem(1)
     m = build_structured_tet_mesh(spec.domain, 2)
     system = assemble_global(spec, m)
-    patch_float32_factor(
-        monkeypatch, lambda factor, *args: NoisyFactor(factor(*args), amplitude)
-    )
+    noisy = []
+
+    def float32_factor(factor, *args):
+        noisy.append(NoisyFactor(factor(*args), amplitude))
+        return noisy[-1]
+
+    patch_float32_factor(monkeypatch, float32_factor)
     sol = solve(system, method="direct")
-    assert sol.diagnostics["factor_dtype"] == dtype
-    assert sol.diagnostics["relative_residual"] <= 1e-13
-    x64, nnz64 = float64_reference(system)
-    fill = nnz64 if dtype == "float64" else predicted_nnz(system)
-    assert sol.diagnostics["fill_nnz"] == fill
-    if steps is not None:  # the float64 factor's one solve, bit for bit
-        assert sol.diagnostics["refine_steps"] == steps
-        assert np.array_equal(sol.x[system.dofmap.free], x64)
+    if dtype == "float64":
+        # the float32 corrections made before the factor was dropped
+        assert noisy[0].solves == 1 + steps
+        assert_float64_fallback(system, sol)
+    else:
+        assert sol.diagnostics["factor_dtype"] == "float32"
+        assert sol.diagnostics["relative_residual"] <= 1e-13
+        assert sol.diagnostics["fill_nnz"] == predicted_nnz(system)
 
 
 def test_float32_factor_failure_falls_back_to_float64(monkeypatch):
@@ -284,30 +309,55 @@ def test_float32_factor_failure_falls_back_to_float64(monkeypatch):
         raise RuntimeError("Factor is exactly singular")
 
     patch_float32_factor(monkeypatch, singular)
+    assert_float64_fallback(system, solve(system, method="direct"))
+
+
+def test_float64_refactor_delays_pivots_too(monkeypatch):
+    # problem 5 at 1/h = 2 has an exactly singular pivot block, which the
+    # float64 factor passes to its parent front as the float32 one does
+    spec = make_problem(5)
+    m = build_structured_tet_mesh(spec.domain, 2)
+    system = assemble_global(spec, m)
+    patch_float32_factor(
+        monkeypatch, lambda factor, *args: NoisyFactor(factor(*args), 0.3)
+    )
     sol = solve(system, method="direct")
-    assert sol.diagnostics["factor_dtype"] == "float64"
-    assert sol.diagnostics["refine_steps"] == 0
-    assert sol.diagnostics["relative_residual"] <= 1e-13
-    assert np.array_equal(sol.x[system.dofmap.free], float64_reference(system)[0])
+    assert sol.diagnostics["delayed_fronts"] >= 1
+    assert_float64_fallback(system, sol)
 
 
-def test_pivots_delayed_to_the_root_fall_back_to_float64(monkeypatch):
-    # with no growth allowed every pivot block fails its test, every front
-    # passes its variables up, and the root front has no parent to take them
+def test_pivots_delayed_to_the_root_are_solved_there(monkeypatch):
+    # with no growth allowed every pivot block with a parent fails its
+    # test and passes its variables up; the root front has no parent, so
+    # it keeps its finite inverse and eliminates them all
     spec = make_problem(1)
     m = build_structured_tet_mesh(spec.domain, 2)
     system = assemble_global(spec, m)
     A_ff, _ = system.reduced()
-    args = (solver._equilibrate(system, A_ff)[1],) + solver._lattice_permutation(
-        m, system.dofmap
-    )
+    A_s = solver._equilibrate(system, A_ff)[1]
+    p, bounds, heights = solver._lattice_permutation(m, system.dofmap)
     monkeypatch.setattr(solver, "PIVOT_GROWTH_LIMIT", 0.0)
-    with pytest.raises(SolverError, match="root front"):
-        solver._FrontalFactor(*args)
+    lu = solver._FrontalFactor(A_s, p, bounds, heights, "float32")
+    assert lu.delayed == len(bounds) - 2  # every front but the root
+    assert len(lu.blocks) == 1 and len(lu.blocks[0][0]) == len(p)
     sol = solve(system, method="direct")
-    assert sol.diagnostics["factor_dtype"] == "float64"
-    assert "delayed_fronts" not in sol.diagnostics
-    assert np.array_equal(sol.x[system.dofmap.free], float64_reference(system)[0])
+    d = sol.diagnostics
+    assert d["factor_dtype"] == "float32" and d["delayed_fronts"] == lu.delayed
+    assert d["relative_residual"] <= 1e-13
+
+
+def test_singular_root_raises_with_diagnostics():
+    # a zero matrix, its sparsity kept: every pivot block is singular, so
+    # every front delays and the root's inverse is not finite in either
+    # precision
+    spec = make_problem(1)
+    m = build_structured_tet_mesh(spec.domain, 2)
+    system = assemble_global(spec, m)
+    zero = dataclasses.replace(system, A=0.0 * system.A)
+    with pytest.raises(SolverError, match="root front") as info:
+        solve(zero, method="direct")
+    d = info.value.diagnostics
+    assert d["method"] == "direct" and d["num_free"] == system.dofmap.num_free
 
 
 def test_chains_of_delayed_fronts_keep_the_factor_accurate(monkeypatch):
@@ -337,7 +387,7 @@ def test_symbolic_fronts_match_the_filled_graph(example):
     A_ff, _ = system.reduced()
     A_s = solver._equilibrate(system, A_ff)[1]
     p, bounds, heights = solver._lattice_permutation(m, system.dofmap)
-    fronts = solver._fronts(A_s, p, bounds, heights)
+    fronts = solver._fronts(A_s, p, bounds, heights, "float32")
     filled = A_s[p][:, p].toarray() != 0
     for j in range(len(p)):  # symbolic Gaussian elimination
         below = j + 1 + np.flatnonzero(filled[j + 1 :, j])
@@ -464,7 +514,7 @@ def test_missed_tolerance_raises_with_diagnostics():
         solve(system, method="direct", tol=1e-300)
     d = info.value.diagnostics
     assert d["factor_dtype"] == "float64"
-    assert d["fill_nnz"] == 37_994
+    assert d["fill_nnz"] == 63_209  # the frontal factor's entries
     assert np.isfinite(d["relative_residual"])
     assert 0.0 < d["relative_residual"] < 1e-13
     with pytest.raises(SolverError, match="residual") as info:
