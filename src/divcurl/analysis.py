@@ -5,6 +5,9 @@ vanish, so their errors in the stabilizer semi-norms equal the computed
 fields themselves:
 
     tnorm(lam, q) = sqrt(x^T S1 x),    tnorm(s) = sqrt(x^T S2 x).
+
+Both read the global matrix: S1 is its (lam, q) diagonal block and -S2
+its (s, s) block.
 """
 
 import csv
@@ -18,9 +21,9 @@ from . import assembly, mesh as meshmod, solver
 from .assembly import GlobalSystem
 from .mesh import Mesh
 from .problems import ProblemSpec
-from .quadrature import TET_REF_MEASURE, gauss_points
+from .quadrature import TET_REF_MEASURE
 from .solver import SolutionFields
-from .weak_ops import project_field
+from .weak_ops import field_blocks, project_field
 
 __all__ = [
     "error_u",
@@ -43,18 +46,20 @@ def _weighted_sq(d: np.ndarray, eps: np.ndarray) -> np.ndarray:
     return ((d @ eps) * d).sum(axis=-1)
 
 
-def _exact_at_gauss(problem, mesh, quad_degree):
-    """(exact_u at the Gauss points of every tet, (num_tets, k, 3); weights)."""
-    phys, wts = gauss_points(mesh.vertices[mesh.tets], quad_degree)
-    uex = problem.exact_u(phys.reshape(-1, 3)).reshape(mesh.num_tets, -1, 3)
-    return uex, wts
+def _exact_cells(problem, u_h, mesh, degree):
+    """Per-element squared weighted errors of ``u_h`` by Gauss quadrature,
+    and the cell averages of the exact field, (num_tets,) and (num_tets, 3).
 
-
-def _cell_sq_errors(problem, u_h, mesh, uex, wts) -> np.ndarray:
-    """Per-element squared weighted errors by Gauss quadrature."""
-    diff = uex - u_h[:, None, :]
-    cellsq = np.einsum("k,tk->t", wts, _weighted_sq(diff, problem.eps))
-    return cellsq * (mesh.geometry.volumes / TET_REF_MEASURE)
+    ``exact_u`` is evaluated one block of tets at a time, so the scratch
+    stays at the size of a block and not of the mesh."""
+    cellsq, qu = np.empty(mesh.num_tets), np.empty((mesh.num_tets, 3))
+    for tets, uex, wts in field_blocks(problem.exact_u, mesh, degree):
+        diff = uex - u_h[tets, None, :]
+        cellsq[tets] = np.einsum("k,tk->t", wts, _weighted_sq(diff, problem.eps))
+        qu[tets] = np.einsum("k,tkd->td", wts, uex)
+    cellsq *= mesh.geometry.volumes / TET_REF_MEASURE
+    qu /= TET_REF_MEASURE
+    return cellsq, qu
 
 
 def _Qu_error(problem, qu, u_h, mesh) -> float:
@@ -67,8 +72,7 @@ def error_u(
 ) -> float:
     """Coefficient-weighted L2 distance between the exact field and the
     piecewise-constant solution, by Gauss quadrature per element."""
-    uex, wts = _exact_at_gauss(problem, mesh, quad_degree)
-    cellsq = _cell_sq_errors(problem, u_h, mesh, uex, wts)
+    cellsq, _ = _exact_cells(problem, u_h, mesh, quad_degree)
     return float(np.sqrt(np.maximum(cellsq.sum(), 0.0)))
 
 
@@ -76,8 +80,8 @@ def cell_error_norms(
     problem: ProblemSpec, u_h: np.ndarray, mesh: Mesh, quad_degree: int = 4
 ) -> np.ndarray:
     """Per-element weighted error norms (for field plots)."""
-    uex, wts = _exact_at_gauss(problem, mesh, quad_degree)
-    return np.sqrt(np.maximum(_cell_sq_errors(problem, u_h, mesh, uex, wts), 0.0))
+    cellsq, _ = _exact_cells(problem, u_h, mesh, quad_degree)
+    return np.sqrt(np.maximum(cellsq, 0.0))
 
 
 def error_Qu(
@@ -95,15 +99,28 @@ def error_Qu(
     return _Qu_error(problem, qu, u_h, mesh)
 
 
+def _block_energy(system: GlobalSystem, x: np.ndarray, start: int, stop: int) -> float:
+    """y^T A y for y equal to ``x`` on the raw DoFs [start, stop), zero
+    elsewhere.  On a diagonal block of ``A`` this is bitwise the product
+    with the block alone: the other terms are exact zeros."""
+    y = np.zeros_like(x)
+    y[start:stop] = x[start:stop]
+    return float(y @ (system.A @ y))
+
+
 def triple_norm_dual(system: GlobalSystem, sol: SolutionFields) -> float:
-    """Stabilizer semi-norm of the multiplier pair: sqrt(x^T S1 x)."""
-    q = float(sol.x @ (system.S1 @ sol.x))
+    """Stabilizer semi-norm of the multiplier pair: sqrt(x^T S1 x), with
+    S1 the (lam, q) diagonal block of ``A``."""
+    q = _block_energy(system, sol.x, 0, system.dofmap.offsets["u"][0])
     return float(np.sqrt(max(q, 0.0)))
 
 
 def triple_norm_s(system: GlobalSystem, sol: SolutionFields) -> float:
-    """Stabilizer semi-norm of the auxiliary field: sqrt(x^T S2 x)."""
-    q = float(sol.x @ (system.S2 @ sol.x))
+    """Stabilizer semi-norm of the auxiliary field: sqrt(x^T S2 x), with
+    -S2 the (s, s) diagonal block of ``A``."""
+    dm = system.dofmap
+    # 0.0 - e negates exactly and keeps a zero energy +0.0
+    q = 0.0 - _block_energy(system, sol.x, dm.offsets["s0"][0], dm.total)
     return float(np.sqrt(max(q, 0.0)))
 
 
@@ -225,8 +242,9 @@ def solve_level(
     """Mesh at 1/h = ``n``, assemble (``stab``: rho1, rho2, rho3,
     gamma_exp), solve, recover the cavity constants and measure the errors.
 
-    ``exact_u`` is evaluated once, at the Gauss points; ``err_u``, the cell
-    errors, ``qu`` and ``err_Qu`` all derive from that one array."""
+    ``exact_u`` is evaluated once at each Gauss point, one block of tets at
+    a time; ``err_u``, the cell errors, ``qu`` and ``err_Qu`` all derive
+    from that one pass."""
     t0 = time.perf_counter()
     stage = "mesh"
     try:
@@ -237,10 +255,8 @@ def solve_level(
         sol = solver.solve(system, method=solver_method, tol=tol)
         sol = solver.recover_cavity_constants(system, sol)
         stage = "errors"
-        uex, wts = _exact_at_gauss(problem, msh, quad_degree)
-        cellsq = _cell_sq_errors(problem, sol.u, msh, uex, wts)
+        cellsq, qu = _exact_cells(problem, sol.u, msh, quad_degree)
         cells = np.sqrt(np.maximum(cellsq, 0.0))
-        qu = np.einsum("k,tkd->td", wts, uex) / TET_REF_MEASURE
         row = {
             "inv_h": n,
             "h": msh.h,

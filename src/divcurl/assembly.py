@@ -143,11 +143,19 @@ def _csr_from_triplets(blocks, n) -> sparse.csr_matrix:
     exactly), so every entry is the same whatever the order, and
     mirrored entries, which have the same two addends, keep symmetry
     exact.  ``tests/test_assembly.py`` checks the two-triplet bound.
+
+    Each block is broadcast straight into its slice of one preallocated
+    buffer per array, with int32 indices where ``n`` allows.
     """
-    rows, cols, vals = (
-        np.concatenate([a.ravel() for a in arrays])
-        for arrays in zip(*(np.broadcast_arrays(*block) for block in blocks))
-    )
+    shapes = [np.broadcast_shapes(*(np.shape(a) for a in block)) for block in blocks]
+    bounds = np.cumsum([0] + [np.prod(shape, dtype=int) for shape in shapes])
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    buffers = (np.empty(bounds[-1], index), np.empty(bounds[-1], index),
+               np.empty(bounds[-1]))
+    for block, shape, start, stop in zip(blocks, shapes, bounds, bounds[1:]):
+        for buffer, part in zip(buffers, block):
+            np.copyto(buffer[start:stop].reshape(shape), part)
+    rows, cols, vals = buffers
     return sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
@@ -300,13 +308,15 @@ class GlobalSystem:
 
     ``A`` keeps rows/columns for constrained DoFs; ``reduced`` hands the
     solver the free subsystem (all constraint values are zero, so no
-    lifting is needed).
+    lifting is needed).  The stabilizers are not kept apart: S1 is the
+    diagonal block of ``A`` on the multiplier DoFs, raw indices
+    ``[0, offsets["u"][0])``, and -S2 its block on the s DoFs,
+    ``[offsets["s0"][0], total)``; the semi-norms of :mod:`divcurl.analysis`
+    read them there.
     """
 
     A: sparse.csr_matrix
     F: np.ndarray
-    S1: sparse.csr_matrix
-    S2: sparse.csr_matrix
     dofmap: DofMap
     mesh: Mesh
 
@@ -330,15 +340,23 @@ def assemble_global(
     gamma_exp: float = -1.0,
     quad_degree: int = 4,
 ) -> GlobalSystem:
-    """Assemble the full system [[S1, B], [B^T, -S2]] and load vector."""
+    """Assemble the full system [[S1, B], [B^T, -S2]] and load vector.
+
+    The blocks are built and added one at a time, S1 first since its
+    triplets are the largest scratch, and each is freed once added.  Their
+    sparsity patterns are disjoint and a sum drops explicit zeros, so the
+    order of the sum does not change a bit of ``A``.
+    """
     if not all(0 < rho < np.inf for rho in (rho1, rho2, rho3)):
         raise ValueError("stabilization weights rho_i must be positive and finite")
     if not -1 <= gamma_exp < np.inf:
         raise ValueError("stabilizer exponent gamma must be finite and >= -1")
     dofmap = build_dof_map(mesh)
-    S1 = assemble_s1(mesh, dofmap, rho1, rho2)
-    S2 = assemble_s2(mesh, dofmap, rho3, gamma_exp)
+    A = assemble_s1(mesh, dofmap, rho1, rho2)
     B = assemble_Bh(mesh, problem.eps, dofmap)
-    A = (S1 - S2 + B + B.T).tocsr()
+    A = A + B
+    A = A + B.T
+    del B
+    A = A - assemble_s2(mesh, dofmap, rho3, gamma_exp)
     F = assemble_rhs(problem, mesh, dofmap, quad_degree)
-    return GlobalSystem(A, F, S1, S2, dofmap, mesh)
+    return GlobalSystem(A, F, dofmap, mesh)

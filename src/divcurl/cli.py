@@ -11,7 +11,7 @@ import dataclasses
 import math
 import os
 import sys
-from numbers import Integral
+from numbers import Integral, Real
 
 from . import analysis, mesh as meshmod, problems
 
@@ -43,7 +43,12 @@ class RunConfig:
     problem_spec: object = None  # filled by validate()
 
     def validate(self):
-        refs = tuple(self.refinements)
+        if not isinstance(self.example, Integral):
+            raise ConfigError(f"example must be an integer, got {self.example!r}")
+        try:
+            refs = tuple(self.refinements)
+        except TypeError:
+            raise ConfigError(f"bad refinement ladder {self.refinements!r}") from None
         if not refs or not all(isinstance(n, Integral) and n >= 1 for n in refs):
             raise ConfigError(f"bad refinement ladder {refs}")
         refs = tuple(map(int, refs))
@@ -53,6 +58,11 @@ class RunConfig:
                     f"refinements must double at each level, got {refs}"
                 )
         self.refinements = refs
+        for name in ("rho1", "rho2", "rho3", "gamma_exp", "tol", "gamma", "beta"):
+            value = getattr(self, name)
+            unset = value is None and name in ("tol", "gamma", "beta")
+            if not (isinstance(value, Real) or unset):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         for name in ("rho1", "rho2", "rho3"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be positive and finite")

@@ -22,7 +22,7 @@ __all__ = [
 # beyond this many free unknowns the automatic method switches to MINRES;
 # the multifrontal factor stores 4-byte entries with no index, and their
 # number grows like n^(4/3): the study of problem 4 at 1/h = 2, 4, 8 (340k
-# free, 78M factor entries) runs in about 4.6 s direct with a 0.63 GB
+# free, 78M factor entries) runs in about 4 s direct with a 0.59 GB
 # peak, against 52 s and 0.3 GB by MINRES (2-core machine)
 DIRECT_DOF_LIMIT = 400_000
 
@@ -177,12 +177,12 @@ class _Fronts(NamedTuple):
     row_start: np.ndarray
     loc: np.ndarray  # position of each update row in its parent's front
     entry: np.ndarray  # flat position of each pivot-column entry in its front
-    entry_value: np.ndarray  # in the factor's working dtype
+    entry_value: np.ndarray  # float64; a front casts them to its dtype
     entry_start: np.ndarray
     nnz: int  # entries the factor stores without delayed pivots
 
 
-def _fronts(A_s, p, bounds, heights, dtype) -> _Fronts:
+def _fronts(A_s, p, bounds, heights) -> _Fronts:
     """Symbolic phase of the multifrontal factor: one front per lattice group.
 
     Front ``f`` eliminates the permuted positions ``bounds[f]:bounds[f+1]``
@@ -195,7 +195,11 @@ def _fronts(A_s, p, bounds, heights, dtype) -> _Fronts:
     the nested dissection; the fronts are resolved one height at a time
     with whole-array operations.  ``A_s`` is exactly symmetric, so the rows
     of ``A_s[p]`` are the columns of the permuted matrix.  The entry
-    values are cast to ``dtype``, the factor's working precision.
+    values stay float64, so that one symbolic phase serves a factor of
+    either precision.  ``loc`` and ``entry`` are int32 (a flat position
+    overflows it only in a front of order 46341, 8.6 GB dense even in
+    float32); ``rows`` stays int64, because the factor's solves index with
+    it, and numpy copies an int32 index to int64 on every use.
     """
     n, num = len(p), len(bounds) - 1
     size = np.diff(bounds)
@@ -256,9 +260,9 @@ def _fronts(A_s, p, bounds, heights, dtype) -> _Fronts:
         parent,
         rows,
         row_start,
-        position(parent[row_front], rows),
-        position(f, row) * order[f] + col,
-        value.astype(dtype),
+        position(parent[row_front], rows).astype(np.int32),
+        (position(f, row) * order[f] + col).astype(np.int32),
+        value,
         np.searchsorted(f, np.arange(num + 1)),
         int(np.sum(size * order)),
     )
@@ -274,13 +278,14 @@ PIVOT_GROWTH_LIMIT = 1e4
 
 
 class _FrontalFactor:
-    """Multifrontal ``dtype`` block LDL^T of ``A_s[p][:, p]`` on the lattice fronts.
+    """Multifrontal ``dtype`` block LDL^T on the lattice ``fronts`` of
+    :func:`_fronts`, whose pivots are ``bounds[f]:bounds[f+1]``.
 
-    Each front is assembled dense from its pivot columns and the Schur
-    complements of its children (extend-add), and its pivot block ``P`` is
-    inverted.  It stores ``P^-1`` and ``L21 = F21 P^-1`` (``F12 = F21^T``,
-    so there is no ``U`` and no per-entry index) and passes
-    ``F22 - L21 F21^T`` to its parent.  Fronts whose pivot blocks are
+    Each front is assembled dense in ``dtype`` from its pivot columns and
+    the Schur complements of its children (extend-add), and its pivot
+    block ``P`` is inverted.  It stores ``P^-1`` and ``L21 = F21 P^-1``
+    (``F12 = F21^T``, so there is no ``U`` and no per-entry index) and
+    passes ``F22 - L21 F21^T`` to its parent.  Fronts whose pivot blocks are
     bitwise equal share one ``P^-1``.  A front whose ``P^-1`` fails the
     growth test passes its whole front instead, and the parent eliminates
     those variables first (Duff & Reid, ACM TOMS 9, 1983); a root front
@@ -290,8 +295,7 @@ class _FrontalFactor:
     and ``delayed`` the delayed fronts.
     """
 
-    def __init__(self, A_s, p, bounds, heights, dtype):
-        fronts = _fronts(A_s, p, bounds, heights, dtype)
+    def __init__(self, fronts, bounds, dtype):
         parent, rows, row_start, loc, entry, value, entry_start, _ = fronts
         self.blocks, self.nnz, self.delayed = [], 0, 0
         # front -> [(row positions, matrix, delayed pivots)]: a child's
@@ -315,15 +319,17 @@ class _FrontalFactor:
                 pivots = np.concatenate(held + [np.arange(s, e)])
                 pivots.sort()
                 index = np.concatenate([pivots, up])
-                r, c = np.divmod(at, m - d)
+                r, c = np.divmod(at.astype(np.int64), m - d)
                 at = (r + d) * m + c + d
             else:
                 pivots = slice(s, e)
             F = np.zeros((m, m), dtype=dtype)
+            # the assignment rounds the float64 values as astype would
             F.reshape(-1)[at] = value[entry_start[f] : entry_start[f + 1]]
             for where, S, delayed in children:
                 at = np.searchsorted(index, where) if delayed else where + d
-                np.add.at(F.reshape(-1), (at[:, None] * m + at).ravel(), S.ravel())
+                flat = at.astype(np.int64)[:, None] * m + at  # m * m may pass int32
+                np.add.at(F.reshape(-1), flat.ravel(), S.ravel())
             P, F21 = F[:k, :k], F[k:, :k]
             key = P.tobytes()
             Pinv = inverses.get(key)
@@ -436,8 +442,10 @@ def solve(
     residual until the true relative residual reaches
     ``min(tol, REFINE_TARGET)``.  If the float32 factor breaks down, a
     correction fails to halve the residual, or ``REFINE_STEPS``
-    corrections do not suffice, it is dropped and the same fronts are
-    factored in float64 and solved from zero by the same loop.  The
+    corrections do not suffice, it is dropped and the same fronts, from
+    the one symbolic phase (:func:`_fronts`), are factored in float64 and
+    solved from zero by the same loop.  The equilibrated matrix is freed
+    once the symbolic phase holds its entries.  The
     diagnostics record, for the factor used, ``factor_dtype``,
     ``refine_steps`` (corrections after its first solve), ``fill_nnz``
     (its entries) and ``delayed_fronts`` (fronts whose pivot block failed
@@ -482,9 +490,16 @@ def solve(
     if method == "direct":
         target = min(accept, REFINE_TARGET)
         p, bounds, heights = _lattice_permutation(system.mesh, system.dofmap)
+        try:
+            fronts = _fronts(A_s, p, bounds, heights)
+        except SolverError as exc:
+            raise SolverError(
+                f"direct factorization failed: {exc}", diagnostics
+            ) from exc
+        del A_s  # the fronts hold its entries; free it before the numeric phase
         for dtype in ("float32", "float64"):
             try:
-                lu = _FrontalFactor(A_s, p, bounds, heights, dtype)
+                lu = _FrontalFactor(fronts, bounds, dtype)
             except RuntimeError as exc:  # a root pivot block broke down
                 if dtype == "float64":
                     raise SolverError(

@@ -25,6 +25,8 @@ __all__ = [
     "weak_gradient",
     "weak_curl",
     "project_field",
+    "field_blocks",
+    "BLOCK_TETS",
     "TANGENT_TOL",
 ]
 
@@ -53,12 +55,29 @@ def weak_curl(geom: TetGeometry, psib: np.ndarray) -> np.ndarray:
     ) / geom.volumes[:, None]
 
 
+# tets per block of a field evaluation at the Gauss points: at degree 4 a
+# block's values take 1.3 MB, where the whole mesh's would scale with it
+BLOCK_TETS = 2048
+
+
+def field_blocks(u, mesh, degree: int = 4):
+    """Yield ``(tets, values, weights)`` for each block of ``BLOCK_TETS``
+    tets: the slice of the block, ``u`` at its Gauss points (b, k, 3) and
+    the reference weights (k,)."""
+    for start in range(0, mesh.num_tets, BLOCK_TETS):
+        tets = slice(start, start + BLOCK_TETS)
+        phys, wts = gauss_points(mesh.vertices[mesh.tets[tets]], degree)
+        vals = np.asarray(u(phys.reshape(-1, 3)), dtype=float)
+        yield tets, vals.reshape(phys.shape), wts
+
+
 def project_field(u, mesh, degree: int = 4) -> np.ndarray:
     """Elementwise L2 projection of a vector field onto cell constants.
 
     Returns the (num_tets, 3) array of cell averages of ``u``.
     """
-    phys, wts = gauss_points(mesh.vertices[mesh.tets], degree)  # (nt, k, 3)
-    vals = np.asarray(u(phys.reshape(-1, 3)), dtype=float)
-    vals = vals.reshape(mesh.num_tets, len(wts), 3)
-    return np.einsum("k,tkd->td", wts, vals) / TET_REF_MEASURE
+    qu = np.empty((mesh.num_tets, 3))
+    for tets, vals, wts in field_blocks(u, mesh, degree):
+        qu[tets] = np.einsum("k,tkd->td", wts, vals)
+    qu /= TET_REF_MEASURE
+    return qu

@@ -10,7 +10,7 @@ import numpy as np
 
 from divcurl import problems, weak_ops
 from divcurl.analysis import solve_level
-from divcurl.assembly import assemble_global
+from divcurl.assembly import assemble_global, assemble_s1, assemble_s2
 from divcurl.mesh import (
     DomainSpec,
     Mesh,
@@ -111,9 +111,8 @@ def system_defects(
     asym = (system.A - system.A.T).tocoo()
     asymmetry = float(np.abs(asym.data).max()) if asym.nnz else 0.0
     x = rng.standard_normal((samples, system.dofmap.total))
-    energy = min(
-        np.einsum("sk,ks->s", x, S @ x.T).min() for S in (system.S1, system.S2)
-    )
+    stabilizers = (assemble_s1(mesh, system.dofmap), assemble_s2(mesh, system.dofmap))
+    energy = min(np.einsum("sk,ks->s", x, S @ x.T).min() for S in stabilizers)
     return asymmetry, float(energy)
 
 

@@ -226,12 +226,13 @@ def test_global_symmetry_and_block_structure():
     ub = dm.block("u")
     assert system.A[ub, ub].nnz == 0
     # (lam, q) diagonal block equals S1; (s, s) equals -S2
+    S1, S2 = assemble_s1(m, dm), assemble_s2(m, dm)
     for name in ("lam0", "lamb", "q0", "qb"):
         sl = dm.block(name)
-        assert (system.A[sl, sl] - system.S1[sl, sl]).nnz == 0
+        assert (system.A[sl, sl] - S1[sl, sl]).nnz == 0
     for name in ("s0", "sb"):
         sl = dm.block(name)
-        assert (system.A[sl, sl] + system.S2[sl, sl]).nnz == 0
+        assert (system.A[sl, sl] + S2[sl, sl]).nnz == 0
 
 
 def _lexsort_reduction(rows, cols, vals, n):
@@ -274,10 +275,10 @@ def _assert_same_csr(got, want):
 
 def _check_order_free(problem, mesh, calls):
     # at most two triplets per (row, col), so the summation order cannot
-    # change a bit: S1, S2, B and A equal the ordered reduction's exactly
+    # change a bit: S1, B, S2 and A equal the ordered reduction's exactly
     calls.clear()
     system = assemble_global(problem, mesh)
-    assert len(calls) == 3  # S1, S2, B
+    assert len(calls) == 3  # S1, B, S2, in the order they are built
     reference = []
     for rows, cols, vals, n, got in calls:
         _, counts = np.unique(rows * n + cols, return_counts=True)
@@ -285,8 +286,7 @@ def _check_order_free(problem, mesh, calls):
         want = _lexsort_reduction(rows, cols, vals, n)
         _assert_same_csr(got, want)
         reference.append(want)
-    S1, S2, B = reference
-    assert system.S1 is calls[0][4] and system.S2 is calls[1][4]
+    S1, B, S2 = reference
     _assert_same_csr(system.A, (S1 - S2 + B + B.T).tocsr())
 
 

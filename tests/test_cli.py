@@ -40,6 +40,12 @@ def test_config_validation():
         with pytest.raises(ConfigError):
             RunConfig(example=1, **bad).validate()
     assert RunConfig(example=1, refinements=(np.int64(2),)).validate().refinements == (2,)
+    # a value of the wrong type is a configuration error, not a TypeError
+    for bad in (dict(refinements=2), dict(rho1="1"), dict(tol="1e-9"),
+                dict(gamma_exp=None), dict(example=1.0), dict(example="1"),
+                dict(example=5, gamma="2/3")):
+        with pytest.raises(ConfigError):
+            RunConfig(**{"example": 1, **bad}).validate()
 
 
 def test_run_study_small(tmp_path):

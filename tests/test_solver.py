@@ -130,11 +130,11 @@ def test_lattice_order_halves_fill():
 
 
 def predicted_nnz(system):
-    """Entries the symbolic phase predicts for the float32 factor."""
+    """Entries the symbolic phase predicts for the factor."""
     A_ff, _ = system.reduced()
     A_s = solver._equilibrate(system, A_ff)[1]
     order = solver._lattice_permutation(system.mesh, system.dofmap)
-    return solver._fronts(A_s, *order, "float32").nnz
+    return solver._fronts(A_s, *order).nnz
 
 
 @pytest.mark.parametrize("example", range(1, 8))
@@ -312,6 +312,29 @@ def test_float32_factor_failure_falls_back_to_float64(monkeypatch):
     assert_float64_fallback(system, solve(system, method="direct"))
 
 
+def test_float64_fallback_reuses_the_symbolic_phase(monkeypatch):
+    # a float32 factor that breaks down after its numeric phase: the
+    # float64 refactor reads the same fronts
+    spec = make_problem(1)
+    m = build_structured_tet_mesh(spec.domain, 2)
+    system = assemble_global(spec, m)
+    symbolic, fronts = [], solver._fronts
+
+    def counted(*args):
+        symbolic.append(True)
+        return fronts(*args)
+
+    def breaks_down(factor, *args):
+        factor(*args)
+        raise RuntimeError("the root pivot block is singular")
+
+    monkeypatch.setattr(solver, "_fronts", counted)
+    patch_float32_factor(monkeypatch, breaks_down)
+    sol = solve(system, method="direct")
+    assert len(symbolic) == 1
+    assert_float64_fallback(system, sol)
+
+
 def test_float64_refactor_delays_pivots_too(monkeypatch):
     # problem 5 at 1/h = 2 has an exactly singular pivot block, which the
     # float64 factor passes to its parent front as the float32 one does
@@ -337,7 +360,8 @@ def test_pivots_delayed_to_the_root_are_solved_there(monkeypatch):
     A_s = solver._equilibrate(system, A_ff)[1]
     p, bounds, heights = solver._lattice_permutation(m, system.dofmap)
     monkeypatch.setattr(solver, "PIVOT_GROWTH_LIMIT", 0.0)
-    lu = solver._FrontalFactor(A_s, p, bounds, heights, "float32")
+    fronts = solver._fronts(A_s, p, bounds, heights)
+    lu = solver._FrontalFactor(fronts, bounds, "float32")
     assert lu.delayed == len(bounds) - 2  # every front but the root
     assert len(lu.blocks) == 1 and len(lu.blocks[0][0]) == len(p)
     sol = solve(system, method="direct")
@@ -387,7 +411,7 @@ def test_symbolic_fronts_match_the_filled_graph(example):
     A_ff, _ = system.reduced()
     A_s = solver._equilibrate(system, A_ff)[1]
     p, bounds, heights = solver._lattice_permutation(m, system.dofmap)
-    fronts = solver._fronts(A_s, p, bounds, heights, "float32")
+    fronts = solver._fronts(A_s, p, bounds, heights)
     filled = A_s[p][:, p].toarray() != 0
     for j in range(len(p)):  # symbolic Gaussian elimination
         below = j + 1 + np.flatnonzero(filled[j + 1 :, j])
