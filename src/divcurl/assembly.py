@@ -2,16 +2,23 @@
 
 Unknowns per mesh entity (lowest-order element):
 
-    block   entity   count   meaning
-    -----   ------   -----   -------
-    lam0    tet      1       scalar multiplier, interior value
-    lamb    face     1       scalar multiplier, trace value
-    q0      tet      3       vector multiplier, interior value
-    qb      face     2       vector multiplier trace, coefficients on the
-                             two unit tangent vectors of the face
-    u       tet      3       primal vector field
-    s0      tet      1       auxiliary scalar, interior value
-    sb      face     1       auxiliary scalar, trace value
+    block   entity   count   local   meaning
+    -----   ------   -----   -----   -------
+    lam0    tet      1       yes     scalar multiplier, interior value
+    lamb    face     1               scalar multiplier, trace value
+    q0      tet      3       yes     vector multiplier, interior value
+    qb      face     2               vector multiplier trace, coefficients on
+                                     the two unit tangent vectors of the face
+    u       tet      3               primal vector field
+    s0      tet      1       yes     auxiliary scalar, interior value
+    sb      face     1               auxiliary scalar, trace value
+
+A local block (``LOCAL_BLOCKS``) couples only with its own tet and that
+tet's faces: the stabilizers join an interior value to the traces on its
+four faces, and B joins q0 to sb.  So the free rows and columns of the
+local blocks form a block-diagonal matrix, one block per tet: lam0 a
+positive 1x1, q0 an SPD 3x3 (a sum of four tangential projectors) and s0
+a negative 1x1.
 
 Raw numbering is deterministic: blocks in the order above, tets before
 faces, both in mesh order.  The global matrix has the symmetric block
@@ -43,6 +50,7 @@ from .quadrature import TET_REF_MEASURE, TRI_REF_MEASURE, gauss_points
 __all__ = [
     "DofMap",
     "GlobalSystem",
+    "LOCAL_BLOCKS",
     "build_dof_map",
     "assemble_s1",
     "assemble_s2",
@@ -54,6 +62,7 @@ __all__ = [
 _BLOCKS = ("lam0", "lamb", "q0", "qb", "u", "s0", "sb")
 _PER_ENTITY = {"lam0": 1, "lamb": 1, "q0": 3, "qb": 2, "u": 3, "s0": 1, "sb": 1}
 _TET_BLOCKS = ("lam0", "q0", "u", "s0")
+LOCAL_BLOCKS = ("lam0", "q0", "s0")
 
 
 @dataclass

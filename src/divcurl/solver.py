@@ -2,6 +2,7 @@
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -10,6 +11,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .assembly import GlobalSystem
+from .condense import Condensed
 
 __all__ = [
     "SolutionFields",
@@ -23,7 +25,8 @@ __all__ = [
 # the multifrontal factor stores 4-byte entries with no index, and their
 # number grows like n^(4/3): the study of problem 4 at 1/h = 2, 4, 8 (340k
 # free, 78M factor entries) runs in about 4 s direct with a 0.59 GB
-# peak, against 52 s and 0.3 GB by MINRES (2-core machine)
+# peak, against 26-30 s and 0.21 GB by MINRES on the condensed system
+# (38-41 s and 0.23 GB without the condensation; 2-core machine)
 DIRECT_DOF_LIMIT = 400_000
 
 
@@ -54,23 +57,29 @@ class SolutionFields:
         return self.x[self.dofmap.block("u")].reshape(-1, 3)
 
 
-def _equilibrate(system: GlobalSystem, A_ff: sparse.csr_matrix):
-    """Symmetric Jacobi scaling 1/sqrt(max(|diag|, h_loc^3)) and D^-1/2 A D^-1/2.
+def _jacobi_scale(system: GlobalSystem, diagonal, rows=slice(None)):
+    """Jacobi scaling 1/sqrt(max(|diagonal|, h_loc^3)) of the free DoFs ``rows``.
 
     The primal block has an exactly zero diagonal, so it is floored at the
     local element-volume scale h^3, which balances the coupling entries
     (surface terms of size h^2) against the stabilizer diagonal (size h).
-    Both solver paths work on the scaled matrix.  Entry (i, j) is scaled
-    by ``scale[i] * scale[j]``, which is the same product for (j, i), so
-    the scaled matrix is exactly as symmetric as ``A_ff``.  Returns
-    ``(scale, A_s)`` with ``A_s`` in CSR form.
     """
     dm = system.dofmap
     h_of_tet = system.mesh.geometry.diameters
     h_of_face = h_of_tet[system.mesh.face_tets[:, 0]]
-    floor = dm.per_dof(h_of_tet, h_of_face)[dm.free] ** 3
-    d = np.maximum(np.abs(A_ff.diagonal()), floor)
-    scale = 1.0 / np.sqrt(d)
+    floor = dm.per_dof(h_of_tet, h_of_face)[dm.free[rows]] ** 3
+    return 1.0 / np.sqrt(np.maximum(np.abs(diagonal), floor))
+
+
+def _equilibrate(system: GlobalSystem, A_ff: sparse.csr_matrix):
+    """Symmetric Jacobi scaling (:func:`_jacobi_scale`) and D^-1/2 A D^-1/2.
+
+    The direct path factors the scaled matrix.  Entry (i, j) is scaled
+    by ``scale[i] * scale[j]``, which is the same product for (j, i), so
+    the scaled matrix is exactly as symmetric as ``A_ff``.  Returns
+    ``(scale, A_s)`` with ``A_s`` in CSR form.
+    """
+    scale = _jacobi_scale(system, A_ff.diagonal())
     data = np.repeat(scale, np.diff(A_ff.indptr))  # scale[i] of each entry
     data *= scale[A_ff.indices]
     data *= A_ff.data
@@ -373,8 +382,9 @@ class _FrontalFactor:
 # MINRES drives the true relative residual to min(tol, MINRES_TARGET), below
 # the 1e-8 acceptance: the cavity least-squares fit of
 # recover_cavity_constants amplifies the solve error, and on problem 4 at
-# 1/h=4 the cavity constant deviates from the direct value by 3.2e-6 at a
-# 1e-9 stop, 5.4e-7 at 1e-10 and 4.8e-8 at 1e-11
+# 1/h=4 the cavity constant of the condensed iteration deviates from the
+# direct value by 1.4e-6 (relative) at a 1e-9 stop, 2.0e-7 at 1e-10 and
+# 1.4e-8 at 1e-11
 MINRES_TARGET = 1e-11
 
 # the direct path refines its factor's solves in float64 until the true
@@ -451,10 +461,15 @@ def solve(
     (its entries) and ``delayed_fronts`` (fronts whose pivot block failed
     its test and moved to the parent front).
 
-    "minres" runs one diagonally preconditioned MINRES (:func:`_minres`)
-    until the true relative residual reaches ``min(tol, MINRES_TARGET)``,
-    within ``max_iter`` iterations in all (default 60,000); "auto" picks
-    direct up to ``DIRECT_DOF_LIMIT`` free unknowns and MINRES beyond.
+    "minres" eliminates each tet's interior unknowns exactly and runs one
+    MINRES (:func:`_minres`) on the Jacobi-scaled Schur complement of the
+    others, applied matrix-free (:class:`~divcurl.condense.Condensed`,
+    which holds the entries of ``A_ff`` in place of it).  It stops when the
+    true relative residual of the full system reaches
+    ``min(tol, MINRES_TARGET)``, within ``max_iter`` iterations in all
+    (default 60,000); ``iterations`` counts those of the condensed system.
+    "auto" picks direct up to ``DIRECT_DOF_LIMIT`` free unknowns and MINRES
+    beyond.
 
     Either way the true relative residual must reach ``tol`` (default
     1e-10 direct, 1e-8 MINRES), or :class:`SolverError` is raised with
@@ -466,28 +481,26 @@ def solve(
         raise ValueError("tolerance must be in (0, 1)")
     if max_iter is not None and max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    A_ff, F_f = system.reduced()
-    n = len(F_f)
+    n = system.dofmap.num_free
     if method == "auto":
         method = "direct" if n <= DIRECT_DOF_LIMIT else "minres"
 
-    fnorm = np.linalg.norm(F_f)
     t0 = time.perf_counter()
+    if method == "direct":
+        A_ff, F_f = system.reduced()
+    else:  # it reduces the system itself and keeps the only copy of A_ff
+        condensed = Condensed(system, partial(_jacobi_scale, system))
+        F_f = condensed.F_f
+    fnorm = np.linalg.norm(F_f)
     diagnostics = {"method": method, "num_free": n}
     if fnorm == 0.0:
         diagnostics.update(relative_residual=0.0, solve_seconds=0.0)
         return SolutionFields(system.expand(np.zeros(n)), system.dofmap, diagnostics)
 
-    scale, A_s = _equilibrate(system, A_ff)
     # tol and max_iter are positive if set
     accept = tol or (1e-10 if method == "direct" else 1e-8)
-
-    def residual(y):
-        """True residual F_f - A_ff x at x = scale * y, and its relative norm."""
-        r = F_f - A_ff @ (scale * y)
-        return r, float(np.linalg.norm(r) / fnorm)
-
     if method == "direct":
+        scale, A_s = _equilibrate(system, A_ff)
         target = min(accept, REFINE_TARGET)
         p, bounds, heights = _lattice_permutation(system.mesh, system.dofmap)
         try:
@@ -517,18 +530,21 @@ def solve(
                 r_s = (scale * r)[p]
                 r_norm = np.linalg.norm(r_s)
                 y[p] += r_norm * lu.solve((r_s / r_norm).astype(dtype))
-                prev, (r, rel) = rel, residual(y)
+                r = F_f - A_ff @ (scale * y)  # the true residual
+                prev, rel = rel, float(np.linalg.norm(r) / fnorm)
                 if rel <= target or not rel <= 0.5 * prev:
                     break
             diagnostics["refine_steps"] = steps
             if rel <= target:
                 break
             del lu  # stalled or out of steps; free it before the refactor
+        x = scale * y
     else:
         target = min(accept, MINRES_TARGET)
         y, iterations, history = _minres(
-            A_s, scale * F_f, lambda y: residual(y)[1], target, max_iter or 60_000
+            condensed, condensed.b, condensed.residual, target, max_iter or 60_000
         )
+        x = condensed.solution(y)
         rel = history[-1]
         diagnostics.update(iterations=iterations, residual_history=history)
     diagnostics.update(relative_residual=rel, solve_seconds=time.perf_counter() - t0)
@@ -536,7 +552,7 @@ def solve(
         raise SolverError(
             f"{method} solve residual {rel:.3e} exceeds {accept:.1e}", diagnostics
         )
-    return SolutionFields(system.expand(scale * y), system.dofmap, diagnostics)
+    return SolutionFields(system.expand(x), system.dofmap, diagnostics)
 
 
 def recover_cavity_constants(

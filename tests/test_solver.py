@@ -1,6 +1,8 @@
 """Linear solves, the iterative path, and cavity-constant recovery."""
 
 import dataclasses
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ import scipy.sparse.linalg as spla
 
 from divcurl import solver
 from divcurl.analysis import error_u, triple_norm_dual, triple_norm_s
-from divcurl.assembly import assemble_global
+from divcurl.assembly import LOCAL_BLOCKS, assemble_global
+from divcurl.condense import Condensed
 from divcurl.mesh import build_domain, build_structured_tet_mesh
 from divcurl.problems import ProblemSpec, make_problem
 from divcurl.solver import SolverError, recover_cavity_constants, solve
@@ -425,22 +428,95 @@ def test_symbolic_fronts_match_the_filled_graph(example):
         assert fronts.parent[f] < 0 or heights[fronts.parent[f]] > heights[f]
 
 
-def test_minres_matches_direct():
-    spec = make_problem(1)
-    for n in (2, 4):
-        m = build_structured_tet_mesh(spec.domain, n)
-        system = assemble_global(spec, m)
-        sd = solve(system, method="direct")
-        si = solve(system, method="minres")
-        assert si.diagnostics["relative_residual"] <= 1e-8
-        for fn in (error_u,):
-            assert fn(spec, sd.u, m) == pytest.approx(fn(spec, si.u, m), abs=1e-6)
-        assert triple_norm_dual(system, sd) == pytest.approx(
-            triple_norm_dual(system, si), abs=1e-6
-        )
-        assert triple_norm_s(system, sd) == pytest.approx(
-            triple_norm_s(system, si), abs=1e-6
-        )
+@pytest.mark.parametrize("example", range(1, 8))
+def test_minres_matches_direct(example):
+    spec = make_problem(example)
+    m = build_structured_tet_mesh(spec.domain, 2)
+    system = assemble_global(spec, m)
+    sd = solve(system, method="direct")
+    si = solve(system, method="minres")
+    assert si.diagnostics["relative_residual"] <= 1e-8
+    assert error_u(spec, sd.u, m) == pytest.approx(error_u(spec, si.u, m), abs=1e-6)
+    for norm in (triple_norm_dual, triple_norm_s):
+        assert norm(system, sd) == pytest.approx(norm(system, si), abs=1e-6)
+    if example == 4:  # the cavity constant amplifies the solve error
+        constants = [
+            recover_cavity_constants(system, sol).cavity_constants[1]
+            for sol in (sd, si)
+        ]
+        assert constants[1] == pytest.approx(constants[0], rel=1e-6)
+
+
+@pytest.mark.parametrize("example", range(1, 8))
+def test_local_blocks_are_block_diagonal_per_tet(example):
+    spec = make_problem(example)
+    m = build_structured_tet_mesh(spec.domain, 2)
+    system = assemble_global(spec, m)
+    dm = system.dofmap
+    A_ff, _ = system.reduced()
+    tet = dm.per_dof(np.arange(m.num_tets), np.full(m.num_faces, -1))[dm.free]
+    name = np.full(dm.total, -1)
+    for i, block in enumerate(LOCAL_BLOCKS):
+        name[dm.block(block)] = i
+    name = name[dm.free]
+    L = np.flatnonzero(name >= 0)
+    A_LL = A_ff[L][:, L].tocoo()
+    # each entry joins two DoFs of one local block of one tet
+    assert np.array_equal(tet[L][A_LL.row], tet[L][A_LL.col])
+    assert np.array_equal(name[L][A_LL.row], name[L][A_LL.col])
+    # lam0 a positive 1x1, q0 an SPD 3x3 and s0 a negative 1x1 per tet
+    for i, sign in enumerate((1.0, 1.0, -1.0)):
+        at = L[name[L] == i]  # tet by tet, k DoFs each
+        k = len(at) // len(np.unique(tet[at]))
+        sub = A_ff[at][:, at].tocoo()
+        blocks = np.zeros((len(at) // k, k, k))
+        blocks[sub.row // k, sub.row % k, sub.col % k] = sub.data
+        eigenvalues = sign * np.linalg.eigvalsh(blocks)
+        assert eigenvalues.min() > 1e-8 * eigenvalues.max()
+
+
+def test_condensed_product_is_the_schur_complement():
+    spec = make_problem(7)
+    system = assemble_global(spec, build_structured_tet_mesh(spec.domain, 2))
+    A_ff, F_f = system.reduced()
+    S = Condensed(system, partial(solver._jacobi_scale, system))
+    nG, GL = len(S.b), np.argsort(S.order)
+    A, F = A_ff.toarray()[GL][:, GL], F_f[GL]
+    D_inv = np.linalg.inv(A[nG:, nG:])
+    schur = A[:nG, :nG] - A[:nG, nG:] @ D_inv @ A[nG:, :nG]
+    s = S.scale  # Jacobi's rule on the complement's own diagonal
+    assert np.allclose(s, solver._jacobi_scale(system, np.diag(schur), GL[:nG]))
+    y = np.random.default_rng(7).standard_normal(nG)
+    product = s * (schur @ (s * y))
+    assert np.allclose(S @ y, product, rtol=0, atol=1e-12 * np.abs(product).max())
+    b = s * (F[:nG] - A[:nG, nG:] @ D_inv @ F[nG:])
+    assert np.allclose(S.b, b, rtol=0, atol=1e-12 * np.abs(b).max())
+    x = S.solution(y)
+    assert np.array_equal(x[GL][:nG], s * y)
+    r = F_f - A_ff @ x
+    assert np.abs(r[GL][nG:]).max() <= 1e-12 * np.abs(F).max()  # local rows hold
+    assert S.residual(y) == pytest.approx(
+        np.linalg.norm(r) / np.linalg.norm(F_f), rel=1e-10
+    )
+
+
+def test_minres_holds_little_beyond_A_ff():
+    # problem 4 at 1/h = 4: iterating on a scaled copy of A_ff peaks at
+    # 2.96 times the bytes of A_ff, and condensed pieces kept beside A_ff
+    # at 3.99; a condensed operator that holds the only copy reads 2.36
+    spec = make_problem(4)
+    system = assemble_global(spec, build_structured_tet_mesh(spec.domain, 4))
+    A_ff, _ = system.reduced()
+    size = A_ff.data.nbytes + A_ff.indices.nbytes + A_ff.indptr.nbytes
+    del A_ff
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        solve(system, method="minres")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 3 * size
 
 
 def relative_residual(A, b):
@@ -493,19 +569,6 @@ def test_minres_max_iter_bounds_whole_solve():
     assert len(diagnostics["residual_history"]) >= 1
 
 
-def test_minres_cavity_constant_matches_direct():
-    spec = make_problem(4)
-    m = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, m)
-    constants = {
-        method: recover_cavity_constants(
-            system, solve(system, method=method)
-        ).cavity_constants[1]
-        for method in ("direct", "minres")
-    }
-    assert constants["minres"] == pytest.approx(constants["direct"], rel=1e-6)
-
-
 def test_unknown_method_rejected():
     spec = make_problem(1)
     m = build_structured_tet_mesh(spec.domain, 1)
@@ -546,7 +609,7 @@ def test_missed_tolerance_raises_with_diagnostics():
     d = info.value.diagnostics
     assert d["iterations"] == 5
     assert len(d["residual_history"]) >= 1
-    assert d["relative_residual"] == pytest.approx(0.42, abs=0.01)
+    assert d["relative_residual"] == pytest.approx(0.49, abs=0.01)
 
 
 def test_recovery_passthrough_simply_connected():
