@@ -28,21 +28,36 @@ def _inverses(blocks):
     return work[:, :, k:]
 
 
+def _jacobi_scale(system: GlobalSystem, diagonal, rows=slice(None)):
+    """Jacobi scaling 1/sqrt(max(|diagonal|, h_loc^3)) of the free DoFs ``rows``.
+
+    The primal block has an exactly zero diagonal, so it is floored at the
+    local element-volume scale h^3, which balances the coupling entries
+    (surface terms of size h^2) against the stabilizer diagonal (size h).
+    """
+    dm = system.dofmap
+    h_of_tet = system.mesh.geometry.diameters
+    h_of_face = h_of_tet[system.mesh.face_tets[:, 0]]
+    floor = dm.per_dof(h_of_tet, h_of_face)[dm.free[rows]] ** 3
+    return 1.0 / np.sqrt(np.maximum(np.abs(diagonal), floor))
+
+
 class Condensed:
-    """The equilibrated Schur complement of the local unknowns, matrix-free.
+    """The Jacobi-scaled Schur complement of the local unknowns, matrix-free.
 
     The free DoFs split into the local ones, L (``assembly.LOCAL_BLOCKS``),
     and the rest, G.  A_LL = D is block diagonal, one 1x1 or 3x3 block per
     tet and local block, so D^-1 takes one batched inverse per block name
     (static condensation: Cockburn, Gopalakrishnan & Lazarov, SIAM J.
     Numer. Anal. 47, 2009).  The complement S = A_GG - A_GL D^-1 A_LG is
-    scaled by s = ``jacobi_scale(diag(S), G)``, the solver's Jacobi scaling
-    of the DoFs G for that diagonal.  ``self @ y`` is s S s y, and an
-    iterate y stands for x_G = s y and x_L = D^-1 (F_L - A_LG x_G) =
-    g + C y, with g = D^-1 F_L and C = -D^-1 A_LG s.  S is not formed,
-    since it has more entries than ``A_ff`` (1.39 times on problem 4 at
-    1/h = 4): a product multiplies C by y, then the rows G of ``A_ff`` by
-    [s y; C y].
+    scaled by s = ``_jacobi_scale(system, diag(S), G)``, the direct path's
+    Jacobi scaling of the DoFs G for that diagonal; diag(A_GL D^-1 A_LG)
+    is the column sums of the entrywise product A_LG * (D^-1 A_LG).
+    ``self @ y`` is s S s y, and an iterate y stands for x_G = s y and
+    x_L = D^-1 (F_L - A_LG x_G) = g + C y, with g = D^-1 F_L and
+    C = -D^-1 A_LG s.  S is not formed, since it has more entries than
+    ``A_ff`` (1.39 times on problem 4 at 1/h = 4): a product multiplies C
+    by y, then the rows G of ``A_ff`` by [s y; C y].
 
     It reduces ``system`` itself (one call of ``GlobalSystem.reduced``)
     and frees ``A_ff`` once it holds ``A_G``, the rows G of ``A_ff`` with
@@ -51,7 +66,7 @@ class Condensed:
     the true residual.
     """
 
-    def __init__(self, system: GlobalSystem, jacobi_scale):
+    def __init__(self, system: GlobalSystem):
         dm = system.dofmap
         A_ff, self.F_f = system.reduced()
         n = len(self.F_f)
@@ -93,14 +108,9 @@ class Condensed:
             )
 
         self.D, Dinv = block_diagonal(blocks), block_diagonal(inverses)
-        # diag(A_GL D^-1 A_LG): sum over the tets t, and the rows i, j of
-        # each local block, of A_LG[t_i, g] D^-1[t_i, t_j] A_LG[t_j, g]
-        for a, inverse in zip(at, inverses):
-            part = [A_LG[a[:, i]] for i in range(a.shape[1])]
-            for i, j in np.ndindex(inverse.shape[1:]):
-                diagonal -= part[i].multiply(part[j]).T @ inverse[:, i, j]
-        self.scale = jacobi_scale(diagonal, G)
         self.C = Dinv @ A_LG
+        diagonal -= np.asarray(A_LG.multiply(self.C).sum(axis=0)).ravel()
+        self.scale = _jacobi_scale(system, diagonal, G)
         self.C.data *= -self.scale[self.C.indices]
         self.g = Dinv @ self.F_f[L]
         x = np.concatenate([np.zeros(nG), self.g])

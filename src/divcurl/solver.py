@@ -1,17 +1,16 @@
 """Linear solvers for the saddle-point system and cavity-constant recovery."""
 
+import numbers
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sparse
 # unused here, but perfbench/tracing.py times scipy calls through this name
 import scipy.sparse.linalg as spla
 
 from .assembly import GlobalSystem
-from .condense import Condensed
+from .condense import Condensed, _jacobi_scale
 
 __all__ = [
     "SolutionFields",
@@ -55,38 +54,6 @@ class SolutionFields:
     def u(self):
         """The primal field, one vector per tet (num_tets, 3)."""
         return self.x[self.dofmap.block("u")].reshape(-1, 3)
-
-
-def _jacobi_scale(system: GlobalSystem, diagonal, rows=slice(None)):
-    """Jacobi scaling 1/sqrt(max(|diagonal|, h_loc^3)) of the free DoFs ``rows``.
-
-    The primal block has an exactly zero diagonal, so it is floored at the
-    local element-volume scale h^3, which balances the coupling entries
-    (surface terms of size h^2) against the stabilizer diagonal (size h).
-    """
-    dm = system.dofmap
-    h_of_tet = system.mesh.geometry.diameters
-    h_of_face = h_of_tet[system.mesh.face_tets[:, 0]]
-    floor = dm.per_dof(h_of_tet, h_of_face)[dm.free[rows]] ** 3
-    return 1.0 / np.sqrt(np.maximum(np.abs(diagonal), floor))
-
-
-def _equilibrate(system: GlobalSystem, A_ff: sparse.csr_matrix):
-    """Symmetric Jacobi scaling (:func:`_jacobi_scale`) and D^-1/2 A D^-1/2.
-
-    The direct path factors the scaled matrix.  Entry (i, j) is scaled
-    by ``scale[i] * scale[j]``, which is the same product for (j, i), so
-    the scaled matrix is exactly as symmetric as ``A_ff``.  Returns
-    ``(scale, A_s)`` with ``A_s`` in CSR form.
-    """
-    scale = _jacobi_scale(system, A_ff.diagonal())
-    data = np.repeat(scale, np.diff(A_ff.indptr))  # scale[i] of each entry
-    data *= scale[A_ff.indices]
-    data *= A_ff.data
-    A_s = sparse.csr_matrix(
-        (data, A_ff.indices.copy(), A_ff.indptr.copy()), shape=A_ff.shape
-    )
-    return scale, A_s
 
 
 _LEAF_SIZE = 16  # entities per leaf group; 8 to 24 give the same fill, 32 more
@@ -179,8 +146,12 @@ def _lattice_permutation(mesh, dofmap):
 class _Fronts(NamedTuple):
     """Symbolic multifrontal structure; front ``f``'s parts of the flat
     arrays are at ``row_start[f]:row_start[f+1]`` (update rows) and
-    ``entry_start[f]:entry_start[f+1]`` (pivot-column entries)."""
+    ``entry_start[f]:entry_start[f+1]`` (pivot-column entries).  Positions
+    are permuted: position ``k`` is the free DoF ``order[k]``."""
 
+    scale: np.ndarray  # Jacobi scale of each free DoF
+    order: np.ndarray  # the lattice permutation
+    bounds: np.ndarray  # front f's pivots are bounds[f]:bounds[f+1]
     parent: np.ndarray  # -1 for a root
     rows: np.ndarray  # update rows, ascending within each front
     row_start: np.ndarray
@@ -191,9 +162,13 @@ class _Fronts(NamedTuple):
     nnz: int  # entries the factor stores without delayed pivots
 
 
-def _fronts(A_s, p, bounds, heights) -> _Fronts:
+def _fronts(system: GlobalSystem, A_ff) -> _Fronts:
     """Symbolic phase of the multifrontal factor: one front per lattice group.
 
+    It reads the scaled matrix ``diag(scale) A_ff diag(scale)``, with the
+    Jacobi ``scale`` of :func:`_jacobi_scale`, without forming it: each
+    entry it keeps is ``(scale[i] * scale[j]) * a_ij``, the same product
+    for (j, i), so what it keeps is exactly as symmetric as ``A_ff``.
     Front ``f`` eliminates the permuted positions ``bounds[f]:bounds[f+1]``
     (its pivots) in the order of :func:`_lattice_permutation`.  Its update
     rows are the later positions that its pivot columns reach in the
@@ -202,21 +177,23 @@ def _fronts(A_s, p, bounds, heights) -> _Fronts:
     front of its first update row (Liu, SIAM Review 34, 1992).  Lattice
     planes separate exactly, so a parent is a separator above its child in
     the nested dissection; the fronts are resolved one height at a time
-    with whole-array operations.  ``A_s`` is exactly symmetric, so the rows
-    of ``A_s[p]`` are the columns of the permuted matrix.  The entry
+    with whole-array operations.  ``A_ff`` is exactly symmetric, so the
+    rows of ``A_ff[p]`` are the columns of the permuted matrix.  The entry
     values stay float64, so that one symbolic phase serves a factor of
     either precision.  ``loc`` and ``entry`` are int32 (a flat position
     overflows it only in a front of order 46341, 8.6 GB dense even in
     float32); ``rows`` stays int64, because the factor's solves index with
     it, and numpy copies an int32 index to int64 on every use.
     """
+    scale = _jacobi_scale(system, A_ff.diagonal())
+    p, bounds, heights = _lattice_permutation(system.mesh, system.dofmap)
     n, num = len(p), len(bounds) - 1
     size = np.diff(bounds)
     front = np.repeat(np.arange(num), size)  # of each permuted position
     # int32 positions halve the memory traffic of the passes over entries
     inv = np.empty(n, dtype=np.int32)
     inv[p] = np.arange(n, dtype=np.int32)
-    B = A_s[p]
+    B = A_ff[p]
     count = np.diff(B.indptr)
     row = inv[B.indices]
     # a front reads its pivot columns from its first pivot down
@@ -224,7 +201,8 @@ def _fronts(A_s, p, bounds, heights) -> _Fronts:
     keep = row >= np.repeat(start, count)
     col = np.repeat(np.arange(n, dtype=np.int32) - start, count)[keep]
     f = np.repeat(front.astype(np.int32), count)[keep]
-    row, value = row[keep], B.data[keep]
+    value = np.repeat(scale[p], count)[keep] * scale[B.indices[keep]] * B.data[keep]
+    row = row[keep]
     off = row >= bounds[1:][f]
 
     # (front, update row) pairs are keys front * n + row, queued by height
@@ -264,31 +242,34 @@ def _fronts(A_s, p, bounds, heights) -> _Fronts:
         pos[beyond] = size[fb] + at - row_start[fb]
         return pos
 
-    order = size + np.diff(row_start)  # of each front's dense matrix
+    width = size + np.diff(row_start)  # of each front's dense matrix
     return _Fronts(
+        scale,
+        p,
+        bounds,
         parent,
         rows,
         row_start,
         position(parent[row_front], rows).astype(np.int32),
-        (position(f, row) * order[f] + col).astype(np.int32),
+        (position(f, row) * width[f] + col).astype(np.int32),
         value,
         np.searchsorted(f, np.arange(num + 1)),
-        int(np.sum(size * order)),
+        int(np.sum(size * width)),
     )
 
 
 # a front whose pivot block P has an inverse with an entry above this
 # passes its variables to its parent front (a delayed pivot); a root
-# front has no parent.  The equilibrated matrix has a unit diagonal
-# scale: on problems 1-7 at 1/h <= 8 the healthy blocks have
-# |P^-1| <= 12.7, and the one exactly singular block (problems 5 and 7
-# at 1/h = 2) reads 6.7e7 in float32 and 9.0e15 in float64.
+# front has no parent.  :func:`_fronts` scales the entries it reads to a
+# unit diagonal scale: on problems 1-7 at 1/h <= 8 the healthy blocks
+# have |P^-1| <= 12.7, and the one exactly singular block (problems 5
+# and 7 at 1/h = 2) reads 6.7e7 in float32 and 9.0e15 in float64.
 PIVOT_GROWTH_LIMIT = 1e4
 
 
 class _FrontalFactor:
     """Multifrontal ``dtype`` block LDL^T on the lattice ``fronts`` of
-    :func:`_fronts`, whose pivots are ``bounds[f]:bounds[f+1]``.
+    :func:`_fronts`, in their permuted positions.
 
     Each front is assembled dense in ``dtype`` from its pivot columns and
     the Schur complements of its children (extend-add), and its pivot
@@ -304,8 +285,10 @@ class _FrontalFactor:
     and ``delayed`` the delayed fronts.
     """
 
-    def __init__(self, fronts, bounds, dtype):
-        parent, rows, row_start, loc, entry, value, entry_start, _ = fronts
+    def __init__(self, fronts, dtype):
+        _, _, bounds, parent, rows, row_start, loc, entry, value, entry_start, _ = (
+            fronts
+        )
         self.blocks, self.nnz, self.delayed = [], 0, 0
         # front -> [(row positions, matrix, delayed pivots)]: a child's
         # Schur complement with its rows' positions in the parent, or a
@@ -443,23 +426,23 @@ def solve(
 ) -> SolutionFields:
     """Solve the reduced system and return all solution fields.
 
-    method "direct" factorizes the equilibrated matrix (symmetric
+    method "direct" factorizes the Jacobi-scaled matrix (symmetric
     indefinite) in float32 with a multifrontal block LDL^T
     (:class:`_FrontalFactor`) whose fronts are the lattice
-    nested-dissection groups of :func:`_lattice_permutation`.  It stores
-    4 bytes per factor entry and no index; float64 iterative refinement
-    (Langou et al., SC 2006) then corrects the solution from the true
-    residual until the true relative residual reaches
-    ``min(tol, REFINE_TARGET)``.  If the float32 factor breaks down, a
-    correction fails to halve the residual, or ``REFINE_STEPS``
-    corrections do not suffice, it is dropped and the same fronts, from
-    the one symbolic phase (:func:`_fronts`), are factored in float64 and
-    solved from zero by the same loop.  The equilibrated matrix is freed
-    once the symbolic phase holds its entries.  The
-    diagnostics record, for the factor used, ``factor_dtype``,
-    ``refine_steps`` (corrections after its first solve), ``fill_nnz``
-    (its entries) and ``delayed_fronts`` (fronts whose pivot block failed
-    its test and moved to the parent front).
+    nested-dissection groups of :func:`_lattice_permutation`; the scale is
+    applied to each entry as the symbolic phase (:func:`_fronts`) reads it
+    from ``A_ff``, so no scaled copy is formed.  It stores 4 bytes per
+    factor entry and no index; float64 iterative refinement (Langou et
+    al., SC 2006) then corrects the solution from the true residual until
+    the true relative residual reaches ``min(tol, REFINE_TARGET)``.  If
+    the float32 factor breaks down, a correction fails to halve the
+    residual, or ``REFINE_STEPS`` corrections do not suffice, it is
+    dropped and the same fronts, from the one symbolic phase, are factored
+    in float64 and solved from zero by the same loop.  The diagnostics
+    record, for the factor used, ``factor_dtype``, ``refine_steps``
+    (corrections after its first solve), ``fill_nnz`` (its entries) and
+    ``delayed_fronts`` (fronts whose pivot block failed its test and moved
+    to the parent front).
 
     "minres" eliminates each tet's interior unknowns exactly and runs one
     MINRES (:func:`_minres`) on the Jacobi-scaled Schur complement of the
@@ -479,8 +462,10 @@ def solve(
         raise ValueError(f"unknown solver method {method!r}")
     if tol is not None and not 0.0 < tol < 1.0:
         raise ValueError("tolerance must be in (0, 1)")
-    if max_iter is not None and max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    if max_iter is not None and not (
+        isinstance(max_iter, numbers.Integral) and max_iter >= 1
+    ):
+        raise ValueError("max_iter must be an integer of at least 1")
     n = system.dofmap.num_free
     if method == "auto":
         method = "direct" if n <= DIRECT_DOF_LIMIT else "minres"
@@ -489,7 +474,7 @@ def solve(
     if method == "direct":
         A_ff, F_f = system.reduced()
     else:  # it reduces the system itself and keeps the only copy of A_ff
-        condensed = Condensed(system, partial(_jacobi_scale, system))
+        condensed = Condensed(system)
         F_f = condensed.F_f
     fnorm = np.linalg.norm(F_f)
     diagnostics = {"method": method, "num_free": n}
@@ -500,19 +485,17 @@ def solve(
     # tol and max_iter are positive if set
     accept = tol or (1e-10 if method == "direct" else 1e-8)
     if method == "direct":
-        scale, A_s = _equilibrate(system, A_ff)
         target = min(accept, REFINE_TARGET)
-        p, bounds, heights = _lattice_permutation(system.mesh, system.dofmap)
         try:
-            fronts = _fronts(A_s, p, bounds, heights)
+            fronts = _fronts(system, A_ff)
         except SolverError as exc:
             raise SolverError(
                 f"direct factorization failed: {exc}", diagnostics
             ) from exc
-        del A_s  # the fronts hold its entries; free it before the numeric phase
+        scale, order = fronts.scale, fronts.order
         for dtype in ("float32", "float64"):
             try:
-                lu = _FrontalFactor(fronts, bounds, dtype)
+                lu = _FrontalFactor(fronts, dtype)
             except RuntimeError as exc:  # a root pivot block broke down
                 if dtype == "float64":
                     raise SolverError(
@@ -527,9 +510,9 @@ def solve(
             for steps in range(REFINE_STEPS + 1):
                 # S r is the residual of the scaled system; normalising it
                 # before the cast keeps a tiny residual from underflowing
-                r_s = (scale * r)[p]
+                r_s = (scale * r)[order]
                 r_norm = np.linalg.norm(r_s)
-                y[p] += r_norm * lu.solve((r_s / r_norm).astype(dtype))
+                y[order] += r_norm * lu.solve((r_s / r_norm).astype(dtype))
                 r = F_f - A_ff @ (scale * y)  # the true residual
                 prev, rel = rel, float(np.linalg.norm(r) / fnorm)
                 if rel <= target or not rel <= 0.5 * prev:

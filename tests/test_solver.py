@@ -2,7 +2,6 @@
 
 import dataclasses
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
@@ -71,17 +70,48 @@ def test_direct_deterministic():
         assert np.array_equal(x1, x2)
 
 
+def scaled_matrix(system):
+    """The symbolic phase of the direct solve, and the matrix it factors:
+    entry (i, j) of ``A_ff`` times ``scale[i] * scale[j]``, in CSR form."""
+    A_ff, _ = system.reduced()
+    fronts = solver._fronts(system, A_ff)
+    s = fronts.scale
+    A_s = A_ff.copy()
+    A_s.data = (np.repeat(s, np.diff(A_ff.indptr)) * s[A_ff.indices]) * A_ff.data
+    return fronts, A_s
+
+
 @pytest.mark.parametrize("example", range(1, 8))
 def test_equilibrated_matrix_is_exactly_symmetric(example):
+    # the symbolic phase keeps each entry of the pivot columns, from the
+    # front's first pivot down, scaled as (scale[i] * scale[j]) * a_ij
     spec = make_problem(example)
     m = build_structured_tet_mesh(spec.domain, 2)
     system = assemble_global(spec, m)
     A_ff, _ = system.reduced()
-    scale, A_s = solver._equilibrate(system, A_ff)
-    assert A_s.format == "csr"
-    assert (A_s != A_s.T).nnz == 0
-    S = sparse.diags(scale)
-    assert abs(A_s - S @ A_ff @ S).max() <= 1e-15 * abs(A_s).max()
+    assert (A_ff != A_ff.T).nnz == 0  # so the rows of A_ff[p] are its columns
+    fronts = solver._fronts(system, A_ff)
+    s, p, bounds = fronts.scale, fronts.order, fronts.bounds
+    assert np.array_equal(s, solver._jacobi_scale(system, A_ff.diagonal()))
+    A = A_ff.toarray()
+    kept = 0
+    for f, (start, end) in enumerate(zip(bounds[:-1], bounds[1:])):
+        up = fronts.rows[fronts.row_start[f] : fronts.row_start[f + 1]]
+        index = np.concatenate([np.arange(start, end), up])
+        width = len(index)
+        entries = slice(fronts.entry_start[f], fronts.entry_start[f + 1])
+        at, value = fronts.entry[entries], fronts.entry_value[entries]
+        r, c = np.divmod(at.astype(np.int64), width)
+        i, j = p[index[r]], p[index[c]]
+        assert np.array_equal(value, (s[i] * s[j]) * A[i, j])  # bitwise
+        below = A[np.ix_(p[start:], p[start:end])] != 0
+        assert len(at) == np.count_nonzero(below)
+        F = np.zeros((width, width))
+        F.reshape(-1)[at] = value
+        P = F[: end - start, : end - start]
+        assert np.array_equal(P, P.T)  # mirrored pivot-block entries
+        kept += len(at)
+    assert kept == len(fronts.entry_value)
 
 
 @pytest.mark.parametrize("example", [1, 4, 5])
@@ -118,8 +148,7 @@ def test_lattice_order_beats_colamd_fill():
     m = build_structured_tet_mesh(spec.domain, 4)
     system = assemble_global(spec, m)
     fill = solve(system, method="direct").diagnostics["fill_nnz"]
-    A_ff, _ = system.reduced()
-    A_s = solver._equilibrate(system, A_ff)[1]
+    A_s = scaled_matrix(system)[1]
     colamd = spla.splu(A_s.tocsc(), permc_spec="COLAMD")
     assert fill < colamd.nnz
 
@@ -135,9 +164,7 @@ def test_lattice_order_halves_fill():
 def predicted_nnz(system):
     """Entries the symbolic phase predicts for the factor."""
     A_ff, _ = system.reduced()
-    A_s = solver._equilibrate(system, A_ff)[1]
-    order = solver._lattice_permutation(system.mesh, system.dofmap)
-    return solver._fronts(A_s, *order).nnz
+    return solver._fronts(system, A_ff).nnz
 
 
 @pytest.mark.parametrize("example", range(1, 8))
@@ -214,9 +241,9 @@ def float64_reference(system):
     SuperLU is an independent factorization, the reference that the
     frontal factor is checked against in either precision.
     """
-    A_ff, F_f = system.reduced()
-    scale, A_s = solver._equilibrate(system, A_ff)
-    p = solver._lattice_permutation(system.mesh, system.dofmap)[0]
+    _, F_f = system.reduced()
+    fronts, A_s = scaled_matrix(system)
+    scale, p = fronts.scale, fronts.order
     lu = spla.splu(
         A_s[p][:, p].tocsc(),
         permc_spec="NATURAL",
@@ -360,13 +387,11 @@ def test_pivots_delayed_to_the_root_are_solved_there(monkeypatch):
     m = build_structured_tet_mesh(spec.domain, 2)
     system = assemble_global(spec, m)
     A_ff, _ = system.reduced()
-    A_s = solver._equilibrate(system, A_ff)[1]
-    p, bounds, heights = solver._lattice_permutation(m, system.dofmap)
     monkeypatch.setattr(solver, "PIVOT_GROWTH_LIMIT", 0.0)
-    fronts = solver._fronts(A_s, p, bounds, heights)
-    lu = solver._FrontalFactor(fronts, bounds, "float32")
-    assert lu.delayed == len(bounds) - 2  # every front but the root
-    assert len(lu.blocks) == 1 and len(lu.blocks[0][0]) == len(p)
+    fronts = solver._fronts(system, A_ff)
+    lu = solver._FrontalFactor(fronts, "float32")
+    assert lu.delayed == len(fronts.bounds) - 2  # every front but the root
+    assert len(lu.blocks) == 1 and len(lu.blocks[0][0]) == len(fronts.order)
     sol = solve(system, method="direct")
     d = sol.diagnostics
     assert d["factor_dtype"] == "float32" and d["delayed_fronts"] == lu.delayed
@@ -411,10 +436,9 @@ def test_symbolic_fronts_match_the_filled_graph(example):
     spec = make_problem(example)
     m = build_structured_tet_mesh(spec.domain, 2)
     system = assemble_global(spec, m)
-    A_ff, _ = system.reduced()
-    A_s = solver._equilibrate(system, A_ff)[1]
-    p, bounds, heights = solver._lattice_permutation(m, system.dofmap)
-    fronts = solver._fronts(A_s, p, bounds, heights)
+    fronts, A_s = scaled_matrix(system)
+    p, bounds = fronts.order, fronts.bounds
+    heights = solver._lattice_permutation(m, system.dofmap)[2]
     filled = A_s[p][:, p].toarray() != 0
     for j in range(len(p)):  # symbolic Gaussian elimination
         below = j + 1 + np.flatnonzero(filled[j + 1 :, j])
@@ -475,17 +499,19 @@ def test_local_blocks_are_block_diagonal_per_tet(example):
         assert eigenvalues.min() > 1e-8 * eigenvalues.max()
 
 
-def test_condensed_product_is_the_schur_complement():
-    spec = make_problem(7)
+@pytest.mark.parametrize("example", [1, 4, 7])
+def test_condensed_product_is_the_schur_complement(example):
+    spec = make_problem(example)
     system = assemble_global(spec, build_structured_tet_mesh(spec.domain, 2))
     A_ff, F_f = system.reduced()
-    S = Condensed(system, partial(solver._jacobi_scale, system))
+    S = Condensed(system)
     nG, GL = len(S.b), np.argsort(S.order)
     A, F = A_ff.toarray()[GL][:, GL], F_f[GL]
     D_inv = np.linalg.inv(A[nG:, nG:])
     schur = A[:nG, :nG] - A[:nG, nG:] @ D_inv @ A[nG:, :nG]
     s = S.scale  # Jacobi's rule on the complement's own diagonal
-    assert np.allclose(s, solver._jacobi_scale(system, np.diag(schur), GL[:nG]))
+    reference = solver._jacobi_scale(system, np.diag(schur), GL[:nG])
+    assert np.allclose(s, reference, rtol=1e-12, atol=0)
     y = np.random.default_rng(7).standard_normal(nG)
     product = s * (schur @ (s * y))
     assert np.allclose(S @ y, product, rtol=0, atol=1e-12 * np.abs(product).max())
@@ -579,16 +605,18 @@ def test_unknown_method_rejected():
         for tol in (0.0, 1.0, 2.0, -1e-8):
             with pytest.raises(ValueError, match="tolerance"):
                 solve(system, method=method, tol=tol)
-    with pytest.raises(ValueError):
-        solve(system, method="minres", max_iter=0)
+    for max_iter in (0, 2.5, np.nan):
+        with pytest.raises(ValueError, match="max_iter"):
+            solve(system, method="minres", max_iter=max_iter)
     # the options are checked before the zero-load early return
     zero = assemble_global(constant_problem([0.0, 0.0, 0.0], np.eye(3)), m)
     with pytest.raises(ValueError, match="unknown"):
         solve(zero, method="cg")
     with pytest.raises(ValueError, match="tolerance"):
         solve(zero, tol=0.0)
-    with pytest.raises(ValueError, match="max_iter"):
-        solve(zero, method="minres", max_iter=0)
+    for max_iter in (0, 2.5, np.nan):
+        with pytest.raises(ValueError, match="max_iter"):
+            solve(zero, method="minres", max_iter=max_iter)
 
 
 def test_missed_tolerance_raises_with_diagnostics():
