@@ -22,6 +22,12 @@ class ConfigError(ValueError):
     """Invalid run configuration."""
 
 
+def _numeric(value, kind):
+    """``isinstance(value, kind)``, false for a bool: ``bool`` is an
+    ``Integral`` and a ``Real``, but not a numeric setting."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclasses.dataclass
 class RunConfig:
     """Validated study configuration (see module docstring for the CLI)."""
@@ -43,13 +49,13 @@ class RunConfig:
     problem_spec: object = None  # filled by validate()
 
     def validate(self):
-        if not isinstance(self.example, Integral):
+        if not _numeric(self.example, Integral):
             raise ConfigError(f"example must be an integer, got {self.example!r}")
         try:
             refs = tuple(self.refinements)
         except TypeError:
             raise ConfigError(f"bad refinement ladder {self.refinements!r}") from None
-        if not refs or not all(isinstance(n, Integral) and n >= 1 for n in refs):
+        if not refs or not all(_numeric(n, Integral) and n >= 1 for n in refs):
             raise ConfigError(f"bad refinement ladder {refs}")
         refs = tuple(map(int, refs))
         for a, b in zip(refs[:-1], refs[1:]):
@@ -61,14 +67,14 @@ class RunConfig:
         for name in ("rho1", "rho2", "rho3", "gamma_exp", "tol", "gamma", "beta"):
             value = getattr(self, name)
             unset = value is None and name in ("tol", "gamma", "beta")
-            if not (isinstance(value, Real) or unset):
+            if not (_numeric(value, Real) or unset):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
         for name in ("rho1", "rho2", "rho3"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be positive and finite")
         if not -1 <= self.gamma_exp < math.inf:
             raise ConfigError("gamma-exp must be finite and >= -1")
-        if not (isinstance(self.quad_degree, Integral) and self.quad_degree >= 1):
+        if not (_numeric(self.quad_degree, Integral) and self.quad_degree >= 1):
             raise ConfigError("quad-degree must be an integer >= 1")
         if self.solver not in ("auto", "direct", "minres"):
             raise ConfigError(f"unknown solver {self.solver!r}")

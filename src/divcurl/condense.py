@@ -6,26 +6,8 @@ MINRES iterates on the Schur complement of the other unknowns.
 """
 
 import numpy as np
-import scipy.sparse as sparse
 
-from .assembly import LOCAL_BLOCKS, GlobalSystem
-
-
-def _inverses(blocks):
-    """Inverses of definite blocks (m, k, k) by Gauss-Jordan elimination.
-
-    Definite blocks need no pivoting.  Plain numpy, since the MINRES path
-    calls no LAPACK routine otherwise, and the first call of one maps
-    0.4-0.8 MB more of the library into the process.
-    """
-    k = blocks.shape[1]
-    work = np.concatenate([blocks, np.broadcast_to(np.eye(k), blocks.shape)], axis=2)
-    for i in range(k):
-        work[:, i] /= work[:, i, i, None]
-        for j in range(k):
-            if j != i:
-                work[:, j] -= work[:, j, i, None] * work[:, i]
-    return work[:, :, k:]
+from .assembly import LOCAL_BLOCKS, GlobalSystem, _csr_from_triplets
 
 
 def _jacobi_scale(system: GlobalSystem, diagonal, rows=slice(None)):
@@ -47,7 +29,7 @@ class Condensed:
 
     The free DoFs split into the local ones, L (``assembly.LOCAL_BLOCKS``),
     and the rest, G.  A_LL = D is block diagonal, one 1x1 or 3x3 block per
-    tet and local block, so D^-1 takes one batched inverse per block name
+    tet and local block, so D^-1 takes one ``np.linalg.inv`` per block name
     (static condensation: Cockburn, Gopalakrishnan & Lazarov, SIAM J.
     Numer. Anal. 47, 2009).  The complement S = A_GG - A_GL D^-1 A_LG is
     scaled by s = ``_jacobi_scale(system, diag(S), G)``, the direct path's
@@ -96,18 +78,15 @@ class Condensed:
         self.A_G = A_ff[G]
         del A_ff
         self.A_G.indices = order[self.A_G.indices]
-        inverses = [_inverses(block) for block in blocks]
 
         def block_diagonal(values):
             """The L x L matrix with the blocks ``values`` at ``at``."""
-            rows = [np.repeat(a, a.shape[1], axis=1).ravel() for a in at]
-            cols = [np.tile(a, a.shape[1]).ravel() for a in at]
-            values = np.concatenate([v.ravel() for v in values])
-            return sparse.csr_matrix(
-                (values, (np.concatenate(rows), np.concatenate(cols))), (nL, nL)
+            return _csr_from_triplets(
+                [(a[:, :, None], a[:, None, :], v) for a, v in zip(at, values)], nL
             )
 
-        self.D, Dinv = block_diagonal(blocks), block_diagonal(inverses)
+        self.D = block_diagonal(blocks)
+        Dinv = block_diagonal([np.linalg.inv(block) for block in blocks])
         self.C = Dinv @ A_LG
         diagonal -= np.asarray(A_LG.multiply(self.C).sum(axis=0)).ravel()
         self.scale = _jacobi_scale(system, diagonal, G)

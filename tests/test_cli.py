@@ -43,7 +43,9 @@ def test_config_validation():
     # a value of the wrong type is a configuration error, not a TypeError
     for bad in (dict(refinements=2), dict(rho1="1"), dict(tol="1e-9"),
                 dict(gamma_exp=None), dict(example=1.0), dict(example="1"),
-                dict(example=5, gamma="2/3")):
+                dict(example=5, gamma="2/3"), dict(example=True),
+                dict(rho1=True), dict(quad_degree=True),
+                dict(refinements=(True,))):
         with pytest.raises(ConfigError):
             RunConfig(**{"example": 1, **bad}).validate()
 
@@ -218,7 +220,7 @@ def test_report_contains_cavity_constant():
 def test_solver_failure_exit_code(monkeypatch, capsys):
     from divcurl import solver
 
-    def boom(system, method="auto", tol=None, max_iter=None):
+    def boom(system, method="auto", tol=None):
         raise solver.SolverError("injected failure")
 
     monkeypatch.setattr(solver, "solve", boom)

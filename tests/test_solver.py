@@ -583,12 +583,13 @@ def test_minres_exact_krylov_termination(b_kind):
     assert np.allclose(y, b / d, rtol=1e-10, atol=0)
 
 
-def test_minres_max_iter_bounds_whole_solve():
+def test_minres_max_iter_bounds_whole_solve(monkeypatch):
     spec = make_problem(1)
     m = build_structured_tet_mesh(spec.domain, 3)
     system = assemble_global(spec, m)
+    monkeypatch.setattr(solver, "MINRES_MAX_ITER", 800)
     try:
-        diagnostics = solve(system, method="minres", max_iter=800).diagnostics
+        diagnostics = solve(system, method="minres").diagnostics
     except SolverError as exc:
         diagnostics = exc.diagnostics
     assert 0 < diagnostics["iterations"] <= 800
@@ -605,21 +606,15 @@ def test_unknown_method_rejected():
         for tol in (0.0, 1.0, 2.0, -1e-8):
             with pytest.raises(ValueError, match="tolerance"):
                 solve(system, method=method, tol=tol)
-    for max_iter in (0, 2.5, np.nan):
-        with pytest.raises(ValueError, match="max_iter"):
-            solve(system, method="minres", max_iter=max_iter)
     # the options are checked before the zero-load early return
     zero = assemble_global(constant_problem([0.0, 0.0, 0.0], np.eye(3)), m)
     with pytest.raises(ValueError, match="unknown"):
         solve(zero, method="cg")
     with pytest.raises(ValueError, match="tolerance"):
         solve(zero, tol=0.0)
-    for max_iter in (0, 2.5, np.nan):
-        with pytest.raises(ValueError, match="max_iter"):
-            solve(zero, method="minres", max_iter=max_iter)
 
 
-def test_missed_tolerance_raises_with_diagnostics():
+def test_missed_tolerance_raises_with_diagnostics(monkeypatch):
     spec = make_problem(1)
     m = build_structured_tet_mesh(spec.domain, 2)
     system = assemble_global(spec, m)
@@ -632,8 +627,9 @@ def test_missed_tolerance_raises_with_diagnostics():
     assert d["fill_nnz"] == 63_209  # the frontal factor's entries
     assert np.isfinite(d["relative_residual"])
     assert 0.0 < d["relative_residual"] < 1e-13
+    monkeypatch.setattr(solver, "MINRES_MAX_ITER", 5)
     with pytest.raises(SolverError, match="residual") as info:
-        solve(system, method="minres", max_iter=5)
+        solve(system, method="minres")
     d = info.value.diagnostics
     assert d["iterations"] == 5
     assert len(d["residual_history"]) >= 1
