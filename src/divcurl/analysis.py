@@ -235,7 +235,6 @@ def solve_level(
     problem: ProblemSpec,
     n: int,
     solver_method: str = "auto",
-    tol: float | None = None,
     quad_degree: int = 4,
     **stab,
 ) -> Level:
@@ -252,7 +251,7 @@ def solve_level(
         stage = "assemble"
         system = assembly.assemble_global(problem, msh, quad_degree=quad_degree, **stab)
         stage = "solve"
-        sol = solver.solve(system, method=solver_method, tol=tol)
+        sol = solver.solve(system, method=solver_method)
         sol = solver.recover_cavity_constants(system, sol)
         stage = "errors"
         cellsq, qu = _exact_cells(problem, sol.u, msh, quad_degree)

@@ -40,7 +40,6 @@ class RunConfig:
     gamma_exp: float = -1.0
     quad_degree: int = 4
     solver: str = "auto"
-    tol: float | None = None
     csv: str | None = None
     md: str | None = None
     vtk: str | None = None
@@ -64,9 +63,9 @@ class RunConfig:
                     f"refinements must double at each level, got {refs}"
                 )
         self.refinements = refs
-        for name in ("rho1", "rho2", "rho3", "gamma_exp", "tol", "gamma", "beta"):
+        for name in ("rho1", "rho2", "rho3", "gamma_exp", "gamma", "beta"):
             value = getattr(self, name)
-            unset = value is None and name in ("tol", "gamma", "beta")
+            unset = value is None and name in ("gamma", "beta")
             if not (_numeric(value, Real) or unset):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
         for name in ("rho1", "rho2", "rho3"):
@@ -78,8 +77,6 @@ class RunConfig:
             raise ConfigError("quad-degree must be an integer >= 1")
         if self.solver not in ("auto", "direct", "minres"):
             raise ConfigError(f"unknown solver {self.solver!r}")
-        if self.tol is not None and not 0 < self.tol < 1:
-            raise ConfigError("tol must be in (0, 1)")
         for name in ("csv", "md", "vtk"):
             path = getattr(self, name)
             parent = os.path.dirname(path or "") or "."
@@ -114,7 +111,7 @@ def run_study(config: RunConfig):
     for n in config.refinements:
         try:
             level = analysis.solve_level(
-                problem, n, config.solver, config.tol, config.quad_degree, **stab
+                problem, n, config.solver, config.quad_degree, **stab
             )
         except analysis.LevelError as exc:
             report.failure = {"inv_h": n, "stage": exc.stage, "message": str(exc)}
@@ -192,7 +189,6 @@ def _build_parser():
     )
     p.add_argument("--quad-degree", type=int, dest="quad_degree")
     p.add_argument("--solver", choices=("auto", "direct", "minres"))
-    p.add_argument("--tol", type=float, help="solver residual acceptance")
     p.add_argument("--csv", help="write the report as CSV")
     p.add_argument("--md", help="write the report as a Markdown table")
     p.add_argument("--vtk", help="write solution fields (last completed level)")

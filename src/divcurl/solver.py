@@ -361,8 +361,11 @@ class _FrontalFactor:
         return x
 
 
-# MINRES drives the true relative residual to min(tol, MINRES_TARGET), below
-# the 1e-8 acceptance: the cavity least-squares fit of
+# the true relative residual each method must reach, or solve raises
+ACCEPT = {"direct": 1e-10, "minres": 1e-8}
+
+# MINRES drives the true relative residual to MINRES_TARGET, below its
+# 1e-8 acceptance: the cavity least-squares fit of
 # recover_cavity_constants amplifies the solve error, and on problem 4 at
 # 1/h=4 the cavity constant of the condensed iteration deviates from the
 # direct value by 1.4e-6 (relative) at a 1e-9 stop, 2.0e-7 at 1e-10 and
@@ -370,7 +373,7 @@ class _FrontalFactor:
 MINRES_TARGET = 1e-11
 
 # the direct path refines its factor's solves in float64 until the true
-# relative residual reaches min(tol, REFINE_TARGET), within REFINE_STEPS
+# relative residual reaches REFINE_TARGET, within REFINE_STEPS
 # corrections after the first solve; from the float32 factor, problems 1-7
 # at 1/h <= 8 take 2 or 3, and a float64 factor's first solve suffices
 REFINE_TARGET = 1e-13
@@ -408,10 +411,10 @@ def _minres(A, b, residual, target, max_iter):
         phi, phibar = cs * phibar, sn * phibar
         w_old, w = w, (v - eps * w_old - delta * w) / gamma
         y += phi * w
-        if beta == 0.0 or abs(phibar) <= threshold:
+        if beta == 0.0 or not abs(phibar) > threshold:
             history.append(residual(y))
             # beta = 0: the Krylov space is invariant and y is exact; a NaN
-            # residual stops the run too
+            # recurrence or residual stops the run too
             if beta == 0.0 or not history[-1] > target:
                 break
             threshold *= 0.5 * target / history[-1]
@@ -421,9 +424,7 @@ def _minres(A, b, residual, target, max_iter):
     return y, k, history
 
 
-def solve(
-    system: GlobalSystem, method: str = "auto", tol: float | None = None
-) -> SolutionFields:
+def solve(system: GlobalSystem, method: str = "auto") -> SolutionFields:
     """Solve the reduced system and return all solution fields.
 
     method "direct" factorizes the Jacobi-scaled matrix (symmetric
@@ -434,7 +435,7 @@ def solve(
     from ``A_ff``, so no scaled copy is formed.  It stores 4 bytes per
     factor entry and no index; float64 iterative refinement (Langou et
     al., SC 2006) then corrects the solution from the true residual until
-    the true relative residual reaches ``min(tol, REFINE_TARGET)``.  If
+    the true relative residual reaches ``REFINE_TARGET``.  If
     the float32 factor breaks down, a correction fails to halve the
     residual, or ``REFINE_STEPS`` corrections do not suffice, it is
     dropped and the same fronts, from the one symbolic phase, are factored
@@ -449,19 +450,17 @@ def solve(
     others, applied matrix-free (:class:`~divcurl.condense.Condensed`,
     which holds the entries of ``A_ff`` in place of it).  It stops when the
     true relative residual of the full system reaches
-    ``min(tol, MINRES_TARGET)``, within ``MINRES_MAX_ITER`` iterations in
+    ``MINRES_TARGET``, within ``MINRES_MAX_ITER`` iterations in
     all; ``iterations`` counts those of the condensed system.
     "auto" picks direct up to ``DIRECT_DOF_LIMIT`` free unknowns and MINRES
     beyond.
 
-    Either way the true relative residual must reach ``tol`` (default
-    1e-10 direct, 1e-8 MINRES), or :class:`SolverError` is raised with
-    the diagnostics.
+    Either way the true relative residual must reach the method's
+    ``ACCEPT``, or :class:`SolverError` is raised with the diagnostics; a
+    load that is not finite raises it before any factor or iteration.
     """
     if method not in ("auto", "direct", "minres"):
         raise ValueError(f"unknown solver method {method!r}")
-    if tol is not None and not 0.0 < tol < 1.0:
-        raise ValueError("tolerance must be in (0, 1)")
     n = system.dofmap.num_free
     if method == "auto":
         method = "direct" if n <= DIRECT_DOF_LIMIT else "minres"
@@ -474,14 +473,13 @@ def solve(
         F_f = condensed.F_f
     fnorm = np.linalg.norm(F_f)
     diagnostics = {"method": method, "num_free": n}
+    if not np.isfinite(F_f).all():
+        raise SolverError("the load is not finite", diagnostics)
     if fnorm == 0.0:
         diagnostics.update(relative_residual=0.0, solve_seconds=0.0)
         return SolutionFields(system.expand(np.zeros(n)), system.dofmap, diagnostics)
 
-    # tol is positive if set
-    accept = tol or (1e-10 if method == "direct" else 1e-8)
     if method == "direct":
-        target = min(accept, REFINE_TARGET)
         try:
             fronts = _fronts(system, A_ff)
         except SolverError as exc:
@@ -511,22 +509,22 @@ def solve(
                 y[order] += r_norm * lu.solve((r_s / r_norm).astype(dtype))
                 r = F_f - A_ff @ (scale * y)  # the true residual
                 prev, rel = rel, float(np.linalg.norm(r) / fnorm)
-                if rel <= target or not rel <= 0.5 * prev:
+                if rel <= REFINE_TARGET or not rel <= 0.5 * prev:
                     break
             diagnostics["refine_steps"] = steps
-            if rel <= target:
+            if rel <= REFINE_TARGET:
                 break
             del lu  # stalled or out of steps; free it before the refactor
         x = scale * y
     else:
-        target = min(accept, MINRES_TARGET)
         y, iterations, history = _minres(
-            condensed, condensed.b, condensed.residual, target, MINRES_MAX_ITER
+            condensed, condensed.b, condensed.residual, MINRES_TARGET, MINRES_MAX_ITER
         )
         x = condensed.solution(y)
         rel = history[-1]
         diagnostics.update(iterations=iterations, residual_history=history)
     diagnostics.update(relative_residual=rel, solve_seconds=time.perf_counter() - t0)
+    accept = ACCEPT[method]
     if not rel <= accept:  # NaN fails too
         raise SolverError(
             f"{method} solve residual {rel:.3e} exceeds {accept:.1e}", diagnostics

@@ -41,8 +41,8 @@ def test_config_validation():
             RunConfig(example=1, **bad).validate()
     assert RunConfig(example=1, refinements=(np.int64(2),)).validate().refinements == (2,)
     # a value of the wrong type is a configuration error, not a TypeError
-    for bad in (dict(refinements=2), dict(rho1="1"), dict(tol="1e-9"),
-                dict(gamma_exp=None), dict(example=1.0), dict(example="1"),
+    for bad in (dict(refinements=2), dict(rho1="1"), dict(gamma_exp=None),
+                dict(example=1.0), dict(example="1"),
                 dict(example=5, gamma="2/3"), dict(example=True),
                 dict(rho1=True), dict(quad_degree=True),
                 dict(refinements=(True,))):
@@ -209,6 +209,16 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert (spaced / "o.csv").read_bytes() == flags.read_bytes()
 
 
+def test_removed_tol_setting_is_a_configuration_error(tmp_path, capsys):
+    # each solver method accepts a fixed residual; no flag or key sets it
+    assert main(["--example", "1", "--refinements", "2", "--tol", "1e-9"]) == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text("example = 1\nrefinements = 2\ntol = 1e-9\n")
+    assert main(["--config", str(cfg)]) == 2
+    assert "unknown setting" in capsys.readouterr().err
+
+
 def test_report_contains_cavity_constant():
     config = RunConfig(example=4, refinements=(2,)).validate()
     report = run_study(config)
@@ -220,7 +230,7 @@ def test_report_contains_cavity_constant():
 def test_solver_failure_exit_code(monkeypatch, capsys):
     from divcurl import solver
 
-    def boom(system, method="auto", tol=None):
+    def boom(system, method="auto"):
         raise solver.SolverError("injected failure")
 
     monkeypatch.setattr(solver, "solve", boom)

@@ -1,4 +1,4 @@
-"""The demo scripts and the README quickstart run against the current API."""
+"""The demo scripts, the README quickstart and its flag list match the current API."""
 
 import pathlib
 import re
@@ -6,6 +6,8 @@ import runpy
 import shutil
 
 import pytest
+
+from divcurl.cli import _build_parser
 
 ROOT = pathlib.Path(__file__).parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -25,3 +27,16 @@ def test_readme_quickstart_runs(capsys):
     (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_flags_name_the_parsers_options():
+    readme = (ROOT / "README.md").read_text()
+    (paragraph,) = re.findall(r"^Flags: (.*?)\n\n", readme, re.S | re.M)
+    named = set(re.findall(r"--[a-z0-9-]+", paragraph))
+    options = {
+        flag
+        for action in _build_parser()._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+    assert named == options

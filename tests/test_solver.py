@@ -602,16 +602,40 @@ def test_unknown_method_rejected():
     system = assemble_global(spec, m)
     with pytest.raises(ValueError):
         solve(system, method="cg")
-    for method in ("auto", "direct", "minres"):
-        for tol in (0.0, 1.0, 2.0, -1e-8):
-            with pytest.raises(ValueError, match="tolerance"):
-                solve(system, method=method, tol=tol)
-    # the options are checked before the zero-load early return
+    # the method is checked before the zero-load early return
     zero = assemble_global(constant_problem([0.0, 0.0, 0.0], np.eye(3)), m)
     with pytest.raises(ValueError, match="unknown"):
         solve(zero, method="cg")
-    with pytest.raises(ValueError, match="tolerance"):
-        solve(zero, tol=0.0)
+
+
+@pytest.mark.parametrize("method", ["direct", "minres"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_load_raises_before_the_solve(monkeypatch, method, bad):
+    spec = make_problem(1)
+    m = build_structured_tet_mesh(spec.domain, 2)
+    system = assemble_global(spec, m)
+    system.F[system.dofmap.free[0]] = bad
+
+    def unreachable(*args):
+        raise AssertionError("a factor or an iteration started")
+
+    monkeypatch.setattr(solver, "_fronts", unreachable)
+    monkeypatch.setattr(solver, "_minres", unreachable)
+    with pytest.raises(SolverError, match="load is not finite") as info:
+        solve(system, method=method)
+    assert info.value.diagnostics == {"method": method, "num_free": 719}
+
+
+def test_nan_matrix_entry_stops_minres_at_once():
+    spec = make_problem(1)
+    m = build_structured_tet_mesh(spec.domain, 2)
+    system = assemble_global(spec, m)
+    system.A.data[100] = np.nan
+    assert np.isnan(system.reduced()[0].data).any()  # the entry is free
+    # the NaN recurrence checks the true residual, which stops the run
+    with pytest.raises(SolverError, match="residual nan") as info:
+        solve(system, method="minres")
+    assert info.value.diagnostics["iterations"] == 1
 
 
 def test_missed_tolerance_raises_with_diagnostics(monkeypatch):
@@ -620,8 +644,10 @@ def test_missed_tolerance_raises_with_diagnostics(monkeypatch):
     system = assemble_global(spec, m)
     # no solve reaches 1e-300: refinement stalls and the float64 fallback
     # misses it too
+    monkeypatch.setitem(solver.ACCEPT, "direct", 1e-300)
+    monkeypatch.setattr(solver, "REFINE_TARGET", 1e-300)
     with pytest.raises(SolverError, match="residual") as info:
-        solve(system, method="direct", tol=1e-300)
+        solve(system, method="direct")
     d = info.value.diagnostics
     assert d["factor_dtype"] == "float64"
     assert d["fill_nnz"] == 63_209  # the frontal factor's entries
