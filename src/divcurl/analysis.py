@@ -236,10 +236,9 @@ def solve_level(
     n: int,
     solver_method: str = "auto",
     quad_degree: int = 4,
-    **stab,
 ) -> Level:
-    """Mesh at 1/h = ``n``, assemble (``stab``: rho1, rho2, rho3,
-    gamma_exp), solve, recover the cavity constants and measure the errors.
+    """Mesh at 1/h = ``n``, assemble, solve, recover the cavity constants
+    and measure the errors.
 
     ``exact_u`` is evaluated once at each Gauss point, one block of tets at
     a time; ``err_u``, the cell errors, ``qu`` and ``err_Qu`` all derive
@@ -249,7 +248,7 @@ def solve_level(
     try:
         msh = meshmod.build_structured_tet_mesh(problem.domain, n)
         stage = "assemble"
-        system = assembly.assemble_global(problem, msh, quad_degree=quad_degree, **stab)
+        system = assembly.assemble_global(problem, msh, quad_degree=quad_degree)
         stage = "solve"
         sol = solver.solve(system, method=solver_method)
         sol = solver.recover_cavity_constants(system, sol)

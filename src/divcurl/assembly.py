@@ -36,6 +36,10 @@ whole boundary, traces of s vanish on the exterior boundary component and
 are held at zero on every cavity component during the base solve (a
 post-processing step recovers the cavity constants), and one lam0 value
 is pinned to fix the mean.
+
+The stabilizer weights are fixed at the paper's rho1 = rho2 = rho3 = 1 and
+gamma = -1 (``STABILIZER``): S1 scales each face term by h_T^-1 and S2 by
+h_T^-gamma = h_T.
 """
 
 from dataclasses import dataclass, field
@@ -57,7 +61,11 @@ __all__ = [
     "assemble_Bh",
     "assemble_rhs",
     "assemble_global",
+    "STABILIZER",
 ]
+
+# the weights the stabilizers are built with, as the report header names them
+STABILIZER = {"rho1": 1.0, "rho2": 1.0, "rho3": 1.0, "gamma_exp": -1.0}
 
 _BLOCKS = ("lam0", "lamb", "q0", "qb", "u", "s0", "sb")
 _PER_ENTITY = {"lam0": 1, "lamb": 1, "q0": 3, "qb": 2, "u": 3, "s0": 1, "sb": 1}
@@ -179,16 +187,14 @@ def _jump_blocks(cell, face, w):
     ]
 
 
-def assemble_s1(
-    mesh: Mesh, dofmap: DofMap, rho1: float = 1.0, rho2: float = 1.0
-) -> sparse.csr_matrix:
+def assemble_s1(mesh: Mesh, dofmap: DofMap) -> sparse.csr_matrix:
     """Face stabilizer on the multiplier block (lam, q); symmetric PSD.
 
-    Per element: h_T^-1 [ rho1 |F| (lam0-lamb)(phi0-phib)
-                        + rho2 |F| ((q0-qb) x n).((psi0-psib) x n) ]
-    summed over the 4 faces; the cross product with the unit normal acts
-    as the tangential projector, so only tangential parts of q0 are
-    penalized.
+    Per element: h_T^-1 [ |F| (lam0-lamb)(phi0-phib)
+                        + |F| ((q0-qb) x n).((psi0-psib) x n) ]
+    summed over the 4 faces (rho1 = rho2 = 1); the cross product with the
+    unit normal acts as the tangential projector, so only tangential parts
+    of q0 are penalized.
     """
     geom = mesh.geometry
     nt = mesh.num_tets
@@ -199,7 +205,8 @@ def assemble_s1(
 
     lam0 = dofmap.index("lam0", tets)  # (nt,)
     lamb = dofmap.index("lamb", tf)  # (nt, 4)
-    blocks = _jump_blocks(lam0, lamb, rho1 * hinv[:, None] * area)
+    w = hinv[:, None] * area  # (nt, 4)
+    blocks = _jump_blocks(lam0, lamb, w)
 
     # q part: projector P = I - n n^T per tet face (sign-independent),
     # tangent basis T (3x2) per face
@@ -208,15 +215,14 @@ def assemble_s1(
     T = dofmap.tangents.transpose(0, 2, 1)  # (nf, 3, 2)
     G = np.einsum("fdi,fdj->fij", T, T)  # (nf, 2, 2) Gram
 
-    w2 = rho2 * hinv[:, None] * area  # (nt, 4)
     q0 = dofmap.index("q0", tets[:, None], np.arange(3)[None, :])  # (nt, 3)
     qb = dofmap.index(
         "qb", tf[:, :, None], np.arange(2)[None, None, :]
     )  # (nt, 4, 2)
 
-    pq0 = np.einsum("tf,tfcd->tcd", w2, P)  # (nt, 3, 3)
-    cross = -w2[:, :, None, None] * T[tf]  # (nt, 4, 3, 2)
-    gram = w2[:, :, None, None] * G[tf]  # (nt, 4, 2, 2)
+    pq0 = np.einsum("tf,tfcd->tcd", w, P)  # (nt, 3, 3)
+    cross = -w[:, :, None, None] * T[tf]  # (nt, 4, 3, 2)
+    gram = w[:, :, None, None] * G[tf]  # (nt, 4, 2, 2)
     blocks += [
         (q0[:, :, None], q0[:, None, :], pq0),
         (q0[:, None, :, None], qb[:, :, None, :], cross),
@@ -226,20 +232,17 @@ def assemble_s1(
     return _csr_from_triplets(blocks, dofmap.total)
 
 
-def assemble_s2(
-    mesh: Mesh, dofmap: DofMap, rho3: float = 1.0, gamma_exp: float = -1.0
-) -> sparse.csr_matrix:
+def assemble_s2(mesh: Mesh, dofmap: DofMap) -> sparse.csr_matrix:
     """Face stabilizer on the s block; symmetric PSD.
 
-    Per element: rho3 h_T^-gamma |F| (s0-sb)(r0-rb), gamma >= -1.
-    The default gamma = -1 keeps the auxiliary-field error decaying at
-    first order on smooth benchmarks (larger exponents over-damp it);
-    the exponent is configurable.
+    Per element: h_T |F| (s0-sb)(r0-rb) summed over the 4 faces, the
+    paper's rho3 h_T^-gamma |F| with rho3 = 1 and gamma = -1.  gamma = -1
+    keeps the auxiliary-field error decaying at first order on smooth
+    benchmarks; larger exponents over-damp it.
     """
-    scale = rho3 * mesh.geometry.diameters ** (-gamma_exp)
     s0 = dofmap.index("s0", np.arange(mesh.num_tets))
     sb = dofmap.index("sb", mesh.tet_faces)
-    w = scale[:, None] * mesh.geometry.areas
+    w = mesh.geometry.diameters[:, None] * mesh.geometry.areas
     return _csr_from_triplets(_jump_blocks(s0, sb, w), dofmap.total)
 
 
@@ -343,10 +346,6 @@ class GlobalSystem:
 def assemble_global(
     problem: ProblemSpec,
     mesh: Mesh,
-    rho1: float = 1.0,
-    rho2: float = 1.0,
-    rho3: float = 1.0,
-    gamma_exp: float = -1.0,
     quad_degree: int = 4,
 ) -> GlobalSystem:
     """Assemble the full system [[S1, B], [B^T, -S2]] and load vector.
@@ -356,16 +355,12 @@ def assemble_global(
     sparsity patterns are disjoint and a sum drops explicit zeros, so the
     order of the sum does not change a bit of ``A``.
     """
-    if not all(0 < rho < np.inf for rho in (rho1, rho2, rho3)):
-        raise ValueError("stabilization weights rho_i must be positive and finite")
-    if not -1 <= gamma_exp < np.inf:
-        raise ValueError("stabilizer exponent gamma must be finite and >= -1")
     dofmap = build_dof_map(mesh)
-    A = assemble_s1(mesh, dofmap, rho1, rho2)
+    A = assemble_s1(mesh, dofmap)
     B = assemble_Bh(mesh, problem.eps, dofmap)
     A = A + B
     A = A + B.T
     del B
-    A = A - assemble_s2(mesh, dofmap, rho3, gamma_exp)
+    A = A - assemble_s2(mesh, dofmap)
     F = assemble_rhs(problem, mesh, dofmap, quad_degree)
     return GlobalSystem(A, F, dofmap, mesh)

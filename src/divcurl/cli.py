@@ -8,12 +8,11 @@ Exit codes: 0 success, 1 solver failure, 2 invalid configuration.
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 from numbers import Integral, Real
 
-from . import analysis, mesh as meshmod, problems
+from . import analysis, assembly, mesh as meshmod, problems
 
 __all__ = ["RunConfig", "ConfigError", "run_study", "main"]
 
@@ -34,10 +33,6 @@ class RunConfig:
 
     example: int
     refinements: tuple = (2, 4, 8)
-    rho1: float = 1.0
-    rho2: float = 1.0
-    rho3: float = 1.0
-    gamma_exp: float = -1.0
     quad_degree: int = 4
     solver: str = "auto"
     csv: str | None = None
@@ -63,16 +58,10 @@ class RunConfig:
                     f"refinements must double at each level, got {refs}"
                 )
         self.refinements = refs
-        for name in ("rho1", "rho2", "rho3", "gamma_exp", "gamma", "beta"):
+        for name in ("gamma", "beta"):
             value = getattr(self, name)
-            unset = value is None and name in ("gamma", "beta")
-            if not (_numeric(value, Real) or unset):
+            if not (value is None or _numeric(value, Real)):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
-        for name in ("rho1", "rho2", "rho3"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be positive and finite")
-        if not -1 <= self.gamma_exp < math.inf:
-            raise ConfigError("gamma-exp must be finite and >= -1")
         if not (_numeric(self.quad_degree, Integral) and self.quad_degree >= 1):
             raise ConfigError("quad-degree must be an integer >= 1")
         if self.solver not in ("auto", "direct", "minres"):
@@ -101,18 +90,16 @@ def run_study(config: RunConfig):
     the report and later levels are skipped, completed levels are kept.
     """
     problem = config.problem_spec or config.validate().problem_spec
-    stab = dict(rho1=config.rho1, rho2=config.rho2, rho3=config.rho3,
-                gamma_exp=config.gamma_exp)
     report = analysis.ConvergenceReport(
         example=config.example,
-        params={**problem.params, **stab, "quad_degree": config.quad_degree},
+        params={
+            **problem.params, **assembly.STABILIZER, "quad_degree": config.quad_degree
+        },
     )
     vtk_fields = None
     for n in config.refinements:
         try:
-            level = analysis.solve_level(
-                problem, n, config.solver, config.quad_degree, **stab
-            )
+            level = analysis.solve_level(problem, n, config.solver, config.quad_degree)
         except analysis.LevelError as exc:
             report.failure = {"inv_h": n, "stage": exc.stage, "message": str(exc)}
             break
@@ -179,13 +166,6 @@ def _build_parser():
         nargs="+",
         help="cells per unit length per level (default 2 4 8, each double "
         "the previous)",
-    )
-    p.add_argument("--rho1", type=float, help="multiplier stabilizer weight")
-    p.add_argument("--rho2", type=float, help="vector stabilizer weight")
-    p.add_argument("--rho3", type=float, help="auxiliary stabilizer weight")
-    p.add_argument(
-        "--gamma-exp", type=float, dest="gamma_exp",
-        help="auxiliary stabilizer mesh-power (>= -1, default -1)",
     )
     p.add_argument("--quad-degree", type=int, dest="quad_degree")
     p.add_argument("--solver", choices=("auto", "direct", "minres"))

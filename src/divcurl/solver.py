@@ -457,7 +457,8 @@ def solve(system: GlobalSystem, method: str = "auto") -> SolutionFields:
 
     Either way the true relative residual must reach the method's
     ``ACCEPT``, or :class:`SolverError` is raised with the diagnostics; a
-    load that is not finite raises it before any factor or iteration.
+    load that is not finite, or whose norm overflows, raises it before any
+    factor or iteration.
     """
     if method not in ("auto", "direct", "minres"):
         raise ValueError(f"unknown solver method {method!r}")
@@ -471,10 +472,11 @@ def solve(system: GlobalSystem, method: str = "auto") -> SolutionFields:
     else:  # it reduces the system itself and keeps the only copy of A_ff
         condensed = Condensed(system)
         F_f = condensed.F_f
-    fnorm = np.linalg.norm(F_f)
+    with np.errstate(over="ignore"):  # an overflowing norm is raised below
+        fnorm = np.linalg.norm(F_f)
     diagnostics = {"method": method, "num_free": n}
-    if not np.isfinite(F_f).all():
-        raise SolverError("the load is not finite", diagnostics)
+    if not np.isfinite(fnorm):  # so is a NaN or infinite entry
+        raise SolverError("the load is not finite, or its norm overflows", diagnostics)
     if fnorm == 0.0:
         diagnostics.update(relative_residual=0.0, solve_seconds=0.0)
         return SolutionFields(system.expand(np.zeros(n)), system.dofmap, diagnostics)

@@ -22,15 +22,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(example=1, refinements=(2, 3)).validate()
     with pytest.raises(ConfigError):
-        RunConfig(example=1, rho1=-1.0).validate()
-    with pytest.raises(ConfigError):
-        RunConfig(example=1, gamma_exp=-2.0).validate()
-    # NaN compares false both ways, so a one-sided bound lets it through
-    for bad in (dict(rho1=np.nan), dict(rho2=np.nan), dict(rho3=np.inf),
-                dict(gamma_exp=np.nan), dict(gamma_exp=np.inf)):
-        with pytest.raises(ConfigError):
-            RunConfig(example=1, **bad).validate()
-    with pytest.raises(ConfigError):
         RunConfig(example=1, solver="gauss").validate()
     with pytest.raises(ConfigError):
         RunConfig(example=5, gamma=0.11).validate()
@@ -41,11 +32,9 @@ def test_config_validation():
             RunConfig(example=1, **bad).validate()
     assert RunConfig(example=1, refinements=(np.int64(2),)).validate().refinements == (2,)
     # a value of the wrong type is a configuration error, not a TypeError
-    for bad in (dict(refinements=2), dict(rho1="1"), dict(gamma_exp=None),
-                dict(example=1.0), dict(example="1"),
+    for bad in (dict(refinements=2), dict(example=1.0), dict(example="1"),
                 dict(example=5, gamma="2/3"), dict(example=True),
-                dict(rho1=True), dict(quad_degree=True),
-                dict(refinements=(True,))):
+                dict(quad_degree=True), dict(refinements=(True,))):
         with pytest.raises(ConfigError):
             RunConfig(**{"example": 1, **bad}).validate()
 
@@ -63,6 +52,10 @@ def test_run_study_small(tmp_path):
     rate = report.rates("err_u")[0]
     assert 0.8 < rate < 1.3
     assert csv.exists() and md.exists() and vtk.exists()
+    # the header names the fixed stabilizer as the settings once did
+    assert md.read_text().endswith(
+        "\nproblem 1; rho1=1.0; rho2=1.0; rho3=1.0; gamma_exp=-1.0; quad_degree=4\n"
+    )
     text = vtk.read_text()
     assert "VECTORS u_h double" in text
     assert "SCALARS cell_error double" in text
@@ -124,7 +117,6 @@ def test_main_exit_codes(tmp_path):
     assert main([]) == 2  # example is required
     assert main(["--selftest"]) == 2  # the invariant checks live in the tests
     assert main(["--seed", "5"]) == 2
-    assert main(["--example", "1", "--refinements", "2", "--rho1", "nan"]) == 2
     undecodable = tmp_path / "latin1.cfg"
     undecodable.write_bytes(b"example = 1\nrefinements = 2\xff\n")
     assert main(["--config", str(undecodable)]) == 2
@@ -157,7 +149,7 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
         "# convergence study\n"
         "example = 1\n"
         "refinements = 2,4\n"
-        "rho1 = 2.0\n"
+        "solver = direct\n"
     )
     csv = tmp_path / "o.csv"
     code = main(
@@ -191,20 +183,25 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
         assert "configuration error" in capsys.readouterr().err, line
     assert main(["--example", "1", "--bogus"]) == 2
     assert "configuration error" in capsys.readouterr().err
-    # hyphenated keys, negative values, space-separated refinements and a
-    # path with a space; the CSV equals the one of the same flags
+    # a negative value reaches the problem's own check, not argparse
+    bad.write_text("example = 7\nrefinements = 2\nbeta = -1\n")
+    capsys.readouterr()
+    assert main(["--config", str(bad)]) == 2
+    assert "beta must be one of" in capsys.readouterr().err
+    # a hyphenated key, a trailing comment, space-separated refinements and
+    # a path with a space; the CSV equals the one of the same flags
     spaced = tmp_path / "with space"
     spaced.mkdir()
     cfg.write_text(
         "example = 1\n"
         "refinements = 2 4\n"
-        "gamma-exp = -0.5\n"
+        "quad-degree = 3  # one below the default\n"
         "solver = direct\n"
         f"csv = {spaced / 'o.csv'}\n"
     )
     assert main(["--config", str(cfg)]) == 0
     flags = tmp_path / "flags.csv"
-    args = ["--example", "1", "--refinements", "2", "4", "--gamma-exp", "-0.5"]
+    args = ["--example", "1", "--refinements", "2", "4", "--quad-degree", "3"]
     assert main(args + ["--solver", "direct", "--csv", str(flags)]) == 0
     assert (spaced / "o.csv").read_bytes() == flags.read_bytes()
 
@@ -217,6 +214,23 @@ def test_removed_tol_setting_is_a_configuration_error(tmp_path, capsys):
     cfg.write_text("example = 1\nrefinements = 2\ntol = 1e-9\n")
     assert main(["--config", str(cfg)]) == 2
     assert "unknown setting" in capsys.readouterr().err
+
+
+def test_removed_stabilizer_settings_are_configuration_errors(tmp_path, capsys):
+    # rho1 = rho2 = rho3 = 1 and gamma = -1 are fixed in the assembly
+    cfg = tmp_path / "stab.cfg"
+    for flag, key in (("--rho1", "rho1"), ("--rho2", "rho2"), ("--rho3", "rho3"),
+                      ("--gamma-exp", "gamma-exp")):
+        assert main(["--example", "1", "--refinements", "2", flag, "1"]) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        cfg.write_text(f"example = 1\nrefinements = 2\n{key} = 1\n")
+        assert main(["--config", str(cfg)]) == 2
+        assert "unknown setting" in capsys.readouterr().err
+    spec = divcurl.make_problem(1)
+    m = divcurl.build_structured_tet_mesh(spec.domain, 1)
+    for name in ("rho1", "rho2", "rho3", "gamma_exp"):
+        with pytest.raises(TypeError, match=name):
+            divcurl.assemble_global(spec, m, **{name: 1.0})
 
 
 def test_report_contains_cavity_constant():

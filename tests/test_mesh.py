@@ -12,6 +12,7 @@ from scipy import ndimage
 
 from divcurl.mesh import (
     DomainSpec,
+    Mesh,
     MeshError,
     build_domain,
     build_structured_tet_mesh,
@@ -129,6 +130,24 @@ def test_pinched_boundary_rejected():
     notched = DomainSpec("custom", (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), corners)
     with pytest.raises(MeshError, match="vertex"):
         build_structured_tet_mesh(notched, 2)
+
+
+def test_empty_input_rejected():
+    cube = build_domain(1)
+    with pytest.raises(MeshError, match="n must be >= 1"):
+        build_structured_tet_mesh(cube, 0)
+    covered = DomainSpec("custom", cube.lo, cube.hi, ((cube.lo, cube.hi),))
+    with pytest.raises(MeshError, match="no cells"):
+        build_structured_tet_mesh(covered, 2)
+
+
+def test_three_tets_on_one_face_rejected():
+    # the face (0, 1, 2) is shared by three tets
+    vertices = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                         [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 1.0, 1.0]])
+    tets = np.array([[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]])
+    with pytest.raises(MeshError, match="non-manifold face incidence"):
+        Mesh(vertices, np.zeros((6, 3), dtype=np.int64), tets)
 
 
 def test_split_domain_rejected():

@@ -146,6 +146,14 @@ def test_load_oracle(example, rng):
     assert devs["div_g"] < 1e-5
 
 
+def test_sampling_gives_up_when_no_point_qualifies():
+    # every point of problem 4's cube lies within 100 of the singular
+    # point; a generator of its own leaves the shared one's draws alone
+    rng = np.random.default_rng(0)
+    with pytest.raises(RuntimeError, match="failed to converge"):
+        sample_interior_points(make_problem(4), 5, rng, min_sing_dist=100.0)
+
+
 def test_sampling_respects_exclusions(rng):
     spec = make_problem(6)
     pts = sample_interior_points(spec, 200, rng, min_sing_dist=0.15)

@@ -609,7 +609,8 @@ def test_unknown_method_rejected():
 
 
 @pytest.mark.parametrize("method", ["direct", "minres"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+# 1e200 is finite, but its square overflows the norm of the load
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
 def test_nonfinite_load_raises_before_the_solve(monkeypatch, method, bad):
     spec = make_problem(1)
     m = build_structured_tet_mesh(spec.domain, 2)
@@ -621,6 +622,7 @@ def test_nonfinite_load_raises_before_the_solve(monkeypatch, method, bad):
 
     monkeypatch.setattr(solver, "_fronts", unreachable)
     monkeypatch.setattr(solver, "_minres", unreachable)
+    # filterwarnings = error turns an escaping RuntimeWarning into a failure
     with pytest.raises(SolverError, match="load is not finite") as info:
         solve(system, method=method)
     assert info.value.diagnostics == {"method": method, "num_free": 719}
