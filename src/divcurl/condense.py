@@ -9,32 +9,67 @@ import numpy as np
 
 from .assembly import LOCAL_BLOCKS, GlobalSystem, _csr_from_triplets
 
+# sweeps of the Ruiz scale: on problems 1, 2 and 4-7 at 1/h <= 4, MINRES
+# takes the fewest iterations in all after 3; 2 take 1.5% more, 4 take
+# 1.9% more and 10 take 6.4% more
+RUIZ_SWEEPS = 3
 
-def _jacobi_scale(system: GlobalSystem, diagonal, rows=slice(None)):
-    """Jacobi scaling 1/sqrt(max(|diagonal|, h_loc^3)) of the free DoFs ``rows``.
 
-    The primal block has an exactly zero diagonal, so it is floored at the
-    local element-volume scale h^3, which balances the coupling entries
-    (surface terms of size h^2) against the stabilizer diagonal (size h).
+def _ruiz_scale(A_G, diagonal):
+    """Symmetric max-norm equilibration of the G block of ``A_G``.
+
+    ``A_G`` holds the rows G with the columns G first (``len(diagonal)``
+    of them), then L; its own diagonal is replaced by ``diagonal``.  Each
+    of ``RUIZ_SWEEPS`` sweeps divides every d_i by the square root of the
+    largest |d_i a_ij d_j| in row i (Ruiz, RAL-TR-2001-034; Knight, Ruiz
+    & Ucar, SIAM J. Matrix Anal. Appl. 35, 2014), which leaves every
+    entry of the scaled block at most 1 in absolute value.  A row whose
+    largest entry is zero cannot be scaled, and raises ``LinAlgError``.
     """
-    dm = system.dofmap
-    h_of_tet = system.mesh.geometry.diameters
-    h_of_face = h_of_tet[system.mesh.face_tets[:, 0]]
-    floor = dm.per_dof(h_of_tet, h_of_face)[dm.free[rows]] ** 3
-    return 1.0 / np.sqrt(np.maximum(np.abs(diagonal), floor))
+    nG = len(diagonal)
+    count = np.diff(A_G.indptr)
+    rows = np.repeat(np.arange(nG, dtype=A_G.indices.dtype), count)
+    on_diagonal = np.flatnonzero(A_G.indices == rows)
+    del rows
+    nonempty = count > 0  # reduceat would read the next row for an empty one
+    starts = A_G.indptr[:-1][nonempty]
+    d = np.zeros(A_G.shape[1])  # zero on the columns L, which it ignores
+    d[:nG] = 1.0
+    for _ in range(RUIZ_SWEEPS):
+        scratch = d[A_G.indices]
+        scratch *= A_G.data
+        np.abs(scratch, out=scratch)
+        scratch[on_diagonal] = 0.0
+        largest = np.abs(diagonal) * d[:nG]
+        largest[nonempty] = np.maximum(
+            largest[nonempty], np.maximum.reduceat(scratch, starts)
+        )
+        del scratch  # before the next sweep gathers its own
+        largest *= d[:nG]
+        if not largest.all():  # a NaN passes, and stops the iteration later
+            raise np.linalg.LinAlgError(
+                f"row {np.flatnonzero(largest == 0)[0]} of the condensed system"
+                " has no entry to scale it by"
+            )
+        d[:nG] /= np.sqrt(largest)
+    return d[:nG]
 
 
 class Condensed:
-    """The Jacobi-scaled Schur complement of the local unknowns, matrix-free.
+    """The Ruiz-equilibrated Schur complement of the local unknowns, matrix-free.
 
     The free DoFs split into the local ones, L (``assembly.LOCAL_BLOCKS``),
     and the rest, G.  A_LL = D is block diagonal, one 1x1 or 3x3 block per
     tet and local block, so D^-1 takes one ``np.linalg.inv`` per block name
     (static condensation: Cockburn, Gopalakrishnan & Lazarov, SIAM J.
     Numer. Anal. 47, 2009).  The complement S = A_GG - A_GL D^-1 A_LG is
-    scaled by s = ``_jacobi_scale(system, diag(S), G)``, the direct path's
-    Jacobi scaling of the DoFs G for that diagonal; diag(A_GL D^-1 A_LG)
-    is the column sums of the entrywise product A_LG * (D^-1 A_LG).
+    scaled by s = ``_ruiz_scale(A_G, diag(S))``, a max-norm equilibration
+    of A_GG with diag(S) on its diagonal.  It costs the product nothing,
+    and MINRES takes 16-29% fewer iterations (problems 1-7, 1/h <= 8)
+    than with the direct path's Jacobi scale, which floors the zero ``u``
+    diagonal at h^3.
+    diag(A_GL D^-1 A_LG) is the column sums of the entrywise product
+    A_LG * (D^-1 A_LG), summed over the pattern of D^-1 A_LG.
     ``self @ y`` is s S s y, and an iterate y stands for x_G = s y and
     x_L = D^-1 (F_L - A_LG x_G) = g + C y, with g = D^-1 F_L and
     C = -D^-1 A_LG s.  S is not formed, since it has more entries than
@@ -88,10 +123,18 @@ class Condensed:
         self.D = block_diagonal(blocks)
         Dinv = block_diagonal([np.linalg.inv(block) for block in blocks])
         self.C = Dinv @ A_LG
-        diagonal -= np.asarray(A_LG.multiply(self.C).sum(axis=0)).ravel()
-        self.scale = _jacobi_scale(system, diagonal, G)
-        self.C.data *= -self.scale[self.C.indices]
         self.g = Dinv @ self.F_f[L]
+        del Dinv
+        # the column sums of A_LG * C over C's pattern, A_LG read there
+        count = np.diff(self.C.indptr)
+        rows = np.repeat(np.arange(nL, dtype=self.C.indices.dtype), count)
+        product = np.asarray(A_LG[rows, self.C.indices]).ravel()
+        del A_LG, rows, count
+        product *= self.C.data
+        diagonal -= np.bincount(self.C.indices, weights=product, minlength=nG)
+        del product
+        self.scale = _ruiz_scale(self.A_G, diagonal)
+        self.C.data *= -self.scale[self.C.indices]
         x = np.concatenate([np.zeros(nG), self.g])
         self.b = self.scale * (self.F_f[G] - self.A_G @ x)
 

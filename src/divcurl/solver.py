@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .assembly import GlobalSystem
-from .condense import Condensed, _jacobi_scale
+from .condense import Condensed
 
 __all__ = [
     "SolutionFields",
@@ -22,9 +22,10 @@ __all__ = [
 # beyond this many free unknowns the automatic method switches to MINRES;
 # the multifrontal factor stores 4-byte entries with no index, and their
 # number grows like n^(4/3): the study of problem 4 at 1/h = 2, 4, 8 (340k
-# free, 78M factor entries) runs in about 4 s direct with a 0.59 GB
-# peak, against 26-30 s and 0.21 GB by MINRES on the condensed system
-# (38-41 s and 0.23 GB without the condensation; 2-core machine)
+# free, 78M factor entries) runs in about 2.4 s direct with a 0.60 GB
+# peak, against 11 s and 0.21 GB by MINRES on the Ruiz-equilibrated
+# condensed system (15 s with a Jacobi scale; one fresh process each,
+# 2-core machine)
 DIRECT_DOF_LIMIT = 400_000
 
 
@@ -53,6 +54,20 @@ class SolutionFields:
     def u(self):
         """The primal field, one vector per tet (num_tets, 3)."""
         return self.x[self.dofmap.block("u")].reshape(-1, 3)
+
+
+def _jacobi_scale(system: GlobalSystem, diagonal):
+    """Jacobi scaling 1/sqrt(max(|diagonal|, h_loc^3)) of the free DoFs.
+
+    The primal block has an exactly zero diagonal, so it is floored at the
+    local element-volume scale h^3, which balances the coupling entries
+    (surface terms of size h^2) against the stabilizer diagonal (size h).
+    """
+    dm = system.dofmap
+    h_of_tet = system.mesh.geometry.diameters
+    h_of_face = h_of_tet[system.mesh.face_tets[:, 0]]
+    floor = dm.per_dof(h_of_tet, h_of_face)[dm.free] ** 3
+    return 1.0 / np.sqrt(np.maximum(np.abs(diagonal), floor))
 
 
 _LEAF_SIZE = 16  # entities per leaf group; 8 to 24 give the same fill, 32 more
@@ -446,12 +461,14 @@ def solve(system: GlobalSystem, method: str = "auto") -> SolutionFields:
     to the parent front).
 
     "minres" eliminates each tet's interior unknowns exactly and runs one
-    MINRES (:func:`_minres`) on the Jacobi-scaled Schur complement of the
-    others, applied matrix-free (:class:`~divcurl.condense.Condensed`,
-    which holds the entries of ``A_ff`` in place of it).  It stops when the
-    true relative residual of the full system reaches
-    ``MINRES_TARGET``, within ``MINRES_MAX_ITER`` iterations in
-    all; ``iterations`` counts those of the condensed system.
+    MINRES (:func:`_minres`) on the Ruiz-equilibrated Schur complement of
+    the others, applied matrix-free (:class:`~divcurl.condense.Condensed`,
+    which holds the entries of ``A_ff`` in place of it).  A singular tet
+    block, or a row that the equilibration cannot scale, raises
+    :class:`SolverError` before the iteration.  It stops when the true
+    relative residual of the full system reaches ``MINRES_TARGET``, within
+    ``MINRES_MAX_ITER`` iterations in all; ``iterations`` counts those of
+    the condensed system.
     "auto" picks direct up to ``DIRECT_DOF_LIMIT`` free unknowns and MINRES
     beyond.
 
@@ -467,14 +484,17 @@ def solve(system: GlobalSystem, method: str = "auto") -> SolutionFields:
         method = "direct" if n <= DIRECT_DOF_LIMIT else "minres"
 
     t0 = time.perf_counter()
+    diagnostics = {"method": method, "num_free": n}
     if method == "direct":
         A_ff, F_f = system.reduced()
     else:  # it reduces the system itself and keeps the only copy of A_ff
-        condensed = Condensed(system)
+        try:
+            condensed = Condensed(system)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"condensation failed: {exc}", diagnostics) from exc
         F_f = condensed.F_f
     with np.errstate(over="ignore"):  # an overflowing norm is raised below
         fnorm = np.linalg.norm(F_f)
-    diagnostics = {"method": method, "num_free": n}
     if not np.isfinite(fnorm):  # so is a NaN or infinite entry
         raise SolverError("the load is not finite, or its norm overflows", diagnostics)
     if fnorm == 0.0:
