@@ -41,10 +41,10 @@ def _ruiz_scale(A_G, diagonal):
         np.abs(scratch, out=scratch)
         scratch[on_diagonal] = 0.0
         largest = np.abs(diagonal) * d[:nG]
-        largest[nonempty] = np.maximum(
-            largest[nonempty], np.maximum.reduceat(scratch, starts)
-        )
+        rowmax = np.maximum.reduceat(scratch, starts)
         del scratch  # before the next sweep gathers its own
+        largest[nonempty] = np.maximum(rowmax, largest[nonempty], out=rowmax)
+        del rowmax
         largest *= d[:nG]
         if not largest.all():  # a NaN passes, and stops the iteration later
             raise np.linalg.LinAlgError(
@@ -56,7 +56,7 @@ def _ruiz_scale(A_G, diagonal):
 
 
 class Condensed:
-    """The Ruiz-equilibrated Schur complement of the local unknowns, matrix-free.
+    """The Ruiz-equilibrated, shifted Schur complement of the local unknowns.
 
     The free DoFs split into the local ones, L (``assembly.LOCAL_BLOCKS``),
     and the rest, G.  A_LL = D is block diagonal, one 1x1 or 3x3 block per
@@ -70,17 +70,25 @@ class Condensed:
     diagonal at h^3.
     diag(A_GL D^-1 A_LG) is the column sums of the entrywise product
     A_LG * (D^-1 A_LG), summed over the pattern of D^-1 A_LG.
-    ``self @ y`` is s S s y, and an iterate y stands for x_G = s y and
+
+    The pin of one lam0 leaves the constant-lambda mode as one isolated
+    small eigenvalue of s S s; its vector is nearly q, the unit vector of
+    1/s on the lamb positions of G.  ``self @ z`` is P s S s P z with
+    P = I + f q q^T and f = |mu|^(-1/2) - 1, mu = q^T s S s q, which moves
+    the Rayleigh quotient of q to 1 (a rank-one deflation in the sense of
+    Frank & Vuik, SIAM J. Sci. Comput. 23, 2001); P is SPD, since
+    f > -1.  An iterate z stands for y = P z, x_G = s y and
     x_L = D^-1 (F_L - A_LG x_G) = g + C y, with g = D^-1 F_L and
-    C = -D^-1 A_LG s.  S is not formed, since it has more entries than
-    ``A_ff`` (1.39 times on problem 4 at 1/h = 4): a product multiplies C
-    by y, then the rows G of ``A_ff`` by [s y; C y].
+    C = -D^-1 A_LG s, and ``b`` is P s (F_G - A_GL g).  S is not formed,
+    since it has more entries than ``A_ff`` (1.39 times on problem 4 at
+    1/h = 4): ``A_G`` holds the rows G of ``A_ff`` scaled by s, their
+    columns G scaled by s too, and a product multiplies C by y, then
+    ``A_G`` by [y; C y].
 
     It reduces ``system`` itself (one call of ``GlobalSystem.reduced``)
-    and frees ``A_ff`` once it holds ``A_G``, the rows G of ``A_ff`` with
-    the columns G first, then L, and ``D``, the block A_LL.  ``A_ff`` is
-    exactly symmetric, so A_LG = A_GL^T and the two hold every entry of
-    the true residual.
+    and frees ``A_ff`` once it holds ``A_G``, with the columns G first,
+    then L, and ``D``, the block A_LL.  ``A_ff`` is exactly symmetric, so
+    A_LG = A_GL^T and the two hold every entry of the true residual.
     """
 
     def __init__(self, system: GlobalSystem):
@@ -107,6 +115,12 @@ class Condensed:
             block = A_ff[np.repeat(free, k, axis=1).ravel(), np.tile(free, k).ravel()]
             blocks.append(np.asarray(block).reshape(-1, k, k))
             at.append(order[free] - nG)
+        # lamb is no block of LOCAL_BLOCKS, so all of it lies in G; a
+        # contiguous range is sliced, which costs a product two short
+        # dots and two short axpys
+        lamb = order[position[dm.block("lamb")]]
+        if np.array_equal(lamb, np.arange(lamb[0], lamb[0] + len(lamb))):
+            lamb = slice(lamb[0], lamb[0] + len(lamb))
         del local, position
         diagonal = A_ff.diagonal()[G]
         A_LG = A_ff[L][:, G]
@@ -133,26 +147,59 @@ class Condensed:
         product *= self.C.data
         diagonal -= np.bincount(self.C.indices, weights=product, minlength=nG)
         del product
-        self.scale = _ruiz_scale(self.A_G, diagonal)
-        self.C.data *= -self.scale[self.C.indices]
-        x = np.concatenate([np.zeros(nG), self.g])
-        self.b = self.scale * (self.F_f[G] - self.A_G @ x)
+        s = self.scale = _ruiz_scale(self.A_G, diagonal)
+        self.C.data *= -s[self.C.indices]
+        # fold s into the rows, then into the columns G, one nnz scratch each
+        self.A_G.data *= np.repeat(s, np.diff(self.A_G.indptr))
+        self.A_G.data *= np.concatenate([s, np.ones(nL)])[self.A_G.indices]
+        self._x = np.empty(nG + nL)  # [y; C y] of a product
+        self.lamb, self.shift = lamb, 0.0
+        self.q = 1.0 / s[lamb]
+        self.q /= np.linalg.norm(self.q)
+        z = np.zeros(nG)
+        z[lamb] = self.q
+        mu = self.q @ (self @ z)[lamb]  # q^T s S s q, as f = 0 yet
+        self.shift = abs(mu) ** -0.5 - 1.0
+        self._x[:nG] = 0.0
+        self._x[nG:] = self.g
+        self.b = self._project(s * self.F_f[G] - self.A_G @ self._x)
 
-    def __matmul__(self, y):
-        return self.scale * (self.A_G @ np.concatenate([self.scale * y, self.C @ y]))
+    def _project(self, z):
+        """P z, in place."""
+        z[self.lamb] += (self.shift * (self.q @ z[self.lamb])) * self.q
+        return z
 
-    def _expand(self, y):
-        """[x_G; x_L] of the iterate ``y``."""
-        return np.concatenate([self.scale * y, self.g + self.C @ y])
+    def _iterate(self, z):
+        """[y; C y] of the iterate ``z``, y = P z, in the product's buffer."""
+        nG = len(z)
+        y = self._x[:nG]
+        y[:] = z
+        self._project(y)
+        self._x[nG:] = self.C @ y
+        return self._x
 
-    def solution(self, y):
-        """The free DoFs of the iterate ``y``, in the order of ``A_ff``."""
-        return self._expand(y)[self.order]
+    def __matmul__(self, z):
+        return self._project(self.A_G @ self._iterate(z))
 
-    def residual(self, y):
-        """True relative residual of the iterate ``y`` in the full system."""
-        x, nG = self._expand(y), len(y)
-        # the rows L: A_LG x_G + D x_L, with A_LG x_G read from A_GL^T
+    def _state(self, z):
+        """[y; x_L] of the iterate ``z``, in the product's buffer."""
+        x = self._iterate(z)
+        x[len(z) :] += self.g
+        return x
+
+    def solution(self, z):
+        """The free DoFs of the iterate ``z``, in the order of ``A_ff``."""
+        nG, x = len(z), self._state(z)
+        return np.concatenate([self.scale * x[:nG], x[nG:]])[self.order]
+
+    def residual(self, z):
+        """True relative residual of the iterate ``z`` in the full system."""
+        nG, x = len(z), self._state(z)
+        # A_G acts on y, not on x_G = s y.  The rows G: A_G [y; x_L] / s.
+        # The rows L: A_LG x_G + D x_L, with A_LG x_G read from the scaled
+        # A_GL^T as (A_G^T y)[nG:]
+        Ax_G = self.A_G @ x
+        Ax_G /= self.scale
         Ax_L = (self.A_G.T @ x[:nG])[nG:] + self.D @ x[nG:]
-        r = self.F_f - np.concatenate([self.A_G @ x, Ax_L])[self.order]
+        r = self.F_f - np.concatenate([Ax_G, Ax_L])[self.order]
         return float(np.linalg.norm(r) / np.linalg.norm(self.F_f))

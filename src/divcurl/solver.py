@@ -23,9 +23,9 @@ __all__ = [
 # the multifrontal factor stores 4-byte entries with no index, and their
 # number grows like n^(4/3): the study of problem 4 at 1/h = 2, 4, 8 (340k
 # free, 78M factor entries) runs in about 2.4 s direct with a 0.60 GB
-# peak, against 11 s and 0.21 GB by MINRES on the Ruiz-equilibrated
-# condensed system (15 s with a Jacobi scale; one fresh process each,
-# 2-core machine)
+# peak, against 7.1-7.4 s and 0.21 GB by MINRES on the shifted
+# Ruiz-equilibrated condensed system (11 s without the shift, 15 s with
+# a Jacobi scale; one fresh process each, 2-core machine)
 DIRECT_DOF_LIMIT = 400_000
 
 
@@ -406,26 +406,38 @@ def _minres(A, b, residual, target, max_iter):
     When it reaches the threshold (first ``target * ||b||``), ``residual(y)``
     gives the true relative residual; above ``target`` the threshold is
     tightened and the same Lanczos sequence continues.  At most ``max_iter``
-    iterations in all.  Returns ``(y, iterations, residuals checked)``.
+    iterations in all.  Returns ``(y, iterations, residuals checked)``; a
+    zero ``b`` returns y = 0 after 0 iterations.  The vectors are updated
+    in place through one scratch vector, so an iteration allocates only
+    what ``A @ v`` returns, which becomes the next Lanczos vector.
     """
-    beta = np.linalg.norm(b)
-    v_old, v = np.zeros_like(b), b / beta
-    w_old, w, y = np.zeros_like(b), np.zeros_like(b), np.zeros_like(b)
+    y = np.zeros_like(b)
+    beta = np.sqrt(b @ b)
+    if beta == 0.0:
+        return y, 0, [residual(y)]
+    v_old, v = np.zeros_like(b), b * (1.0 / beta)
+    w_old, w, t = np.zeros_like(b), np.zeros_like(b), np.empty_like(b)
     cs, sn, dbar, eps_next, phibar = -1.0, 0.0, 0.0, 0.0, beta
     threshold, history = target * beta, []
     for k in range(1, max_iter + 1):
-        p = A @ v - beta * v_old
+        p = A @ v
+        p -= np.multiply(v_old, beta, out=t)
         alpha = v @ p
-        p -= alpha * v
-        beta = np.linalg.norm(p)
+        p -= np.multiply(v, alpha, out=t)
+        beta = np.sqrt(p @ p)
         # the previous rotation acts on column k of the Lanczos matrix
         eps, delta = eps_next, cs * dbar + sn * alpha
         gbar, eps_next, dbar = sn * dbar - cs * alpha, sn * beta, -cs * beta
         gamma = np.hypot(gbar, beta)
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar
-        w_old, w = w, (v - eps * w_old - delta * w) / gamma
-        y += phi * w
+        # (v - eps w_old - delta w) / gamma, in the storage of w_old
+        w_old *= -eps
+        w_old += v
+        w_old -= np.multiply(w, delta, out=t)
+        w_old *= 1.0 / gamma
+        w_old, w = w, w_old
+        y += np.multiply(w, phi, out=t)
         if beta == 0.0 or not abs(phibar) > threshold:
             history.append(residual(y))
             # beta = 0: the Krylov space is invariant and y is exact; a NaN
@@ -433,7 +445,8 @@ def _minres(A, b, residual, target, max_iter):
             if beta == 0.0 or not history[-1] > target:
                 break
             threshold *= 0.5 * target / history[-1]
-        v_old, v = v, p / beta
+        p *= 1.0 / beta
+        v_old, v = v, p
     else:
         history.append(residual(y))
     return y, k, history
@@ -462,8 +475,9 @@ def solve(system: GlobalSystem, method: str = "auto") -> SolutionFields:
 
     "minres" eliminates each tet's interior unknowns exactly and runs one
     MINRES (:func:`_minres`) on the Ruiz-equilibrated Schur complement of
-    the others, applied matrix-free (:class:`~divcurl.condense.Condensed`,
-    which holds the entries of ``A_ff`` in place of it).  A singular tet
+    the others, shifted to lift the constant-lambda mode and applied
+    matrix-free (:class:`~divcurl.condense.Condensed`, which holds the
+    scaled entries of ``A_ff`` in place of it).  A singular tet
     block, or a row that the equilibration cannot scale, raises
     :class:`SolverError` before the iteration.  It stops when the true
     relative residual of the full system reaches ``MINRES_TARGET``, within
@@ -475,7 +489,11 @@ def solve(system: GlobalSystem, method: str = "auto") -> SolutionFields:
     Either way the true relative residual must reach the method's
     ``ACCEPT``, or :class:`SolverError` is raised with the diagnostics; a
     load that is not finite, or whose norm overflows, raises it before any
-    factor or iteration.
+    factor or iteration.  The diagnostics of either method hold
+    ``load_incompatibility``, the residual of the row that the lam0 pin
+    drops over the norm of the free load: up to the free rows' residual it
+    is F.v / ||F_f||, v the constant-lambda null vector of ``system.A``.
+    A zero free load returns x = 0 without it.
     """
     if method not in ("auto", "direct", "minres"):
         raise ValueError(f"unknown solver method {method!r}")
@@ -545,13 +563,22 @@ def solve(system: GlobalSystem, method: str = "auto") -> SolutionFields:
         x = condensed.solution(y)
         rel = history[-1]
         diagnostics.update(iterations=iterations, residual_history=history)
-    diagnostics.update(relative_residual=rel, solve_seconds=time.perf_counter() - t0)
+    x = system.expand(x)
+    # the residual of the row that the lam0 pin drops
+    pinned, A = system.dofmap.pinned_lam0, system.A
+    row = slice(A.indptr[pinned], A.indptr[pinned + 1])
+    dropped = system.F[pinned] - A.data[row] @ x[A.indices[row]]
+    diagnostics.update(
+        relative_residual=rel,
+        load_incompatibility=float(dropped / fnorm),
+        solve_seconds=time.perf_counter() - t0,
+    )
     accept = ACCEPT[method]
     if not rel <= accept:  # NaN fails too
         raise SolverError(
             f"{method} solve residual {rel:.3e} exceeds {accept:.1e}", diagnostics
         )
-    return SolutionFields(system.expand(x), system.dofmap, diagnostics)
+    return SolutionFields(x, system.dofmap, diagnostics)
 
 
 def recover_cavity_constants(
