@@ -19,12 +19,13 @@ def _ruiz_scale(A_G, diagonal):
     """Symmetric max-norm equilibration of the G block of ``A_G``.
 
     ``A_G`` holds the rows G with the columns G first (``len(diagonal)``
-    of them), then L; its own diagonal is replaced by ``diagonal``.  Each
-    of ``RUIZ_SWEEPS`` sweeps divides every d_i by the square root of the
-    largest |d_i a_ij d_j| in row i (Ruiz, RAL-TR-2001-034; Knight, Ruiz
-    & Ucar, SIAM J. Matrix Anal. Appl. 35, 2014), which leaves every
-    entry of the scaled block at most 1 in absolute value.  A row whose
-    largest entry is zero cannot be scaled, and raises ``LinAlgError``.
+    of them), then L (none, if ``A_G`` is square); its own diagonal is
+    replaced by ``diagonal``.  Each of ``RUIZ_SWEEPS`` sweeps divides
+    every d_i by the square root of the largest |d_i a_ij d_j| in row i
+    (Ruiz, RAL-TR-2001-034; Knight, Ruiz & Ucar, SIAM J. Matrix Anal.
+    Appl. 35, 2014), which leaves every entry of the scaled block at most
+    1 in absolute value.  A row whose largest entry is zero cannot be
+    scaled, and raises ``LinAlgError``.
     """
     nG = len(diagonal)
     count = np.diff(A_G.indptr)
@@ -48,8 +49,7 @@ def _ruiz_scale(A_G, diagonal):
         largest *= d[:nG]
         if not largest.all():  # a NaN passes, and stops the iteration later
             raise np.linalg.LinAlgError(
-                f"row {np.flatnonzero(largest == 0)[0]} of the condensed system"
-                " has no entry to scale it by"
+                f"row {np.flatnonzero(largest == 0)[0]} has no entry to scale it by"
             )
         d[:nG] /= np.sqrt(largest)
     return d[:nG]
@@ -64,10 +64,10 @@ class Condensed:
     (static condensation: Cockburn, Gopalakrishnan & Lazarov, SIAM J.
     Numer. Anal. 47, 2009).  The complement S = A_GG - A_GL D^-1 A_LG is
     scaled by s = ``_ruiz_scale(A_G, diag(S))``, a max-norm equilibration
-    of A_GG with diag(S) on its diagonal.  It costs the product nothing,
-    and MINRES takes 16-29% fewer iterations (problems 1-7, 1/h <= 8)
-    than with the direct path's Jacobi scale, which floors the zero ``u``
-    diagonal at h^3.
+    of A_GG with diag(S) on its diagonal, the scale the direct path takes
+    of ``A_ff``.  It costs the product nothing, and MINRES takes 16-29%
+    fewer iterations (problems 1-7, 1/h <= 8) than with a Jacobi scale,
+    which has to floor the zero ``u`` diagonal.
     diag(A_GL D^-1 A_LG) is the column sums of the entrywise product
     A_LG * (D^-1 A_LG), summed over the pattern of D^-1 A_LG.
 
@@ -115,12 +115,9 @@ class Condensed:
             block = A_ff[np.repeat(free, k, axis=1).ravel(), np.tile(free, k).ravel()]
             blocks.append(np.asarray(block).reshape(-1, k, k))
             at.append(order[free] - nG)
-        # lamb is no block of LOCAL_BLOCKS, so all of it lies in G; a
-        # contiguous range is sliced, which costs a product two short
-        # dots and two short axpys
-        lamb = order[position[dm.block("lamb")]]
-        if np.array_equal(lamb, np.arange(lamb[0], lamb[0] + len(lamb))):
-            lamb = slice(lamb[0], lamb[0] + len(lamb))
+        # lam0 is local and every lamb is free, so lamb is the first block
+        # of G; the slice costs a product two short dots and two short axpys
+        lamb = slice(0, dm.num_faces)
         del local, position
         diagonal = A_ff.diagonal()[G]
         A_LG = A_ff[L][:, G]

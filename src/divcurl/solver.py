@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .assembly import GlobalSystem
-from .condense import Condensed
+from .condense import Condensed, _ruiz_scale
 
 __all__ = [
     "SolutionFields",
@@ -54,20 +54,6 @@ class SolutionFields:
     def u(self):
         """The primal field, one vector per tet (num_tets, 3)."""
         return self.x[self.dofmap.block("u")].reshape(-1, 3)
-
-
-def _jacobi_scale(system: GlobalSystem, diagonal):
-    """Jacobi scaling 1/sqrt(max(|diagonal|, h_loc^3)) of the free DoFs.
-
-    The primal block has an exactly zero diagonal, so it is floored at the
-    local element-volume scale h^3, which balances the coupling entries
-    (surface terms of size h^2) against the stabilizer diagonal (size h).
-    """
-    dm = system.dofmap
-    h_of_tet = system.mesh.geometry.diameters
-    h_of_face = h_of_tet[system.mesh.face_tets[:, 0]]
-    floor = dm.per_dof(h_of_tet, h_of_face)[dm.free] ** 3
-    return 1.0 / np.sqrt(np.maximum(np.abs(diagonal), floor))
 
 
 _LEAF_SIZE = 16  # entities per leaf group; 8 to 24 give the same fill, 32 more
@@ -163,7 +149,7 @@ class _Fronts(NamedTuple):
     ``entry_start[f]:entry_start[f+1]`` (pivot-column entries).  Positions
     are permuted: position ``k`` is the free DoF ``order[k]``."""
 
-    scale: np.ndarray  # Jacobi scale of each free DoF
+    scale: np.ndarray  # Ruiz scale of each free DoF
     order: np.ndarray  # the lattice permutation
     bounds: np.ndarray  # front f's pivots are bounds[f]:bounds[f+1]
     parent: np.ndarray  # -1 for a root
@@ -180,14 +166,16 @@ def _fronts(system: GlobalSystem, A_ff) -> _Fronts:
     """Symbolic phase of the multifrontal factor: one front per lattice group.
 
     It reads the scaled matrix ``diag(scale) A_ff diag(scale)``, with the
-    Jacobi ``scale`` of :func:`_jacobi_scale`, without forming it: each
-    entry it keeps is ``(scale[i] * scale[j]) * a_ij``, the same product
-    for (j, i), so what it keeps is exactly as symmetric as ``A_ff``.
-    Front ``f`` eliminates the permuted positions ``bounds[f]:bounds[f+1]``
-    (its pivots) in the order of :func:`_lattice_permutation`.  Its update
-    rows are the later positions that its pivot columns reach in the
-    filled matrix: the rows of its own off-front entries, and those update
-    rows of its children that lie beyond its pivots.  Its parent is the
+    max-norm ``scale`` of :func:`~divcurl.condense._ruiz_scale`, without
+    forming it: each entry it keeps is ``(scale[i] * scale[j]) * a_ij``,
+    the same product for (j, i), so what it keeps is exactly as symmetric
+    as ``A_ff``; a row of ``A_ff`` with no nonzero entry raises
+    ``LinAlgError``.  Front ``f`` eliminates the permuted positions
+    ``bounds[f]:bounds[f+1]`` (its pivots) in the order of
+    :func:`_lattice_permutation`.  Its update rows are the later positions
+    that its pivot columns reach in the filled matrix: the rows of its own
+    off-front entries, and those update rows of its children that lie
+    beyond its pivots.  Its parent is the
     front of its first update row (Liu, SIAM Review 34, 1992).  Lattice
     planes separate exactly, so a parent is a separator above its child in
     the nested dissection; the fronts are resolved one height at a time
@@ -199,7 +187,7 @@ def _fronts(system: GlobalSystem, A_ff) -> _Fronts:
     float32); ``rows`` stays int64, because the factor's solves index with
     it, and numpy copies an int32 index to int64 on every use.
     """
-    scale = _jacobi_scale(system, A_ff.diagonal())
+    scale = _ruiz_scale(A_ff, A_ff.diagonal())
     p, bounds, heights = _lattice_permutation(system.mesh, system.dofmap)
     n, num = len(p), len(bounds) - 1
     size = np.diff(bounds)
@@ -274,10 +262,11 @@ def _fronts(system: GlobalSystem, A_ff) -> _Fronts:
 
 # a front whose pivot block P has an inverse with an entry above this
 # passes its variables to its parent front (a delayed pivot); a root
-# front has no parent.  :func:`_fronts` scales the entries it reads to a
-# unit diagonal scale: on problems 1-7 at 1/h <= 8 the healthy blocks
-# have |P^-1| <= 12.7, and the one exactly singular block (problems 5
-# and 7 at 1/h = 2) reads 6.7e7 in float32 and 9.0e15 in float64.
+# front has no parent.  :func:`_fronts` equilibrates the entries it reads
+# to a largest |entry| near 1 in every row: on problems 1-7 at 1/h <= 8
+# the healthy blocks have |P^-1| <= 5.76, and the one exactly singular
+# block (problems 5 and 7 at 1/h = 2) reads 8.4e6 in float32 and 4.5e15
+# in float64.
 PIVOT_GROWTH_LIMIT = 1e4
 
 
@@ -455,8 +444,9 @@ def _minres(A, b, residual, target, max_iter):
 def solve(system: GlobalSystem, method: str = "auto") -> SolutionFields:
     """Solve the reduced system and return all solution fields.
 
-    method "direct" factorizes the Jacobi-scaled matrix (symmetric
-    indefinite) in float32 with a multifrontal block LDL^T
+    method "direct" factorizes the Ruiz-equilibrated matrix (symmetric
+    indefinite; :func:`~divcurl.condense._ruiz_scale`, the scale of the
+    MINRES path) in float32 with a multifrontal block LDL^T
     (:class:`_FrontalFactor`) whose fronts are the lattice
     nested-dissection groups of :func:`_lattice_permutation`; the scale is
     applied to each entry as the symbolic phase (:func:`_fronts`) reads it
@@ -471,7 +461,8 @@ def solve(system: GlobalSystem, method: str = "auto") -> SolutionFields:
     record, for the factor used, ``factor_dtype``, ``refine_steps``
     (corrections after its first solve), ``fill_nnz`` (its entries) and
     ``delayed_fronts`` (fronts whose pivot block failed its test and moved
-    to the parent front).
+    to the parent front).  A row of ``A_ff`` that the equilibration cannot
+    scale raises :class:`SolverError` before the factor.
 
     "minres" eliminates each tet's interior unknowns exactly and runs one
     MINRES (:func:`_minres`) on the Ruiz-equilibrated Schur complement of
@@ -522,7 +513,7 @@ def solve(system: GlobalSystem, method: str = "auto") -> SolutionFields:
     if method == "direct":
         try:
             fronts = _fronts(system, A_ff)
-        except SolverError as exc:
+        except (SolverError, np.linalg.LinAlgError) as exc:
             raise SolverError(
                 f"direct factorization failed: {exc}", diagnostics
             ) from exc

@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from divcurl import solver
 from divcurl.analysis import error_u, triple_norm_dual, triple_norm_s
 from divcurl.assembly import LOCAL_BLOCKS, assemble_global
-from divcurl.condense import Condensed
+from divcurl.condense import Condensed, _ruiz_scale
 from divcurl.mesh import build_domain, build_structured_tet_mesh
 from divcurl.problems import ProblemSpec, make_problem
 from divcurl.solver import SolverError, recover_cavity_constants, solve
@@ -92,8 +92,13 @@ def test_equilibrated_matrix_is_exactly_symmetric(example):
     assert (A_ff != A_ff.T).nnz == 0  # so the rows of A_ff[p] are its columns
     fronts = solver._fronts(system, A_ff)
     s, p, bounds = fronts.scale, fronts.order, fronts.bounds
-    assert np.array_equal(s, solver._jacobi_scale(system, A_ff.diagonal()))
+    # the scale of the MINRES path: every row of s A_ff s has its largest
+    # entry in [0.85, 1] (0.862 at the least)
+    assert np.array_equal(s, _ruiz_scale(A_ff, A_ff.diagonal()))
     A = A_ff.toarray()
+    largest = np.abs(s[:, None] * A * s).max(axis=1)
+    assert largest.min() >= 0.85
+    assert largest.max() <= 1 + 1e-15  # a few rounding errors above 1
     kept = 0
     for f, (start, end) in enumerate(zip(bounds[:-1], bounds[1:])):
         up = fronts.rows[fronts.row_start[f] : fronts.row_start[f + 1]]
@@ -398,27 +403,29 @@ def test_pivots_delayed_to_the_root_are_solved_there(monkeypatch):
     assert d["relative_residual"] <= 1e-13
 
 
-def test_singular_root_raises_with_diagnostics():
-    # a zero matrix, its sparsity kept: every pivot block is singular, so
-    # every front delays and the root's inverse is not finite in either
-    # precision
+def test_singular_root_raises_with_diagnostics(monkeypatch):
+    # a zero matrix, its sparsity kept, has no row the equilibration can
+    # scale; under a unit scale every pivot block is singular, so every
+    # front delays and the root's inverse is not finite in either precision
     spec = make_problem(1)
     m = build_structured_tet_mesh(spec.domain, 2)
     system = assemble_global(spec, m)
     zero = dataclasses.replace(system, A=0.0 * system.A)
-    with pytest.raises(SolverError, match="root front") as info:
-        solve(zero, method="direct")
-    d = info.value.diagnostics
-    assert d["method"] == "direct" and d["num_free"] == system.dofmap.num_free
+    for match in ("no entry to scale it by", "root front"):
+        with pytest.raises(SolverError, match=match) as info:
+            solve(zero, method="direct")
+        d = info.value.diagnostics
+        assert d["method"] == "direct" and d["num_free"] == system.dofmap.num_free
+        monkeypatch.setattr(solver, "_ruiz_scale", lambda A, _: np.ones(A.shape[0]))
 
 
 def test_chains_of_delayed_fronts_keep_the_factor_accurate(monkeypatch):
-    # a limit below the healthy |P^-1| of up to 12.7 delays about half of
+    # a limit below the healthy |P^-1| of up to 5.76 delays about half of
     # the fronts, some into parents that delay again
     spec = make_problem(4)
     m = build_structured_tet_mesh(spec.domain, 2)
     system = assemble_global(spec, m)
-    monkeypatch.setattr(solver, "PIVOT_GROWTH_LIMIT", 8.0)
+    monkeypatch.setattr(solver, "PIVOT_GROWTH_LIMIT", 5.0)
     sol = solve(system, method="direct")
     d = sol.diagnostics
     assert d["factor_dtype"] == "float32" and d["delayed_fronts"] >= 30
@@ -555,10 +562,18 @@ def test_minres_iterations_on_the_equilibrated_complement(example, n, most):
     assert solve(system, method="minres").diagnostics["iterations"] <= most
 
 
-@pytest.mark.parametrize("block", ["u", "s0"])
-def test_unscalable_condensed_system_raises(block):
-    # a zeroed u DoF leaves a row of the complement with no entry to
-    # scale it by; a zeroed s0 DoF leaves its tet's 1x1 block singular
+@pytest.mark.parametrize(
+    ("block", "method"),
+    [
+        pytest.param(block, method, id=block + suffix)
+        for method, suffix in (("minres", ""), ("direct", "-direct"))
+        for block in ("u", "s0")
+    ],
+)
+def test_unscalable_condensed_system_raises(block, method):
+    # a zeroed u DoF leaves a row of A_ff, and of the complement, with no
+    # entry to scale it by; a zeroed s0 DoF leaves its row of A_ff empty
+    # too, and its tet's 1x1 block singular
     spec = make_problem(1)
     m = build_structured_tet_mesh(spec.domain, 2)
     system = assemble_global(spec, m)
@@ -567,9 +582,10 @@ def test_unscalable_condensed_system_raises(block):
     keep = np.ones(system.dofmap.total)
     keep[dof] = 0.0
     system.A = sparse.diags(keep) @ system.A @ sparse.diags(keep)
-    with pytest.raises(SolverError, match="condensation failed") as info:
-        solve(system, method="minres")
-    assert info.value.diagnostics == {"method": "minres", "num_free": 719}
+    failure = "condensation" if method == "minres" else "direct factorization"
+    with pytest.raises(SolverError, match=failure + " failed") as info:
+        solve(system, method=method)
+    assert info.value.diagnostics == {"method": method, "num_free": 719}
 
 
 def test_minres_holds_little_beyond_A_ff():
