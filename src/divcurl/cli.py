@@ -13,18 +13,13 @@ import sys
 from numbers import Integral, Real
 
 from . import analysis, assembly, mesh as meshmod, problems
+from .problems import _numeric
 
 __all__ = ["RunConfig", "ConfigError", "run_study", "main"]
 
 
 class ConfigError(ValueError):
     """Invalid run configuration."""
-
-
-def _numeric(value, kind):
-    """``isinstance(value, kind)``, false for a bool: ``bool`` is an
-    ``Integral`` and a ``Real``, but not a numeric setting."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclasses.dataclass

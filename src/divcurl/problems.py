@@ -30,6 +30,7 @@ gradient of that potential is (2/3) r^(-1/3) (cos(theta/3), sin(theta/3), 0).
 """
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -311,6 +312,12 @@ def _toroid_curl_problem(example, name, gammas, centers, beta=0.0):
     )
 
 
+def _numeric(value, kind):
+    """``isinstance(value, kind)``, false for a bool: ``bool`` is an
+    ``Integral`` and a ``Real``, but not a numeric setting."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 # the values each problem parameter may take, the default first
 _PARAMETERS = {
     5: {"gamma": (2.0 / 3.0, 5.0 / 4.0, 1.0)},
@@ -350,8 +357,8 @@ def make_problem(example_id: int, **params) -> ProblemSpec:
     Problems 1-4 and 6 take no parameters.  A value matches an allowed one
     to a relative 1e-9; anything else raises :class:`ProblemError`.
     """
-    if example_id not in _BUILDERS:
-        raise ProblemError(f"unknown example id {example_id}, expected 1..7")
+    if not _numeric(example_id, Integral) or example_id not in _BUILDERS:
+        raise ProblemError(f"unknown example id {example_id!r}, expected 1..7")
     allowed = _PARAMETERS.get(example_id, {})
     extra = set(params) - set(allowed)
     if extra:
@@ -359,6 +366,8 @@ def make_problem(example_id: int, **params) -> ProblemSpec:
     values = {}
     for name, choices in allowed.items():
         value = params.get(name, choices[0])
+        if not _numeric(value, Real):
+            raise ProblemError(f"{name} must be a number, got {value!r}")
         match = [c for c in choices if np.isclose(value, c, rtol=1e-9, atol=1e-12)]
         if not match:
             raise ProblemError(f"{name} must be one of {choices}, got {value}")

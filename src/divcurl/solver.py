@@ -57,7 +57,6 @@ class SolutionFields:
 
 
 _LEAF_SIZE = 16  # entities per leaf group; 8 to 24 give the same fill, 32 more
-_PRIMAL_BLOCKS = ("u", "s0", "sb")
 
 
 def _lattice_groups(keys: np.ndarray):
@@ -68,11 +67,12 @@ def _lattice_groups(keys: np.ndarray):
     ``12 c``.  Faces lie inside one lattice plane or cross none, and every
     coupling stays within one tet and its four faces, so the faces in a
     lattice plane separate the entities on either side exactly.  Each set
-    is split at the plane nearest the middle of its longest axis; groups
-    are numbered left, right, then separator, down to leaves of
-    ``_LEAF_SIZE`` entities.  A leaf has height 0 and a separator one more
-    than the highest group on either side, so every group is higher than
-    all the groups it separates.
+    is split at the plane nearest the middle of its longest axis, or kept
+    whole if that axis holds none, as no set of over ``_LEAF_SIZE``
+    entities of a lattice mesh does; groups are numbered left, right, then
+    separator, down to leaves of ``_LEAF_SIZE`` entities.  A leaf has
+    height 0 and a separator one more than the highest group on either
+    side, so every group is higher than all the groups it separates.
     """
     groups = np.empty(len(keys), dtype=np.int64)
     heights = []
@@ -83,10 +83,9 @@ def _lattice_groups(keys: np.ndarray):
         if len(idx) > _LEAF_SIZE:
             k = keys[idx]
             lo, hi = k.min(axis=0), k.max(axis=0)
-            for axis in np.argsort(lo - hi, kind="stable"):  # longest first
-                first, last = -(-lo[axis] // 12) * 12, hi[axis] // 12 * 12
-                if first > last:
-                    continue
+            axis = np.argmax(hi - lo)
+            first, last = -(-lo[axis] // 12) * 12, hi[axis] // 12 * 12
+            if first <= last:
                 # the lattice plane nearest the middle, inside [lo, hi]: the
                 # separator or one side is non-empty, so every split shrinks
                 mid = (lo[axis] + hi[axis] + 12) // 24 * 12
@@ -95,7 +94,6 @@ def _lattice_groups(keys: np.ndarray):
                 left = split(idx[side < plane])
                 below = max(left, split(idx[side > plane]))
                 idx = idx[side == plane]
-                break
         if not len(idx):
             return below
         groups[idx] = len(heights)
@@ -110,18 +108,19 @@ def _lattice_permutation(mesh, dofmap):
     """Fill-reducing order of the free DoFs for the direct solve.
 
     Nested dissection of the structured mesh's tets and faces by lattice
-    planes (George, SIAM J. Numer. Anal. 10, 1973).  Within each group,
-    multiplier DoFs come before primal ones.  The (u, u) block is zero, so
-    each tet's ``u`` joins the group of the third of its four faces in
-    elimination order (or its tet's group, if later).  Every face lies in
-    its tet's leaf or in a later separator, so ``u`` leaves its leaf only
-    when two of its faces lie on separators; waiting for the fourth face
-    would put the ``u`` of every tet touching a plane into that plane's
-    separator and double the fill.  Three faces are likely enough because
-    three face normals of a tet span R^3; a two-face rule, measured, fills
-    more and pivots off the diagonal.  Returns ``p`` with ``A_ff[p][:, p]``
-    the reordered matrix, the ``bounds`` of the groups that hold free DoFs
-    (group ``f`` is ``p[bounds[f]:bounds[f + 1]]``) and their heights.
+    planes (George, SIAM J. Numer. Anal. 10, 1973).  DoFs keep their raw
+    order within a group, which is immaterial: :class:`_FrontalFactor`
+    inverts each pivot block whole.  The (u, u) block is zero, so each
+    tet's ``u`` joins the group of the third of its four faces in
+    elimination order.  Every face lies in its tet's leaf or in a later
+    separator, so ``u`` leaves its leaf only when two of its faces lie on
+    separators; waiting for the fourth face would put the ``u`` of every
+    tet touching a plane into that plane's separator and double the fill.
+    Three faces are likely enough because three face normals of a tet span
+    R^3; a two-face rule, measured, fills more and pivots off the diagonal.
+    Returns ``p`` with ``A_ff[p][:, p]`` the reordered matrix, the
+    ``bounds`` of the groups that hold free DoFs (group ``f`` is
+    ``p[bounds[f]:bounds[f + 1]]``) and their heights.
     """
     ijk = mesh.vertex_ijk
     keys = np.concatenate(
@@ -131,14 +130,10 @@ def _lattice_permutation(mesh, dofmap):
     tet_group, face_group = groups[: mesh.num_tets], groups[mesh.num_tets :]
     dof_group = dofmap.per_dof(tet_group, face_group)
     third_face = np.sort(face_group[mesh.tet_faces], axis=1)[:, 2]
-    u_group = np.maximum(tet_group, third_face)
-    dof_group[dofmap.block("u")] = np.repeat(u_group, 3)
-    primal = np.zeros(dofmap.total, dtype=bool)
-    for name in _PRIMAL_BLOCKS:
-        primal[dofmap.block(name)] = True
-    free = dofmap.free
-    p = np.lexsort((free, primal[free], dof_group[free]))
-    group = dof_group[free][p]
+    dof_group[dofmap.block("u")] = np.repeat(third_face, 3)
+    group = dof_group[dofmap.free]
+    p = np.argsort(group, kind="stable")
+    group = group[p]
     first = np.flatnonzero(np.diff(group, prepend=-1))
     return p, np.append(first, len(p)), heights[group[first]]
 

@@ -8,7 +8,7 @@ kernel replaced there is the kernel that gets checked.
 
 import numpy as np
 
-from divcurl import problems, weak_ops
+from divcurl import problems, solver, weak_ops
 from divcurl.analysis import solve_level
 from divcurl.assembly import assemble_global, assemble_s1, assemble_s2
 from divcurl.mesh import (
@@ -24,6 +24,7 @@ __all__ = [
     "kernel_identity_defect",
     "patch_test_defects",
     "system_defects",
+    "lattice_order_defects",
     "load_oracle_defect",
 ]
 
@@ -114,6 +115,52 @@ def system_defects(
     stabilizers = (assemble_s1(mesh, system.dofmap), assemble_s2(mesh, system.dofmap))
     energy = min(np.einsum("sk,ks->s", x, S @ x.T).min() for S in stabilizers)
     return asymmetry, float(energy)
+
+
+def lattice_order_defects(mesh: Mesh, dofmap) -> dict:
+    """Counts of breaches of the facts the direct solve's lattice order
+    rests on; each is 0 when they hold.
+
+    - ``face_before_tet``: faces whose nested-dissection group precedes
+      their tet's; each face must lie in its tet's leaf or a later
+      separator, which puts a tet's group at most its third face's;
+    - ``u_off_third_face``: tets whose ``u`` is not in the front of the
+      ``lamb`` (always free) of their third face in group order;
+    - ``wide_off_plane``: groups of over ``_LEAF_SIZE`` entities that do
+      not lie in one lattice plane, as only a separator may;
+    - ``raw_order_broken``: free DoFs that follow a higher raw index within
+      a front, which must keep the raw order, multipliers first.
+    """
+    ijk = mesh.vertex_ijk
+    keys = np.concatenate(
+        [3 * ijk[mesh.tets].sum(axis=1), 4 * ijk[mesh.faces].sum(axis=1)]
+    )
+    groups, _ = solver._lattice_groups(keys)
+    tet_group, face_group = groups[: mesh.num_tets], groups[mesh.num_tets :]
+    tet_face_group = face_group[mesh.tet_faces]
+    third = np.take_along_axis(
+        mesh.tet_faces, np.argsort(tet_face_group, axis=1, kind="stable"), axis=1
+    )[:, 2]
+
+    p, bounds, _ = solver._lattice_permutation(mesh, dofmap)
+    front = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))  # by position
+    front_of = np.full(dofmap.total, -1)  # by raw DoF; -1 if constrained
+    front_of[dofmap.free[p]] = front
+    tets = np.arange(mesh.num_tets)
+    u_front = front_of[dofmap.index("u", tets[:, None], np.arange(3))]
+    third_front = front_of[dofmap.index("lamb", third)]
+
+    wide_off_plane = 0
+    for g in np.flatnonzero(np.bincount(groups) > solver._LEAF_SIZE):
+        k = keys[groups == g]
+        wide_off_plane += not np.any(np.all(k == k[0], axis=0) & (k[0] % 12 == 0))
+    raw = dofmap.free[p]
+    return {
+        "face_before_tet": int((tet_face_group < tet_group[:, None]).sum()),
+        "u_off_third_face": int((u_front != third_front[:, None]).any(axis=1).sum()),
+        "wide_off_plane": int(wide_off_plane),
+        "raw_order_broken": int(((np.diff(raw) < 0) & (np.diff(front) == 0)).sum()),
+    }
 
 
 def load_oracle_defect(rng: np.random.Generator, count: int = 100) -> float:

@@ -66,6 +66,14 @@ def test_dof_counts_unit_cube(cube1):
     assert counts == {
         "lam0": 6, "lamb": 18, "q0": 18, "qb": 36, "u": 18, "s0": 6, "sb": 18
     }
+    # every multiplier block precedes the primal ones: triple_norm_dual
+    # reads the multipliers as [0, offsets["u"][0]), and the direct solve's
+    # lattice order keeps this raw order within each front
+    u_start = dm.offsets["u"][0]
+    for name in ("lam0", "lamb", "q0", "qb"):
+        assert dm.offsets[name][1] <= u_start
+    for name in ("s0", "sb"):
+        assert dm.offsets[name][0] >= u_start
     assert dm.total == 120
     # 12 boundary faces: sb loses 12, qb loses 24, lam0 loses the pin
     assert dm.fixed.sum() == 37

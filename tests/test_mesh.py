@@ -10,6 +10,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from divcurl.assembly import build_dof_map
 from divcurl.mesh import (
     DomainSpec,
     Mesh,
@@ -22,6 +23,7 @@ from divcurl.mesh import (
 
 from invariants import (
     kernel_identity_defect,
+    lattice_order_defects,
     patch_test_defects,
     system_defects,
 )
@@ -249,6 +251,10 @@ def test_system_invariants_on_random_box_unions(boxes):
     assert asymmetry == 0.0
     assert min_energy >= -1e-12
     assert max(patch_test_defects(domain)) <= 1e-10
+    # the facts the direct solve's lattice order rests on
+    m = build_structured_tet_mesh(domain, 2)
+    defects = lattice_order_defects(m, build_dof_map(m))
+    assert not any(defects.values()), defects
 
 
 def test_alignment_precondition():

@@ -119,6 +119,13 @@ def test_parameter_validation():
         make_problem(6, gamma=0.5)
     with pytest.raises(ProblemError):
         make_problem(8)
+    # a non-integer or bool id, a non-numeric or bool parameter
+    for bad_id in (1.0, True, "1", None):
+        with pytest.raises(ProblemError):
+            make_problem(bad_id)
+    for bad in ("x", None, True, [1.0], np.array(1.0)):
+        with pytest.raises(ProblemError):
+            make_problem(5, gamma=bad)
     make_problem(5, gamma=1.0)
     make_problem(7, beta=5.0)
     make_problem(7, gamma=2.0 / 3.0)

@@ -16,6 +16,8 @@ from divcurl.mesh import build_domain, build_structured_tet_mesh
 from divcurl.problems import ProblemSpec, make_problem
 from divcurl.solver import SolverError, recover_cavity_constants, solve
 
+from invariants import lattice_order_defects
+
 
 def constant_problem(value, eps):
     value = np.asarray(value, dtype=float)
@@ -119,11 +121,19 @@ def test_equilibrated_matrix_is_exactly_symmetric(example):
     assert kept == len(fronts.entry_value)
 
 
-@pytest.mark.parametrize("example", [1, 4, 5])
-def test_lattice_permutation_orders_u_after_three_faces(example):
+@pytest.mark.parametrize(
+    "example, n",
+    [
+        *(pytest.param(e, 2, id=str(e)) for e in range(1, 8)),
+        pytest.param(1, 3, id="1-odd"),
+    ],
+)
+def test_lattice_permutation_orders_u_after_three_faces(example, n):
     spec = make_problem(example)
-    m = build_structured_tet_mesh(spec.domain, 2)
+    m = build_structured_tet_mesh(spec.domain, n)
     dm = assemble_global(spec, m).dofmap
+    defects = lattice_order_defects(m, dm)
+    assert not any(defects.values()), defects
     p, bounds, heights = solver._lattice_permutation(m, dm)
     assert np.array_equal(np.sort(p), np.arange(dm.num_free))
     assert bounds[0] == 0 and bounds[-1] == dm.num_free
@@ -146,6 +156,17 @@ def test_lattice_permutation_orders_u_after_three_faces(example):
     ).max(axis=-1)
     faces_before_u = (last_multiplier < u_pos.min(axis=1)[:, None]).sum(axis=1)
     assert faces_before_u.min() >= 3
+
+
+def test_lattice_groups_keep_a_set_without_a_plane_whole():
+    # x spans 1..11 in 1/12-lattice units and holds no plane; y is shorter
+    # and crosses the plane y = 12, which is not tried
+    keys = np.stack(
+        [np.arange(1, 12).repeat(2), np.resize([11, 12, 13], 22), np.full(22, 5)],
+        axis=1,
+    )
+    groups, heights = solver._lattice_groups(keys)
+    assert np.array_equal(groups, np.zeros(22)) and np.array_equal(heights, [0])
 
 
 def test_lattice_order_beats_colamd_fill():
