@@ -10,10 +10,10 @@ import argparse
 import dataclasses
 import os
 import sys
-from numbers import Integral, Real
+from numbers import Integral
 
 from . import analysis, assembly, mesh as meshmod, problems
-from .problems import _numeric
+from .mesh import _numeric
 
 __all__ = ["RunConfig", "ConfigError", "run_study", "main"]
 
@@ -38,8 +38,6 @@ class RunConfig:
     problem_spec: object = None  # filled by validate()
 
     def validate(self):
-        if not _numeric(self.example, Integral):
-            raise ConfigError(f"example must be an integer, got {self.example!r}")
         try:
             refs = tuple(self.refinements)
         except TypeError:
@@ -53,10 +51,6 @@ class RunConfig:
                     f"refinements must double at each level, got {refs}"
                 )
         self.refinements = refs
-        for name in ("gamma", "beta"):
-            value = getattr(self, name)
-            if not (value is None or _numeric(value, Real)):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
         if not (_numeric(self.quad_degree, Integral) and self.quad_degree >= 1):
             raise ConfigError("quad-degree must be an integer >= 1")
         if self.solver not in ("auto", "direct", "minres"):

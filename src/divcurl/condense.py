@@ -87,14 +87,14 @@ class Condensed:
 
     It reduces ``system`` itself (one call of ``GlobalSystem.reduced``)
     and frees ``A_ff`` once it holds ``A_G``, with the columns G first,
-    then L, and ``D``, the block A_LL.  ``A_ff`` is exactly symmetric, so
-    A_LG = A_GL^T and the two hold every entry of the true residual.
+    then L.  :func:`~divcurl.solver.solve` reads the true residual of
+    ``solution(z)`` from one product with the assembled matrix.
     """
 
     def __init__(self, system: GlobalSystem):
         dm = system.dofmap
-        A_ff, self.F_f = system.reduced()
-        n = len(self.F_f)
+        A_ff, F_f = system.reduced()
+        n = len(F_f)
         local = np.zeros(dm.total, dtype=bool)
         for name in LOCAL_BLOCKS:
             local[dm.block(name)] = True
@@ -107,14 +107,15 @@ class Condensed:
         order[L] = np.arange(nG, n)
         position = np.full(dm.total, -1)
         position[dm.free] = np.arange(n)
-        at, blocks = [], []  # the L positions of each tet's block, its entries
+        inverses = []  # D^-1 as triplets: each tet's block inverse, at its L
         for name in LOCAL_BLOCKS:
             free = position[dm.block(name)].reshape(dm.num_tets, -1)
             free = free[(free >= 0).all(axis=1)]  # drops the pinned lam0
             k = free.shape[1]
             block = A_ff[np.repeat(free, k, axis=1).ravel(), np.tile(free, k).ravel()]
-            blocks.append(np.asarray(block).reshape(-1, k, k))
-            at.append(order[free] - nG)
+            at = order[free] - nG
+            inverse = np.linalg.inv(np.asarray(block).reshape(-1, k, k))
+            inverses.append((at[:, :, None], at[:, None, :], inverse))
         # lam0 is local and every lamb is free, so lamb is the first block
         # of G; the slice costs a product two short dots and two short axpys
         lamb = slice(0, dm.num_faces)
@@ -125,16 +126,10 @@ class Condensed:
         del A_ff
         self.A_G.indices = order[self.A_G.indices]
 
-        def block_diagonal(values):
-            """The L x L matrix with the blocks ``values`` at ``at``."""
-            return _csr_from_triplets(
-                [(a[:, :, None], a[:, None, :], v) for a, v in zip(at, values)], nL
-            )
-
-        self.D = block_diagonal(blocks)
-        Dinv = block_diagonal([np.linalg.inv(block) for block in blocks])
+        Dinv = _csr_from_triplets(inverses, nL)
+        del inverses
         self.C = Dinv @ A_LG
-        self.g = Dinv @ self.F_f[L]
+        self.g = Dinv @ F_f[L]
         del Dinv
         # the column sums of A_LG * C over C's pattern, A_LG read there
         count = np.diff(self.C.indptr)
@@ -159,7 +154,7 @@ class Condensed:
         self.shift = abs(mu) ** -0.5 - 1.0
         self._x[:nG] = 0.0
         self._x[nG:] = self.g
-        self.b = self._project(s * self.F_f[G] - self.A_G @ self._x)
+        self.b = self._project(s * F_f[G] - self.A_G @ self._x)
 
     def _project(self, z):
         """P z, in place."""
@@ -178,25 +173,8 @@ class Condensed:
     def __matmul__(self, z):
         return self._project(self.A_G @ self._iterate(z))
 
-    def _state(self, z):
-        """[y; x_L] of the iterate ``z``, in the product's buffer."""
-        x = self._iterate(z)
-        x[len(z) :] += self.g
-        return x
-
     def solution(self, z):
         """The free DoFs of the iterate ``z``, in the order of ``A_ff``."""
-        nG, x = len(z), self._state(z)
+        nG, x = len(z), self._iterate(z)
+        x[nG:] += self.g
         return np.concatenate([self.scale * x[:nG], x[nG:]])[self.order]
-
-    def residual(self, z):
-        """True relative residual of the iterate ``z`` in the full system."""
-        nG, x = len(z), self._state(z)
-        # A_G acts on y, not on x_G = s y.  The rows G: A_G [y; x_L] / s.
-        # The rows L: A_LG x_G + D x_L, with A_LG x_G read from the scaled
-        # A_GL^T as (A_G^T y)[nG:]
-        Ax_G = self.A_G @ x
-        Ax_G /= self.scale
-        Ax_L = (self.A_G.T @ x[:nG])[nG:] + self.D @ x[nG:]
-        r = self.F_f - np.concatenate([Ax_G, Ax_L])[self.order]
-        return float(np.linalg.norm(r) / np.linalg.norm(self.F_f))

@@ -22,6 +22,7 @@ Conventions
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sparse
@@ -129,16 +130,23 @@ _EXAMPLE_DOMAINS = {
 }
 
 
+def _numeric(value, kind):
+    """``isinstance(value, kind)``, false for a bool: ``bool`` is an
+    ``Integral`` and a ``Real``, but not a numeric setting."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def build_domain(example_id: int) -> DomainSpec:
     """Return the computational domain of benchmark problem 1..7.
 
     The specs are frozen and shared: every call for one problem returns
-    the same object, and problems 1, 2 and 5, 7 share theirs.
+    the same object, and problems 1, 2 and 5, 7 share theirs.  An id that
+    is a bool or not an integer raises :class:`MeshError`, as one out of
+    range does.
     """
-    try:
-        return _EXAMPLE_DOMAINS[example_id]
-    except KeyError:
-        raise MeshError(f"unknown example id {example_id}, expected 1..7") from None
+    if not _numeric(example_id, Integral) or example_id not in _EXAMPLE_DOMAINS:
+        raise MeshError(f"unknown example id {example_id!r}, expected 1..7")
+    return _EXAMPLE_DOMAINS[example_id]
 
 
 @dataclass(frozen=True)

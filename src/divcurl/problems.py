@@ -34,7 +34,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .mesh import DomainSpec, build_domain
+from .mesh import DomainSpec, _numeric, build_domain
 
 __all__ = [
     "ProblemSpec",
@@ -310,12 +310,6 @@ def _toroid_curl_problem(example, name, gammas, centers, beta=0.0):
         singular_axes=tuple(centers),
         normal_trace_field=potential_part if beta else None,
     )
-
-
-def _numeric(value, kind):
-    """``isinstance(value, kind)``, false for a bool: ``bool`` is an
-    ``Integral`` and a ``Real``, but not a numeric setting."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 # the values each problem parameter may take, the default first

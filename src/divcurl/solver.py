@@ -157,9 +157,10 @@ class _Fronts(NamedTuple):
     nnz: int  # entries the factor stores without delayed pivots
 
 
-def _fronts(system: GlobalSystem, A_ff) -> _Fronts:
+def _fronts(system: GlobalSystem) -> _Fronts:
     """Symbolic phase of the multifrontal factor: one front per lattice group.
 
+    It reduces ``system`` itself, and drops ``A_ff`` once it has read it.
     It reads the scaled matrix ``diag(scale) A_ff diag(scale)``, with the
     max-norm ``scale`` of :func:`~divcurl.condense._ruiz_scale`, without
     forming it: each entry it keeps is ``(scale[i] * scale[j]) * a_ij``,
@@ -182,6 +183,7 @@ def _fronts(system: GlobalSystem, A_ff) -> _Fronts:
     float32); ``rows`` stays int64, because the factor's solves index with
     it, and numpy copies an int32 index to int64 on every use.
     """
+    A_ff = system.reduced()[0]
     scale = _ruiz_scale(A_ff, A_ff.diagonal())
     p, bounds, heights = _lattice_permutation(system.mesh, system.dofmap)
     n, num = len(p), len(bounds) - 1
@@ -191,6 +193,7 @@ def _fronts(system: GlobalSystem, A_ff) -> _Fronts:
     inv = np.empty(n, dtype=np.int32)
     inv[p] = np.arange(n, dtype=np.int32)
     B = A_ff[p]
+    del A_ff
     count = np.diff(B.indptr)
     row = inv[B.indices]
     # a front reads its pivot columns from its first pivot down
@@ -472,42 +475,42 @@ def solve(system: GlobalSystem, method: str = "auto") -> SolutionFields:
     "auto" picks direct up to ``DIRECT_DOF_LIMIT`` free unknowns and MINRES
     beyond.
 
-    Either way the true relative residual must reach the method's
-    ``ACCEPT``, or :class:`SolverError` is raised with the diagnostics; a
-    load that is not finite, or whose norm overflows, raises it before any
-    factor or iteration.  The diagnostics of either method hold
-    ``load_incompatibility``, the residual of the row that the lam0 pin
-    drops over the norm of the free load: up to the free rows' residual it
-    is F.v / ||F_f||, v the constant-lambda null vector of ``system.A``.
+    Both methods read the true residual from one product with the
+    assembled matrix, r = F - A x over the raw numbering; the true
+    relative residual is ||r_f|| / ||F_f|| over the free rows f, and it
+    must reach the method's ``ACCEPT``, or :class:`SolverError` is raised
+    with the diagnostics; a load that is not finite, or whose norm
+    overflows, raises it before any factor or iteration.  The diagnostics
+    of either method hold ``load_incompatibility``, r / ||F_f|| in the row
+    that the lam0 pin drops: up to the free rows' residual it is
+    F.v / ||F_f||, v the constant-lambda null vector of ``system.A``.
     A zero free load returns x = 0 without it.
     """
     if method not in ("auto", "direct", "minres"):
         raise ValueError(f"unknown solver method {method!r}")
-    n = system.dofmap.num_free
+    free, n = system.dofmap.free, system.dofmap.num_free
     if method == "auto":
         method = "direct" if n <= DIRECT_DOF_LIMIT else "minres"
 
     t0 = time.perf_counter()
     diagnostics = {"method": method, "num_free": n}
-    if method == "direct":
-        A_ff, F_f = system.reduced()
-    else:  # it reduces the system itself and keeps the only copy of A_ff
-        try:
-            condensed = Condensed(system)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"condensation failed: {exc}", diagnostics) from exc
-        F_f = condensed.F_f
     with np.errstate(over="ignore"):  # an overflowing norm is raised below
-        fnorm = np.linalg.norm(F_f)
+        fnorm = np.linalg.norm(system.F[free])
     if not np.isfinite(fnorm):  # so is a NaN or infinite entry
         raise SolverError("the load is not finite, or its norm overflows", diagnostics)
     if fnorm == 0.0:
         diagnostics.update(relative_residual=0.0, solve_seconds=0.0)
         return SolutionFields(system.expand(np.zeros(n)), system.dofmap, diagnostics)
 
+    def residual(x_free):
+        """r = F - A x, x being ``x_free`` on the free DoFs and zero on the
+        constrained ones, and the true relative residual ||r_f|| / ||F_f||."""
+        r = system.F - system.A @ system.expand(x_free)
+        return r, float(np.linalg.norm(r[free]) / fnorm)
+
     if method == "direct":
         try:
-            fronts = _fronts(system, A_ff)
+            fronts = _fronts(system)
         except (SolverError, np.linalg.LinAlgError) as exc:
             raise SolverError(
                 f"direct factorization failed: {exc}", diagnostics
@@ -525,16 +528,16 @@ def solve(system: GlobalSystem, method: str = "auto") -> SolutionFields:
             diagnostics.update(
                 delayed_fronts=lu.delayed, fill_nnz=lu.nnz, factor_dtype=dtype
             )
-            y, rel, r = np.zeros(n), 1.0, F_f
+            y, rel, r = np.zeros(n), 1.0, system.F
             # the first solve from y = 0, then up to REFINE_STEPS corrections
             for steps in range(REFINE_STEPS + 1):
                 # S r is the residual of the scaled system; normalising it
                 # before the cast keeps a tiny residual from underflowing
-                r_s = (scale * r)[order]
+                r_s = (scale * r[free])[order]
                 r_norm = np.linalg.norm(r_s)
                 y[order] += r_norm * lu.solve((r_s / r_norm).astype(dtype))
-                r = F_f - A_ff @ (scale * y)  # the true residual
-                prev, rel = rel, float(np.linalg.norm(r) / fnorm)
+                prev = rel
+                r, rel = residual(scale * y)
                 if rel <= REFINE_TARGET or not rel <= 0.5 * prev:
                     break
             diagnostics["refine_steps"] = steps
@@ -543,20 +546,20 @@ def solve(system: GlobalSystem, method: str = "auto") -> SolutionFields:
             del lu  # stalled or out of steps; free it before the refactor
         x = scale * y
     else:
+        try:
+            condensed = Condensed(system)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"condensation failed: {exc}", diagnostics) from exc
         y, iterations, history = _minres(
-            condensed, condensed.b, condensed.residual, MINRES_TARGET, MINRES_MAX_ITER
+            condensed, condensed.b, lambda z: residual(condensed.solution(z))[1],
+            MINRES_TARGET, MINRES_MAX_ITER,
         )
         x = condensed.solution(y)
-        rel = history[-1]
+        r, rel = residual(x)
         diagnostics.update(iterations=iterations, residual_history=history)
-    x = system.expand(x)
-    # the residual of the row that the lam0 pin drops
-    pinned, A = system.dofmap.pinned_lam0, system.A
-    row = slice(A.indptr[pinned], A.indptr[pinned + 1])
-    dropped = system.F[pinned] - A.data[row] @ x[A.indices[row]]
     diagnostics.update(
         relative_residual=rel,
-        load_incompatibility=float(dropped / fnorm),
+        load_incompatibility=float(r[system.dofmap.pinned_lam0] / fnorm),
         solve_seconds=time.perf_counter() - t0,
     )
     accept = ACCEPT[method]
@@ -564,7 +567,7 @@ def solve(system: GlobalSystem, method: str = "auto") -> SolutionFields:
         raise SolverError(
             f"{method} solve residual {rel:.3e} exceeds {accept:.1e}", diagnostics
         )
-    return SolutionFields(x, system.dofmap, diagnostics)
+    return SolutionFields(system.expand(x), system.dofmap, diagnostics)
 
 
 def recover_cavity_constants(

@@ -56,8 +56,11 @@ def test_mesh_arrays_match_recorded_digests(key):
 
 
 def test_unknown_example_rejected():
-    with pytest.raises(MeshError):
-        build_domain(8)
+    # a bool or a non-integer is no id, even where it equals one
+    for bad in (8, True, 1.0, 7.0, [1]):
+        with pytest.raises(MeshError):
+            build_domain(bad)
+    assert build_domain(np.int64(7)) is build_domain(7)
 
 
 def test_domain_families():

@@ -76,7 +76,7 @@ def scaled_matrix(system):
     """The symbolic phase of the direct solve, and the matrix it factors:
     entry (i, j) of ``A_ff`` times ``scale[i] * scale[j]``, in CSR form."""
     A_ff, _ = system.reduced()
-    fronts = solver._fronts(system, A_ff)
+    fronts = solver._fronts(system)
     s = fronts.scale
     A_s = A_ff.copy()
     A_s.data = (np.repeat(s, np.diff(A_ff.indptr)) * s[A_ff.indices]) * A_ff.data
@@ -92,7 +92,7 @@ def test_equilibrated_matrix_is_exactly_symmetric(example):
     system = assemble_global(spec, m)
     A_ff, _ = system.reduced()
     assert (A_ff != A_ff.T).nnz == 0  # so the rows of A_ff[p] are its columns
-    fronts = solver._fronts(system, A_ff)
+    fronts = solver._fronts(system)
     s, p, bounds = fronts.scale, fronts.order, fronts.bounds
     # the scale of the MINRES path: every row of s A_ff s has its largest
     # entry in [0.85, 1] (0.862 at the least)
@@ -189,8 +189,7 @@ def test_lattice_order_halves_fill():
 
 def predicted_nnz(system):
     """Entries the symbolic phase predicts for the factor."""
-    A_ff, _ = system.reduced()
-    return solver._fronts(system, A_ff).nnz
+    return solver._fronts(system).nnz
 
 
 @pytest.mark.parametrize("example", range(1, 8))
@@ -412,9 +411,8 @@ def test_pivots_delayed_to_the_root_are_solved_there(monkeypatch):
     spec = make_problem(1)
     m = build_structured_tet_mesh(spec.domain, 2)
     system = assemble_global(spec, m)
-    A_ff, _ = system.reduced()
     monkeypatch.setattr(solver, "PIVOT_GROWTH_LIMIT", 0.0)
-    fronts = solver._fronts(system, A_ff)
+    fronts = solver._fronts(system)
     lu = solver._FrontalFactor(fronts, "float32")
     assert lu.delayed == len(fronts.bounds) - 2  # every front but the root
     assert len(lu.blocks) == 1 and len(lu.blocks[0][0]) == len(fronts.order)
@@ -568,9 +566,9 @@ def test_condensed_product_is_the_schur_complement(example):
     assert np.array_equal(x[GL][:nG], s * y)
     r = F_f - A_ff @ x
     assert np.abs(r[GL][nG:]).max() <= 1e-12 * np.abs(F).max()  # local rows hold
-    assert S.residual(z) == pytest.approx(
-        np.linalg.norm(r) / np.linalg.norm(F_f), rel=1e-10
-    )
+    # the residual that solve reads, of the assembled matrix, holds r bitwise
+    raw = system.F - system.A @ system.expand(x)
+    assert np.array_equal(raw[dm.free], r)
 
 
 @pytest.mark.parametrize(("example", "n", "most"), [(1, 3, 660), (4, 2, 680)])
@@ -699,6 +697,19 @@ class CountedProducts:
         return self._residual(y)
 
 
+def true_residual(system, solution):
+    """The true relative residual that solve checks, of the free DoFs
+    ``solution(y)``: ||(F - A x)_f|| / ||F_f|| over the free rows f."""
+    free = system.dofmap.free
+    fnorm = np.linalg.norm(system.F[free])
+
+    def residual(y):
+        r = system.F - system.A @ system.expand(solution(y))
+        return float(np.linalg.norm(r[free]) / fnorm)
+
+    return residual
+
+
 @pytest.mark.parametrize("case", ["dense", "condensed"])
 def test_in_place_minres_matches_the_reference(case):
     if case == "dense":
@@ -708,7 +719,7 @@ def test_in_place_minres_matches_the_reference(case):
         spec = make_problem(1)
         system = assemble_global(spec, build_structured_tet_mesh(spec.domain, 3))
         A = Condensed(system)
-        b, residual = A.b, A.residual
+        b, residual = A.b, true_residual(system, A.solution)
     b_before = b.copy()
     runs = []
     for minres in (solver._minres, reference_minres):
@@ -758,6 +769,27 @@ def test_minres_exact_krylov_termination(b_kind):
     assert iterations <= (1 if b_kind == "eigenvector" else 4)
     assert history[-1] <= 1e-11
     assert np.allclose(y, b / d, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("method", ["direct", "minres"])
+@pytest.mark.parametrize("example", [1, 4, 7])
+def test_reported_residuals_are_those_of_the_assembled_matrix(example, method):
+    # both numbers are read off r = F - A x over the raw numbering, for the
+    # x that solve returns (before any cavity recovery)
+    spec = make_problem(example)
+    system = assemble_global(spec, build_structured_tet_mesh(spec.domain, 2))
+    sol = solve(system, method=method)
+    dm, d = system.dofmap, sol.diagnostics
+    r = system.F - system.A @ sol.x
+    fnorm = np.linalg.norm(system.F[dm.free])
+    assert d["relative_residual"] == pytest.approx(
+        np.linalg.norm(r[dm.free]) / fnorm, rel=1e-12, abs=0
+    )
+    assert d["load_incompatibility"] == pytest.approx(
+        r[dm.pinned_lam0] / fnorm, rel=1e-12, abs=0
+    )
+    if method == "minres":  # the last check of the iteration is that residual
+        assert d["relative_residual"] == d["residual_history"][-1]
 
 
 @pytest.mark.parametrize("example", range(1, 8))
