@@ -372,14 +372,15 @@ def build_structured_tet_mesh(domain: DomainSpec, n: int) -> Mesh:
     n : int
         Cells per unit length; must place all excluded-box corners on the
         lattice (the half-unit features of the toroidal and cavity domains
-        need an even n).
+        need an even n).  A bool or a non-integer raises
+        :class:`MeshError`, as ``n < 1`` does.
 
     Returns
     -------
     Mesh
     """
-    if n < 1:
-        raise MeshError(f"n must be >= 1, got {n}")
+    if not _numeric(n, Integral) or n < 1:
+        raise MeshError(f"n must be an integer >= 1, got {n!r}")
     counts = _lattice_index(domain.hi, domain, n)
     if counts is None or np.any(counts < 1):
         extents = np.asarray(domain.hi) - np.asarray(domain.lo)

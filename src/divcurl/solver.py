@@ -141,8 +141,9 @@ def _lattice_permutation(mesh, dofmap):
 class _Fronts(NamedTuple):
     """Symbolic multifrontal structure; front ``f``'s parts of the flat
     arrays are at ``row_start[f]:row_start[f+1]`` (update rows) and
-    ``entry_start[f]:entry_start[f+1]`` (pivot-column entries).  Positions
-    are permuted: position ``k`` is the free DoF ``order[k]``."""
+    ``entry_start[f]:entry_start[f+1]`` (pivot-column entries).  Rows
+    are permuted: row ``k`` is the free DoF ``order[k]``.  The numeric
+    phase places each row by searching the front's sorted row list."""
 
     scale: np.ndarray  # Ruiz scale of each free DoF
     order: np.ndarray  # the lattice permutation
@@ -150,8 +151,8 @@ class _Fronts(NamedTuple):
     parent: np.ndarray  # -1 for a root
     rows: np.ndarray  # update rows, ascending within each front
     row_start: np.ndarray
-    loc: np.ndarray  # position of each update row in its parent's front
-    entry: np.ndarray  # flat position of each pivot-column entry in its front
+    entry_row: np.ndarray  # permuted row of each pivot-column entry
+    entry_col: np.ndarray  # its column among its front's own pivots
     entry_value: np.ndarray  # float64; a front casts them to its dtype
     entry_start: np.ndarray
     nnz: int  # entries the factor stores without delayed pivots
@@ -176,12 +177,14 @@ def _fronts(system: GlobalSystem) -> _Fronts:
     planes separate exactly, so a parent is a separator above its child in
     the nested dissection; the fronts are resolved one height at a time
     with whole-array operations.  ``A_ff`` is exactly symmetric, so the
-    rows of ``A_ff[p]`` are the columns of the permuted matrix.  The entry
-    values stay float64, so that one symbolic phase serves a factor of
-    either precision.  ``loc`` and ``entry`` are int32 (a flat position
-    overflows it only in a front of order 46341, 8.6 GB dense even in
-    float32); ``rows`` stays int64, because the factor's solves index with
-    it, and numpy copies an int32 index to int64 on every use.
+    rows of ``A_ff[p]`` are the columns of the permuted matrix.  Each
+    entry keeps its permuted row and its column among its front's pivots;
+    where that row lands in the dense front is left to the numeric phase,
+    which searches the front's sorted row list.  The entry values stay
+    float64, so that one symbolic phase serves a factor of either
+    precision.  ``entry_row`` and ``entry_col`` are int32; ``rows`` stays
+    int64, because the factor's solves index with it, and numpy copies an
+    int32 index to int64 on every use.
     """
     A_ff = system.reduced()[0]
     scale = _ruiz_scale(A_ff, A_ff.diagonal())
@@ -232,17 +235,6 @@ def _fronts(system: GlobalSystem) -> _Fronts:
     keys = np.sort(np.concatenate(found))
     row_front, rows = np.divmod(keys, n)
     row_start = np.searchsorted(row_front, np.arange(num + 1))
-
-    def position(fr, r):
-        """Position of permuted row ``r`` in front ``fr``: pivots, then update rows."""
-        pos = r - bounds[fr]
-        beyond = pos >= size[fr]
-        fb = fr[beyond].astype(np.int64)
-        at = np.searchsorted(keys, fb * n + r[beyond])
-        pos[beyond] = size[fb] + at - row_start[fb]
-        return pos
-
-    width = size + np.diff(row_start)  # of each front's dense matrix
     return _Fronts(
         scale,
         p,
@@ -250,11 +242,11 @@ def _fronts(system: GlobalSystem) -> _Fronts:
         parent,
         rows,
         row_start,
-        position(parent[row_front], rows).astype(np.int32),
-        (position(f, row) * width[f] + col).astype(np.int32),
+        row,
+        col,
         value,
         np.searchsorted(f, np.arange(num + 1)),
-        int(np.sum(size * width)),
+        int(np.sum(size * (size + np.diff(row_start)))),
     )
 
 
@@ -274,7 +266,9 @@ class _FrontalFactor:
 
     Each front is assembled dense in ``dtype`` from its pivot columns and
     the Schur complements of its children (extend-add), and its pivot
-    block ``P`` is inverted.  It stores ``P^-1`` and ``L21 = F21 P^-1``
+    block ``P`` is inverted.  Every row lands where one search puts it in
+    the front's sorted row list: its pivots, delayed ones included, then
+    its update rows.  It stores ``P^-1`` and ``L21 = F21 P^-1``
     (``F12 = F21^T``, so there is no ``U`` and no per-entry index) and
     passes ``F22 - L21 F21^T`` to its parent.  Fronts whose pivot blocks are
     bitwise equal share one ``P^-1``.  A front whose ``P^-1`` fails the
@@ -287,13 +281,13 @@ class _FrontalFactor:
     """
 
     def __init__(self, fronts, dtype):
-        _, _, bounds, parent, rows, row_start, loc, entry, value, entry_start, _ = (
+        _, _, bounds, parent, rows, row_start, entry_row, entry_col, value, start, _ = (
             fronts
         )
         self.blocks, self.nnz, self.delayed = [], 0, 0
-        # front -> [(row positions, matrix, delayed pivots)]: a child's
-        # Schur complement with its rows' positions in the parent, or a
-        # delayed front with its rows' permuted positions
+        # front -> [(rows, matrix, delayed pivots)]: a child's Schur
+        # complement on its update rows, or a delayed front on its pivots
+        # and then its update rows
         waiting = {}
         # congruent fronts of the lattice assemble bitwise-equal pivot
         # blocks (724 of 903 on problem 4 at 1/h = 4), which share one
@@ -303,25 +297,21 @@ class _FrontalFactor:
             s, e = bounds[f], bounds[f + 1]
             up = rows[row_start[f] : row_start[f + 1]]
             children = waiting.pop(f, [])
-            # pivots delayed by children, all earlier, are eliminated first
-            held = [where[:k] for where, _, k in children if k]
-            d = sum(map(len, held))
-            k, m = d + e - s, d + e - s + len(up)
-            at = entry[entry_start[f] : entry_start[f + 1]]
-            if held:
-                pivots = np.concatenate(held + [np.arange(s, e)])
-                pivots.sort()
-                index = np.concatenate([pivots, up])
-                r, c = np.divmod(at.astype(np.int64), m - d)
-                at = (r + d) * m + c + d
-            else:
-                pivots = slice(s, e)
+            # pivots delayed by children, all earlier, are eliminated first;
+            # every row of the front is placed by a search in ``index``
+            held = [where[:k] for where, _, k in children]
+            pivots = np.sort(np.concatenate(held + [np.arange(s, e)]))
+            index = np.concatenate([pivots, up])
+            k, m = len(pivots), len(index)
+            own = slice(start[f], start[f + 1])  # its pivot-column entries
+            at = np.searchsorted(index, entry_row[own])
             F = np.zeros((m, m), dtype=dtype)
-            # the assignment rounds the float64 values as astype would
-            F.reshape(-1)[at] = value[entry_start[f] : entry_start[f + 1]]
-            for where, S, delayed in children:
-                at = np.searchsorted(index, where) if delayed else where + d
-                flat = at.astype(np.int64)[:, None] * m + at  # m * m may pass int32
+            # its own pivots follow the held ones; the assignment rounds the
+            # float64 values as astype would
+            F[at, k - (e - s) + entry_col[own]] = value[own]
+            for where, S, _ in children:
+                at = np.searchsorted(index, where)
+                flat = at[:, None] * m + at
                 np.add.at(F.reshape(-1), flat.ravel(), S.ravel())
             P, F21 = F[:k, :k], F[k:, :k]
             key = P.tobytes()
@@ -337,8 +327,6 @@ class _FrontalFactor:
                     raise SolverError(f"the pivot block of root front {f} is singular")
             elif not np.abs(Pinv).max() <= PIVOT_GROWTH_LIMIT:  # NaN fails too
                 F[:k, k:] = F21.T
-                if not held:
-                    index = np.concatenate([np.arange(s, e), up])
                 waiting.setdefault(parent[f], []).append((index, F, k))
                 self.delayed += 1
                 continue
@@ -346,9 +334,10 @@ class _FrontalFactor:
             S = L21 @ F21.T
             np.subtract(F[k:, k:], S, out=S)
             if len(up):
-                where = loc[row_start[f] : row_start[f + 1]]
-                waiting.setdefault(parent[f], []).append((where, S, 0))
-            self.blocks.append((pivots, up, Pinv, L21))
+                waiting.setdefault(parent[f], []).append((up, S, 0))
+            # a front that holds no delayed pivot keeps its own as a slice,
+            # which stores nothing and indexes without a copy
+            self.blocks.append((pivots if k > e - s else slice(s, e), up, Pinv, L21))
             self.nnz += Pinv.size + L21.size
 
     def solve(self, b):

@@ -10,7 +10,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from divcurl.assembly import build_dof_map
+from divcurl.assembly import assemble_global
 from divcurl.mesh import (
     DomainSpec,
     Mesh,
@@ -20,11 +20,13 @@ from divcurl.mesh import (
     tet_geometry,
     write_vtk,
 )
+from divcurl.problems import make_problem
 
 from invariants import (
     kernel_identity_defect,
     lattice_order_defects,
     patch_test_defects,
+    stray_update_rows,
     system_defects,
 )
 
@@ -139,8 +141,11 @@ def test_pinched_boundary_rejected():
 
 def test_empty_input_rejected():
     cube = build_domain(1)
-    with pytest.raises(MeshError, match="n must be >= 1"):
-        build_structured_tet_mesh(cube, 0)
+    # a bool or a non-integer is no resolution, as 0 is none
+    for n in (0, True, 2.0, "2", None):
+        with pytest.raises(MeshError, match="n must be an integer >= 1"):
+            build_structured_tet_mesh(cube, n)
+    assert build_structured_tet_mesh(cube, np.int64(2)).num_tets == 48
     covered = DomainSpec("custom", cube.lo, cube.hi, ((cube.lo, cube.hi),))
     with pytest.raises(MeshError, match="no cells"):
         build_structured_tet_mesh(covered, 2)
@@ -253,11 +258,14 @@ def test_system_invariants_on_random_box_unions(boxes):
         reject()
     assert asymmetry == 0.0
     assert min_energy >= -1e-12
-    assert max(patch_test_defects(domain)) <= 1e-10
-    # the facts the direct solve's lattice order rests on
+    # the facts the direct solve's lattice order and its fronts rest on,
+    # checked before the patch test solves
     m = build_structured_tet_mesh(domain, 2)
-    defects = lattice_order_defects(m, build_dof_map(m))
+    system = assemble_global(make_problem(1), m)
+    defects = lattice_order_defects(m, system.dofmap)
     assert not any(defects.values()), defects
+    assert stray_update_rows(system) == 0
+    assert max(patch_test_defects(domain)) <= 1e-10
 
 
 def test_alignment_precondition():

@@ -16,7 +16,7 @@ from divcurl.mesh import build_domain, build_structured_tet_mesh
 from divcurl.problems import ProblemSpec, make_problem
 from divcurl.solver import SolverError, recover_cavity_constants, solve
 
-from invariants import lattice_order_defects
+from invariants import lattice_order_defects, stray_update_rows
 
 
 def constant_problem(value, eps):
@@ -103,21 +103,18 @@ def test_equilibrated_matrix_is_exactly_symmetric(example):
     assert largest.max() <= 1 + 1e-15  # a few rounding errors above 1
     kept = 0
     for f, (start, end) in enumerate(zip(bounds[:-1], bounds[1:])):
-        up = fronts.rows[fronts.row_start[f] : fronts.row_start[f + 1]]
-        index = np.concatenate([np.arange(start, end), up])
-        width = len(index)
         entries = slice(fronts.entry_start[f], fronts.entry_start[f + 1])
-        at, value = fronts.entry[entries], fronts.entry_value[entries]
-        r, c = np.divmod(at.astype(np.int64), width)
-        i, j = p[index[r]], p[index[c]]
+        row, col = fronts.entry_row[entries], fronts.entry_col[entries]
+        value = fronts.entry_value[entries]
+        i, j = p[row], p[start + col]
         assert np.array_equal(value, (s[i] * s[j]) * A[i, j])  # bitwise
         below = A[np.ix_(p[start:], p[start:end])] != 0
-        assert len(at) == np.count_nonzero(below)
-        F = np.zeros((width, width))
-        F.reshape(-1)[at] = value
-        P = F[: end - start, : end - start]
+        assert len(value) == np.count_nonzero(below)
+        P = np.zeros((end - start, end - start))
+        pivot = row < end
+        P[row[pivot] - start, col[pivot]] = value[pivot]
         assert np.array_equal(P, P.T)  # mirrored pivot-block entries
-        kept += len(at)
+        kept += len(value)
     assert kept == len(fronts.entry_value)
 
 
@@ -131,9 +128,12 @@ def test_equilibrated_matrix_is_exactly_symmetric(example):
 def test_lattice_permutation_orders_u_after_three_faces(example, n):
     spec = make_problem(example)
     m = build_structured_tet_mesh(spec.domain, n)
-    dm = assemble_global(spec, m).dofmap
+    system = assemble_global(spec, m)
+    dm = system.dofmap
     defects = lattice_order_defects(m, dm)
     assert not any(defects.values()), defects
+    # the numeric phase finds each child's rows among its parent's
+    assert stray_update_rows(system) == 0
     p, bounds, heights = solver._lattice_permutation(m, dm)
     assert np.array_equal(np.sort(p), np.arange(dm.num_free))
     assert bounds[0] == 0 and bounds[-1] == dm.num_free
