@@ -59,8 +59,8 @@ class SolutionFields:
 _LEAF_SIZE = 16  # entities per leaf group; 8 to 24 give the same fill, 32 more
 
 
-def _lattice_groups(keys: np.ndarray):
-    """Nested-dissection group ordinal of each entity, and each group's height.
+def _lattice_groups(keys: np.ndarray) -> np.ndarray:
+    """Nested-dissection group ordinal of each entity.
 
     ``keys`` (N, 3) are exact integer centroids in 1/12-lattice units, so
     the entities on the lattice plane ``x_a = c`` are those with key
@@ -70,16 +70,14 @@ def _lattice_groups(keys: np.ndarray):
     is split at the plane nearest the middle of its longest axis, or kept
     whole if that axis holds none, as no set of over ``_LEAF_SIZE``
     entities of a lattice mesh does; groups are numbered left, right, then
-    separator, down to leaves of ``_LEAF_SIZE`` entities.  A leaf has
-    height 0 and a separator one more than the highest group on either
-    side, so every group is higher than all the groups it separates.
+    separator, down to leaves of ``_LEAF_SIZE`` entities.
     """
     groups = np.empty(len(keys), dtype=np.int64)
-    heights = []
+    num = 0
 
     def split(idx):
-        """Number the groups of ``idx``; the height of its top one, -1 if none."""
-        below = -1
+        """Number the groups of ``idx``, its separator last."""
+        nonlocal num
         if len(idx) > _LEAF_SIZE:
             k = keys[idx]
             lo, hi = k.min(axis=0), k.max(axis=0)
@@ -91,17 +89,15 @@ def _lattice_groups(keys: np.ndarray):
                 mid = (lo[axis] + hi[axis] + 12) // 24 * 12
                 plane = min(max(mid, first), last)
                 side = k[:, axis]
-                left = split(idx[side < plane])
-                below = max(left, split(idx[side > plane]))
+                split(idx[side < plane])
+                split(idx[side > plane])
                 idx = idx[side == plane]
-        if not len(idx):
-            return below
-        groups[idx] = len(heights)
-        heights.append(below + 1)
-        return below + 1
+        if len(idx):
+            groups[idx] = num
+            num += 1
 
     split(np.arange(len(keys)))
-    return groups, np.array(heights, dtype=np.int64)
+    return groups
 
 
 def _lattice_permutation(mesh, dofmap):
@@ -118,44 +114,43 @@ def _lattice_permutation(mesh, dofmap):
     tet touching a plane into that plane's separator and double the fill.
     Three faces are likely enough because three face normals of a tet span
     R^3; a two-face rule, measured, fills more and pivots off the diagonal.
-    Returns ``p`` with ``A_ff[p][:, p]`` the reordered matrix, the
+    Returns ``p`` with ``A_ff[p][:, p]`` the reordered matrix and the
     ``bounds`` of the groups that hold free DoFs (group ``f`` is
-    ``p[bounds[f]:bounds[f + 1]]``) and their heights.
+    ``p[bounds[f]:bounds[f + 1]]``).
     """
     ijk = mesh.vertex_ijk
     keys = np.concatenate(
         [3 * ijk[mesh.tets].sum(axis=1), 4 * ijk[mesh.faces].sum(axis=1)]
     )
-    groups, heights = _lattice_groups(keys)
+    groups = _lattice_groups(keys)
     tet_group, face_group = groups[: mesh.num_tets], groups[mesh.num_tets :]
     dof_group = dofmap.per_dof(tet_group, face_group)
     third_face = np.sort(face_group[mesh.tet_faces], axis=1)[:, 2]
     dof_group[dofmap.block("u")] = np.repeat(third_face, 3)
     group = dof_group[dofmap.free]
     p = np.argsort(group, kind="stable")
-    group = group[p]
-    first = np.flatnonzero(np.diff(group, prepend=-1))
-    return p, np.append(first, len(p)), heights[group[first]]
+    first = np.flatnonzero(np.diff(group[p], prepend=-1))
+    return p, np.append(first, len(p))
 
 
 class _Fronts(NamedTuple):
     """Symbolic multifrontal structure; front ``f``'s parts of the flat
-    arrays are at ``row_start[f]:row_start[f+1]`` (update rows) and
-    ``entry_start[f]:entry_start[f+1]`` (pivot-column entries).  Rows
-    are permuted: row ``k`` is the free DoF ``order[k]``.  The numeric
-    phase places each row by searching the front's sorted row list."""
+    arrays are at ``row_start[f]:row_start[f+1]`` (the rows of its own
+    entries below its pivots) and ``entry_start[f]:entry_start[f+1]``
+    (pivot-column entries).  Rows are permuted: row ``k`` is the free DoF
+    ``order[k]``.  The numeric phase adds the rows that a front's
+    children pass up, and places each row by searching the front's
+    sorted row list."""
 
     scale: np.ndarray  # Ruiz scale of each free DoF
     order: np.ndarray  # the lattice permutation
     bounds: np.ndarray  # front f's pivots are bounds[f]:bounds[f+1]
-    parent: np.ndarray  # -1 for a root
-    rows: np.ndarray  # update rows, ascending within each front
+    rows: np.ndarray  # ascending and once each within a front
     row_start: np.ndarray
     entry_row: np.ndarray  # permuted row of each pivot-column entry
     entry_col: np.ndarray  # its column among its front's own pivots
     entry_value: np.ndarray  # float64; a front casts them to its dtype
     entry_start: np.ndarray
-    nnz: int  # entries the factor stores without delayed pivots
 
 
 def _fronts(system: GlobalSystem) -> _Fronts:
@@ -169,29 +164,21 @@ def _fronts(system: GlobalSystem) -> _Fronts:
     as ``A_ff``; a row of ``A_ff`` with no nonzero entry raises
     ``LinAlgError``.  Front ``f`` eliminates the permuted positions
     ``bounds[f]:bounds[f+1]`` (its pivots) in the order of
-    :func:`_lattice_permutation`.  Its update rows are the later positions
-    that its pivot columns reach in the filled matrix: the rows of its own
-    off-front entries, and those update rows of its children that lie
-    beyond its pivots.  Its parent is the
-    front of its first update row (Liu, SIAM Review 34, 1992).  Lattice
-    planes separate exactly, so a parent is a separator above its child in
-    the nested dissection; the fronts are resolved one height at a time
-    with whole-array operations.  ``A_ff`` is exactly symmetric, so the
+    :func:`_lattice_permutation`.  ``A_ff`` is exactly symmetric, so the
     rows of ``A_ff[p]`` are the columns of the permuted matrix.  Each
     entry keeps its permuted row and its column among its front's pivots;
-    where that row lands in the dense front is left to the numeric phase,
-    which searches the front's sorted row list.  The entry values stay
-    float64, so that one symbolic phase serves a factor of either
-    precision.  ``entry_row`` and ``entry_col`` are int32; ``rows`` stays
-    int64, because the factor's solves index with it, and numpy copies an
-    int32 index to int64 on every use.
+    ``rows`` holds, per front, the rows of its entries below its pivots,
+    sorted and once each; the numeric phase joins them with the rows that
+    each front's children pass up, and reads the front's parent from the
+    result.  The entry values stay float64, so that one symbolic phase
+    serves a factor of either precision.  ``entry_row`` and ``entry_col``
+    are int32.
     """
     A_ff = system.reduced()[0]
     scale = _ruiz_scale(A_ff, A_ff.diagonal())
-    p, bounds, heights = _lattice_permutation(system.mesh, system.dofmap)
+    p, bounds = _lattice_permutation(system.mesh, system.dofmap)
     n, num = len(p), len(bounds) - 1
-    size = np.diff(bounds)
-    front = np.repeat(np.arange(num), size)  # of each permuted position
+    front = np.repeat(np.arange(num), np.diff(bounds))  # of each permuted position
     # int32 positions halve the memory traffic of the passes over entries
     inv = np.empty(n, dtype=np.int32)
     inv[p] = np.arange(n, dtype=np.int32)
@@ -207,46 +194,19 @@ def _fronts(system: GlobalSystem) -> _Fronts:
     value = np.repeat(scale[p], count)[keep] * scale[B.indices[keep]] * B.data[keep]
     row = row[keep]
     off = row >= bounds[1:][f]
-
-    # (front, update row) pairs are keys front * n + row, queued by height
-    pending = [[] for _ in range(heights.max() + 1)]
-
-    def push(keys):
-        at = heights[keys // n]
-        for h in np.unique(at):
-            pending[h].append(keys[at == h])
-
-    push(f[off].astype(np.int64) * n + row[off])
-    parent = np.full(num, -1)
-    found = []
-    for h, queued in enumerate(pending):
-        keys = np.sort(np.concatenate(queued)) if queued else np.zeros(0, np.int64)
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        found.append(keys)
-        kf, kr = np.divmod(keys, n)
-        first = np.flatnonzero(np.diff(kf, prepend=-1))
-        parents = front[kr[first]]
-        if np.any(heights[parents] <= h):
-            raise SolverError("a front's parent is not above it in the dissection")
-        parent[kf[first]] = parents
-        kp = np.repeat(parents, np.diff(np.append(first, len(keys))))
-        up = kr >= bounds[kp + 1]
-        push(kp[up] * n + kr[up])
-    keys = np.sort(np.concatenate(found))
-    row_front, rows = np.divmod(keys, n)
-    row_start = np.searchsorted(row_front, np.arange(num + 1))
+    # (front, row) pairs as keys front * n + row, sorted and once each
+    keys = np.sort(f[off].astype(np.int64) * n + row[off])
+    row_front, rows = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
     return _Fronts(
         scale,
         p,
         bounds,
-        parent,
         rows,
-        row_start,
+        np.searchsorted(row_front, np.arange(num + 1)),
         row,
         col,
         value,
         np.searchsorted(f, np.arange(num + 1)),
-        int(np.sum(size * (size + np.diff(row_start)))),
     )
 
 
@@ -264,26 +224,30 @@ class _FrontalFactor:
     """Multifrontal ``dtype`` block LDL^T on the lattice ``fronts`` of
     :func:`_fronts`, in their permuted positions.
 
-    Each front is assembled dense in ``dtype`` from its pivot columns and
-    the Schur complements of its children (extend-add), and its pivot
-    block ``P`` is inverted.  Every row lands where one search puts it in
-    the front's sorted row list: its pivots, delayed ones included, then
-    its update rows.  It stores ``P^-1`` and ``L21 = F21 P^-1``
-    (``F12 = F21^T``, so there is no ``U`` and no per-entry index) and
-    passes ``F22 - L21 F21^T`` to its parent.  Fronts whose pivot blocks are
-    bitwise equal share one ``P^-1``.  A front whose ``P^-1`` fails the
-    growth test passes its whole front instead, and the parent eliminates
-    those variables first (Duff & Reid, ACM TOMS 9, 1983); a root front
-    has no parent and keeps any finite ``P^-1``.  The dense work stays in
+    Each front's sorted row list is its pivots and the rows of its own
+    entries below them, joined with the row lists its children pass up:
+    the pivots that delayed children hold, all earlier, come first, and
+    the rows past its own pivots are its update rows.  So the list is the
+    front's column of the filled matrix, and its parent is the front of
+    its first update row (Liu, SIAM Review 34, 1992).  Each front is
+    assembled dense in ``dtype`` from its pivot columns and the Schur
+    complements of its children (extend-add), every row landing where one
+    search in that list puts it, and its pivot block ``P`` is inverted.
+    It stores ``P^-1`` and ``L21 = F21 P^-1`` (``F12 = F21^T``, so there
+    is no ``U`` and no per-entry index) and passes ``F22 - L21 F21^T`` to
+    its parent.  Fronts whose pivot blocks are bitwise equal share one
+    ``P^-1``.  A front whose ``P^-1`` fails the growth test passes its
+    whole front instead, and the parent eliminates those variables first
+    (Duff & Reid, ACM TOMS 9, 1983); a root front has no update row and
+    no parent, and keeps any finite ``P^-1``.  The dense work stays in
     numpy, whose BLAS the refinement loop also uses: alternating two BLAS
-    libraries stalls both thread pools.  ``nnz`` counts the stored entries
-    and ``delayed`` the delayed fronts.
+    libraries stalls both thread pools.  ``nnz`` counts the entries of
+    every front's ``P^-1`` and ``L21``, a shared ``P^-1`` once for each
+    front that uses it, and ``delayed`` the delayed fronts.
     """
 
     def __init__(self, fronts, dtype):
-        _, _, bounds, parent, rows, row_start, entry_row, entry_col, value, start, _ = (
-            fronts
-        )
+        _, _, bounds, rows, row_start, entry_row, entry_col, value, start = fronts
         self.blocks, self.nnz, self.delayed = [], 0, 0
         # front -> [(rows, matrix, delayed pivots)]: a child's Schur
         # complement on its update rows, or a delayed front on its pivots
@@ -295,14 +259,16 @@ class _FrontalFactor:
         inverses = {}
         for f in range(len(bounds) - 1):
             s, e = bounds[f], bounds[f + 1]
-            up = rows[row_start[f] : row_start[f + 1]]
+            # its pivots, then the rows of its own entries below them; a
+            # front with children joins their row lists and sorts
+            index = np.append(np.arange(s, e), rows[row_start[f] : row_start[f + 1]])
+            k = e - s
             children = waiting.pop(f, [])
-            # pivots delayed by children, all earlier, are eliminated first;
-            # every row of the front is placed by a search in ``index``
-            held = [where[:k] for where, _, k in children]
-            pivots = np.sort(np.concatenate(held + [np.arange(s, e)]))
-            index = np.concatenate([pivots, up])
-            k, m = len(pivots), len(index)
+            if children:
+                index = np.sort(np.concatenate([index] + [w for w, _, _ in children]))
+                index = index[np.append(True, index[1:] != index[:-1])]
+                k += sum(held for _, _, held in children)
+            pivots, up, m = index[:k], index[k:], len(index)
             own = slice(start[f], start[f + 1])  # its pivot-column entries
             at = np.searchsorted(index, entry_row[own])
             F = np.zeros((m, m), dtype=dtype)
@@ -322,19 +288,21 @@ class _FrontalFactor:
                 except np.linalg.LinAlgError:
                     Pinv = P * np.nan
                 inverses[key] = Pinv
-            if parent[f] < 0:
+            # the front of its first update row; a root front has none
+            parent = bounds.searchsorted(up[0], "right") - 1 if m > k else -1
+            if parent < 0:
                 if not np.isfinite(Pinv).all():
                     raise SolverError(f"the pivot block of root front {f} is singular")
             elif not np.abs(Pinv).max() <= PIVOT_GROWTH_LIMIT:  # NaN fails too
                 F[:k, k:] = F21.T
-                waiting.setdefault(parent[f], []).append((index, F, k))
+                waiting.setdefault(parent, []).append((index, F, k))
                 self.delayed += 1
                 continue
             L21 = F21 @ Pinv
             S = L21 @ F21.T
             np.subtract(F[k:, k:], S, out=S)
-            if len(up):
-                waiting.setdefault(parent[f], []).append((up, S, 0))
+            if parent >= 0:
+                waiting.setdefault(parent, []).append((up, S, 0))
             # a front that holds no delayed pivot keeps its own as a slice,
             # which stores nothing and indexes without a copy
             self.blocks.append((pivots if k > e - s else slice(s, e), up, Pinv, L21))

@@ -25,7 +25,6 @@ __all__ = [
     "patch_test_defects",
     "system_defects",
     "lattice_order_defects",
-    "stray_update_rows",
     "load_oracle_defect",
 ]
 
@@ -136,14 +135,14 @@ def lattice_order_defects(mesh: Mesh, dofmap) -> dict:
     keys = np.concatenate(
         [3 * ijk[mesh.tets].sum(axis=1), 4 * ijk[mesh.faces].sum(axis=1)]
     )
-    groups, _ = solver._lattice_groups(keys)
+    groups = solver._lattice_groups(keys)
     tet_group, face_group = groups[: mesh.num_tets], groups[mesh.num_tets :]
     tet_face_group = face_group[mesh.tet_faces]
     third = np.take_along_axis(
         mesh.tet_faces, np.argsort(tet_face_group, axis=1, kind="stable"), axis=1
     )[:, 2]
 
-    p, bounds, _ = solver._lattice_permutation(mesh, dofmap)
+    p, bounds = solver._lattice_permutation(mesh, dofmap)
     front = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))  # by position
     front_of = np.full(dofmap.total, -1)  # by raw DoF; -1 if constrained
     front_of[dofmap.free[p]] = front
@@ -162,23 +161,6 @@ def lattice_order_defects(mesh: Mesh, dofmap) -> dict:
         "wide_off_plane": int(wide_off_plane),
         "raw_order_broken": int(((np.diff(raw) < 0) & (np.diff(front) == 0)).sum()),
     }
-
-
-def stray_update_rows(system) -> int:
-    """Count of the update rows of each front of the direct solve that are
-    neither a pivot nor an update row of its parent front; 0 when the
-    symbolic phase is sound.  The numeric phase places a child's rows in
-    its parent by ``np.searchsorted`` in the parent's sorted row list,
-    which never fails: a row missing from that list lands silently in
-    the wrong place."""
-    fronts = solver._fronts(system)
-    bounds, rows, row_start = fronts.bounds, fronts.rows, fronts.row_start
-    n = len(fronts.order)
-    front = np.repeat(np.arange(len(bounds) - 1), np.diff(row_start))
-    parent = fronts.parent[front]
-    pivot = (parent >= 0) & (bounds[parent] <= rows) & (rows < bounds[parent + 1])
-    update = np.isin(parent * n + rows, front * n + rows)
-    return int(np.count_nonzero(~(pivot | update)))
 
 
 def load_oracle_defect(rng: np.random.Generator, count: int = 100) -> float:
