@@ -49,7 +49,6 @@ from .problems import (
     cyl_coords,
     finite_difference_check,
     make_problem,
-    sample_interior_points,
 )
 from .solver import SolutionFields, SolverError, recover_cavity_constants, solve
 from .weak_ops import project_field, weak_curl, weak_gradient

@@ -88,17 +88,6 @@ class DomainSpec:
     hi: tuple
     excluded: tuple = ()
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized open-domain membership test for (N, 3) points."""
-        pts = np.atleast_2d(points)
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        inside = np.all((pts > lo) & (pts < hi), axis=1)
-        for blo, bhi in self.excluded:
-            in_box = np.all((pts >= np.asarray(blo)) & (pts <= np.asarray(bhi)), axis=1)
-            inside &= ~in_box
-        return inside
-
 
 _UNIT_CUBE = DomainSpec("unit_cube", (0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 # square annulus extruded in z; the hole runs through the full height

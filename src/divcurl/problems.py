@@ -41,7 +41,6 @@ __all__ = [
     "ProblemError",
     "make_problem",
     "cyl_coords",
-    "sample_interior_points",
     "finite_difference_check",
 ]
 
@@ -370,43 +369,6 @@ def make_problem(example_id: int, **params) -> ProblemSpec:
 
 
 # -- verification helpers ---------------------------------------------
-
-
-def sample_interior_points(
-    problem: ProblemSpec,
-    count: int,
-    rng: np.random.Generator,
-    min_sing_dist: float = 0.1,
-    margin: float = 0.02,
-) -> np.ndarray:
-    """Random points in the open domain, at least ``min_sing_dist`` from
-    every singular axis/point and ``margin`` from the boundary.
-
-    The boundary margin keeps finite-difference stencils away from the
-    branch cut of problem 3, which lies on the domain boundary.
-    """
-    dom = problem.domain
-    lo = np.asarray(dom.lo)
-    hi = np.asarray(dom.hi)
-    out = np.empty((0, 3))
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 200:
-            raise RuntimeError("interior point sampling failed to converge")
-        pts = rng.uniform(lo, hi, size=(4 * count, 3))
-        keep = dom.contains(pts)
-        for axis in range(3):
-            for sgn in (-1.0, 1.0):
-                shifted = pts.copy()
-                shifted[:, axis] += sgn * margin
-                keep &= dom.contains(shifted)
-        for x0, y0 in problem.singular_axes:
-            keep &= np.hypot(pts[:, 0] - x0, pts[:, 1] - y0) >= min_sing_dist
-        for p0 in problem.singular_points:
-            keep &= np.linalg.norm(pts - np.asarray(p0), axis=1) >= min_sing_dist
-        out = np.vstack([out, pts[keep]])
-    return out[:count]
 
 
 def _fd_jacobian(func, pts: np.ndarray, step: float) -> np.ndarray:

@@ -6,6 +6,8 @@ weak kernels are looked up on :mod:`divcurl.weak_ops` at call time, so a
 kernel replaced there is the kernel that gets checked.
 """
 
+import itertools
+
 import numpy as np
 
 from divcurl import problems, solver, weak_ops
@@ -18,6 +20,7 @@ from divcurl.mesh import (
     build_structured_tet_mesh,
     tet_geometry,
 )
+from divcurl.quadrature import gauss_points
 
 __all__ = [
     "commutativity_defect",
@@ -25,6 +28,8 @@ __all__ = [
     "patch_test_defects",
     "system_defects",
     "lattice_order_defects",
+    "problem_variants",
+    "oracle_points",
     "load_oracle_defect",
 ]
 
@@ -163,14 +168,37 @@ def lattice_order_defects(mesh: Mesh, dofmap) -> dict:
     }
 
 
-def load_oracle_defect(rng: np.random.Generator, count: int = 100) -> float:
-    """Worst scaled finite-difference defect of the built-in problems at
-    ``count`` random interior points each: the f and g loads against the
-    exact field, and div g, which solvable data keeps at zero."""
+def problem_variants(example: int) -> list:
+    """Built-in problem ``example`` at every allowed parameter value."""
+    allowed = problems._PARAMETERS.get(example, {})
+    return [
+        problems.make_problem(example, **dict(zip(allowed, values)))
+        for values in itertools.product(*allowed.values())
+    ]
+
+
+def oracle_points(spec, n: int = 2, away: float = 0.1) -> np.ndarray:
+    """The degree-4 Gauss points of the 1/h = ``n`` mesh of the problem's
+    domain, where ``assemble_rhs`` evaluates f and g, that lie at least
+    ``away`` from every singular axis and point.  They are interior by
+    construction, so central differences never straddle the boundary."""
+    mesh = build_structured_tet_mesh(spec.domain, n)
+    points = gauss_points(mesh.vertices[mesh.tets], 4)[0].reshape(-1, 3)
+    keep = np.ones(len(points), dtype=bool)
+    for x0, y0 in spec.singular_axes:
+        keep &= np.hypot(points[:, 0] - x0, points[:, 1] - y0) >= away
+    for p0 in spec.singular_points:
+        keep &= np.linalg.norm(points - np.asarray(p0), axis=1) >= away
+    return points[keep]
+
+
+def load_oracle_defect() -> float:
+    """Worst scaled finite-difference defect of the built-in problems, at
+    every parameter value, at their ``oracle_points``: the f and g loads
+    against the exact field, and div g, which solvable data keeps at zero."""
     worst = 0.0
     for example in range(1, 8):
-        spec = problems.make_problem(example)
-        points = problems.sample_interior_points(spec, count, rng)
-        devs = problems.finite_difference_check(spec, points)
-        worst = max(worst, *devs.values())
+        for spec in problem_variants(example):
+            devs = problems.finite_difference_check(spec, oracle_points(spec))
+            worst = max(worst, *devs.values())
     return worst

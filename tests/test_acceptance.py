@@ -60,7 +60,7 @@ def test_criterion_2_commutativity_property():
 
 def test_criterion_3_load_oracle():
     t0 = time.perf_counter()
-    worst = load_oracle_defect(np.random.default_rng(20240902), 100)
+    worst = load_oracle_defect()
     assert worst < 1e-5
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0

@@ -9,8 +9,9 @@ from divcurl.problems import (
     cyl_coords,
     finite_difference_check,
     make_problem,
-    sample_interior_points,
 )
+
+from invariants import oracle_points, problem_variants
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +40,9 @@ def test_problem1_values():
     )
 
 
-def test_problem3_loads_vanish(rng):
+def test_problem3_loads_vanish():
     spec = make_problem(3)
-    pts = sample_interior_points(spec, 50, rng)
+    pts = oracle_points(spec)
     assert np.abs(spec.f(pts)).max() == 0.0
     assert np.abs(spec.g(pts)).max() == 0.0
 
@@ -65,11 +66,11 @@ def test_problem4_radial_field():
     assert np.abs(spec.g(P(0.2, -0.3, 0.1))).max() == 0.0
 
 
-def test_problem5_curl_magnitude_matches_polar_form(rng):
+def test_problem5_curl_magnitude_matches_polar_form():
     # g_z = (alpha^2 - gamma^2) r^(gamma-2) sin(alpha theta), alpha = 2
     gamma = 2.0 / 3.0
     spec = make_problem(5, gamma=gamma)
-    pts = sample_interior_points(spec, 40, rng)
+    pts = oracle_points(spec)
     r = np.hypot(pts[:, 0], pts[:, 1])
     theta = np.arctan2(pts[:, 1], pts[:, 0])
     expected = (4.0 - gamma**2) * r ** (gamma - 2.0) * np.sin(2.0 * theta)
@@ -77,10 +78,10 @@ def test_problem5_curl_magnitude_matches_polar_form(rng):
     assert np.abs(spec.f(pts)).max() == 0.0
 
 
-def test_problem7_combines_rotation(rng):
+def test_problem7_combines_rotation():
     spec5 = make_problem(5, gamma=2.0 / 3.0)
     spec7 = make_problem(7, beta=1.0)
-    pts = sample_interior_points(spec7, 20, rng)
+    pts = oracle_points(spec7)
     diff = spec7.exact_u(pts) - spec5.exact_u(pts)
     x, y = pts[:, 0], pts[:, 1]
     assert np.allclose(diff[:, 0], np.sin(np.pi * x) * np.cos(np.pi * y))
@@ -135,35 +136,18 @@ def test_parameter_validation():
 
 def test_phi1_antisymmetry(rng):
     spec = make_problem(1)
-    pts = sample_interior_points(spec, 10, rng)
-    n = rng.standard_normal((10, 3))
+    pts = oracle_points(spec)
+    n = rng.standard_normal(pts.shape)
     n /= np.linalg.norm(n, axis=1)[:, None]
     assert np.allclose(spec.phi1(pts, -n), -spec.phi1(pts, n))
 
 
 @pytest.mark.parametrize("example", range(1, 8))
-def test_load_oracle(example, rng):
+def test_load_oracle(example):
     # central differences of the exact field reproduce the closed-form
-    # loads away from the singular sets
-    spec = make_problem(example)
-    pts = sample_interior_points(spec, 100, rng)
-    devs = finite_difference_check(spec, pts)
-    assert devs["f"] < 1e-5
-    assert devs["g"] < 1e-5
-    assert devs["div_g"] < 1e-5
-
-
-def test_sampling_gives_up_when_no_point_qualifies():
-    # every point of problem 4's cube lies within 100 of the singular
-    # point; a generator of its own leaves the shared one's draws alone
-    rng = np.random.default_rng(0)
-    with pytest.raises(RuntimeError, match="failed to converge"):
-        sample_interior_points(make_problem(4), 5, rng, min_sing_dist=100.0)
-
-
-def test_sampling_respects_exclusions(rng):
-    spec = make_problem(6)
-    pts = sample_interior_points(spec, 200, rng, min_sing_dist=0.15)
-    assert spec.domain.contains(pts).all()
-    for x0, y0 in spec.singular_axes:
-        assert np.hypot(pts[:, 0] - x0, pts[:, 1] - y0).min() >= 0.15
+    # loads at every parameter value, away from the singular sets
+    for spec in problem_variants(example):
+        devs = finite_difference_check(spec, oracle_points(spec))
+        assert devs["f"] < 1e-5, spec.params
+        assert devs["g"] < 1e-5, spec.params
+        assert devs["div_g"] < 1e-5, spec.params

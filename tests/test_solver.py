@@ -43,14 +43,22 @@ def test_zero_load_gives_zero_solution():
 
 
 def test_patch_test_constant_field():
-    spec = constant_problem([1.0, -2.0, 0.5], np.diag([3.0, 2.0, 1.0]))
-    m = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, m)
-    sol = solve(system, method="direct")
-    assert error_u(spec, sol.u, m) <= 1e-8
-    assert triple_norm_dual(system, sol) <= 1e-8
-    assert triple_norm_s(system, sol) <= 1e-8
-    assert np.abs(sol.u - [1.0, -2.0, 0.5]).max() < 1e-10
+    # eps = diag(100, 1, 1/100) is a real input whose float32 first solve
+    # misses the tolerance, so the direct solve refactors in float64
+    for eps, n, dtype in (
+        (np.diag([3.0, 2.0, 1.0]), 2, "float32"),
+        (np.diag([100.0, 1.0, 0.01]), 4, "float64"),
+    ):
+        spec = constant_problem([1.0, -2.0, 0.5], eps)
+        m = build_structured_tet_mesh(spec.domain, n)
+        system = assemble_global(spec, m)
+        sol = solve(system, method="direct")
+        assert sol.diagnostics["factor_dtype"] == dtype
+        assert sol.diagnostics["relative_residual"] <= solver.ACCEPT["direct"]
+        assert error_u(spec, sol.u, m) <= 1e-8
+        assert triple_norm_dual(system, sol) <= 1e-8
+        assert triple_norm_s(system, sol) <= 1e-8
+        assert np.abs(sol.u - [1.0, -2.0, 0.5]).max() < 1e-10
 
 
 def test_smoke_problem1():
