@@ -83,7 +83,8 @@ class Condensed:
     since it has more entries than ``A_ff`` (1.39 times on problem 4 at
     1/h = 4): ``A_G`` holds the rows G of ``A_ff`` scaled by s, their
     columns G scaled by s too, and a product multiplies C by y, then
-    ``A_G`` by [y; C y].
+    ``A_G`` by [y; C y].  Its dots are ``np.einsum`` sums, as in
+    :func:`~divcurl.solver._minres`, so a product calls no BLAS.
 
     It reduces ``system`` itself (one call of ``GlobalSystem.reduced``)
     and frees ``A_ff`` once it holds ``A_G``, with the columns G first,
@@ -147,10 +148,10 @@ class Condensed:
         self._x = np.empty(nG + nL)  # [y; C y] of a product
         self.lamb, self.shift = lamb, 0.0
         self.q = 1.0 / s[lamb]
-        self.q /= np.linalg.norm(self.q)
+        self.q /= np.sqrt(np.einsum("i,i", self.q, self.q))
         z = np.zeros(nG)
         z[lamb] = self.q
-        mu = self.q @ (self @ z)[lamb]  # q^T s S s q, as f = 0 yet
+        mu = np.einsum("i,i", self.q, (self @ z)[lamb])  # q^T s S s q, as f = 0 yet
         self.shift = abs(mu) ** -0.5 - 1.0
         self._x[:nG] = 0.0
         self._x[nG:] = self.g
@@ -158,7 +159,7 @@ class Condensed:
 
     def _project(self, z):
         """P z, in place."""
-        z[self.lamb] += (self.shift * (self.q @ z[self.lamb])) * self.q
+        z[self.lamb] += (self.shift * np.einsum("i,i", self.q, z[self.lamb])) * self.q
         return z
 
     def _iterate(self, z):

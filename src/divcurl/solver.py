@@ -323,12 +323,12 @@ class _FrontalFactor:
 # the true relative residual each method must reach, or solve raises
 ACCEPT = {"direct": 1e-10, "minres": 1e-8}
 
-# MINRES drives the true relative residual to MINRES_TARGET, below its
-# 1e-8 acceptance: the cavity least-squares fit of
-# recover_cavity_constants amplifies the solve error, and on problem 4 at
-# 1/h=4 the cavity constant of the condensed iteration deviates from the
-# direct value by 1.4e-6 (relative) at a 1e-9 stop, 2.0e-7 at 1e-10 and
-# 1.4e-8 at 1e-11
+# on a mesh with a cavity MINRES drives the true relative residual to
+# MINRES_TARGET, below its 1e-8 acceptance, where it stops otherwise: the
+# cavity least-squares fit of recover_cavity_constants amplifies the solve
+# error, and on problem 4 at 1/h=4 the cavity constant of the condensed
+# iteration deviates from the direct value by 1.4e-6 (relative) at a 1e-9
+# stop, 2.0e-7 at 1e-10 and 1.4e-8 at 1e-11
 MINRES_TARGET = 1e-11
 
 # the direct path refines its factor's solves in float64 until the true
@@ -353,10 +353,12 @@ def _minres(A, b, residual, target, max_iter):
     iterations in all.  Returns ``(y, iterations, residuals checked)``; a
     zero ``b`` returns y = 0 after 0 iterations.  The vectors are updated
     in place through one scratch vector, so an iteration allocates only
-    what ``A @ v`` returns, which becomes the next Lanczos vector.
+    what ``A @ v`` returns, which becomes the next Lanczos vector.  The
+    dots are ``np.einsum`` sums, not BLAS calls: a threaded BLAS dot
+    slows the vector update after it several times over on two cores.
     """
     y = np.zeros_like(b)
-    beta = np.sqrt(b @ b)
+    beta = np.sqrt(np.einsum("i,i", b, b))
     if beta == 0.0:
         return y, 0, [residual(y)]
     v_old, v = np.zeros_like(b), b * (1.0 / beta)
@@ -366,9 +368,9 @@ def _minres(A, b, residual, target, max_iter):
     for k in range(1, max_iter + 1):
         p = A @ v
         p -= np.multiply(v_old, beta, out=t)
-        alpha = v @ p
+        alpha = np.einsum("i,i", v, p)
         p -= np.multiply(v, alpha, out=t)
-        beta = np.sqrt(p @ p)
+        beta = np.sqrt(np.einsum("i,i", p, p))
         # the previous rotation acts on column k of the Lanczos matrix
         eps, delta = eps_next, cs * dbar + sn * alpha
         gbar, eps_next, dbar = sn * dbar - cs * alpha, sn * beta, -cs * beta
@@ -426,7 +428,9 @@ def solve(system: GlobalSystem, method: str = "auto") -> SolutionFields:
     scaled entries of ``A_ff`` in place of it).  A singular tet
     block, or a row that the equilibration cannot scale, raises
     :class:`SolverError` before the iteration.  It stops when the true
-    relative residual of the full system reaches ``MINRES_TARGET``, within
+    relative residual of the full system reaches ``ACCEPT["minres"]``, or
+    ``MINRES_TARGET`` on a mesh with a cavity, whose constants
+    :func:`recover_cavity_constants` fits from the solution, within
     ``MINRES_MAX_ITER`` iterations in all; ``iterations`` counts those of
     the condensed system.
     "auto" picks direct up to ``DIRECT_DOF_LIMIT`` free unknowns and MINRES
@@ -507,9 +511,10 @@ def solve(system: GlobalSystem, method: str = "auto") -> SolutionFields:
             condensed = Condensed(system)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"condensation failed: {exc}", diagnostics) from exc
+        target = MINRES_TARGET if system.dofmap.cavity_faces else ACCEPT["minres"]
         y, iterations, history = _minres(
             condensed, condensed.b, lambda z: residual(condensed.solution(z))[1],
-            MINRES_TARGET, MINRES_MAX_ITER,
+            target, MINRES_MAX_ITER,
         )
         x = condensed.solution(y)
         r, rel = residual(x)
