@@ -16,12 +16,12 @@ from divcurl import build_domain, build_structured_tet_mesh, write_vtk
 
 HERE = pathlib.Path(__file__).parent
 
-print(f"{'problem':>7s} {'family':>18s} {'tets':>7s} {'faces':>7s} "
+print(f"{'problem':>7s} {'removed boxes':>13s} {'tets':>7s} {'faces':>7s} "
       f"{'boundary':>8s} {'components':>10s} {'tunnels':>7s}")
 for example in range(1, 8):
     domain = build_domain(example)
     mesh = build_structured_tet_mesh(domain, 2)
-    print(f"{example:>7d} {domain.family:>18s} {mesh.num_tets:>7d} "
+    print(f"{example:>7d} {len(domain.excluded):>13d} {mesh.num_tets:>7d} "
           f"{mesh.num_faces:>7d} {len(mesh.boundary_faces):>8d} "
           f"{mesh.num_boundary_components:>10d} {mesh.betti1:>7d}")
 

@@ -42,7 +42,7 @@ gamma = -1 (``STABILIZER``): S1 scales each face term by h_T^-1 and S2 by
 h_T^-gamma = h_T.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
@@ -75,21 +75,24 @@ LOCAL_BLOCKS = ("lam0", "q0", "s0")
 
 @dataclass
 class DofMap:
-    """Raw numbering, face tangent bases, and constraint records."""
+    """Raw numbering, face tangent bases, and constraint records.
+
+    Who reads each field: every stage numbers by ``offsets`` and
+    ``total``; S1 and B read ``tangents``; the reduction, ``expand`` and
+    the condensation read ``free``, the raw DoFs left after dropping the
+    boundary qb and sb and the pinned lam0; the condensation reads
+    ``num_tets`` and ``num_faces``; the solver reads ``cavity_faces``
+    (the cavity fit) and ``pinned_lam0`` (a diagnostic).
+    """
 
     num_tets: int
     num_faces: int
     offsets: dict
     total: int
     tangents: np.ndarray  # (nf, 2, 3) unit edge directions from vertex 0
-    fixed: np.ndarray  # (total,) bool
+    free: np.ndarray  # (num_free,) raw indices, ascending
     cavity_faces: dict  # component id -> face index array
     pinned_lam0: int
-    free: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.free is None:
-            self.free = np.flatnonzero(~self.fixed)
 
     @property
     def num_free(self) -> int:
@@ -146,7 +149,8 @@ def build_dof_map(mesh: Mesh) -> DofMap:
     pinned = offsets["lam0"][0]
     fixed[pinned] = True
 
-    return DofMap(nt, nf, offsets, total, tangents, fixed, cavity_faces, pinned)
+    free = np.flatnonzero(~fixed)
+    return DofMap(nt, nf, offsets, total, tangents, free, cavity_faces, pinned)
 
 
 def _csr_from_triplets(blocks, n) -> sparse.csr_matrix:

@@ -70,11 +70,10 @@ class MeshError(Exception):
 class DomainSpec:
     """Axis-aligned box-union computational domain.
 
+    Only :func:`build_structured_tet_mesh` reads the fields.
+
     Attributes
     ----------
-    family : str
-        A label: ``unit_cube``, ``lshaped_prism``, ``cube_with_cavity``,
-        ``toroid_1hole``, ``toroid_2holes`` for the built-in domains.
     lo, hi : tuple of float
         Bounding box corners.
     excluded : tuple of (lo, hi) box pairs
@@ -83,16 +82,15 @@ class DomainSpec:
         ``Mesh.betti1``).
     """
 
-    family: str
     lo: tuple
     hi: tuple
     excluded: tuple = ()
 
 
-_UNIT_CUBE = DomainSpec("unit_cube", (0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+_UNIT_CUBE = DomainSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 # square annulus extruded in z; the hole runs through the full height
 _TOROID_1HOLE = DomainSpec(
-    "toroid_1hole", (-1.0, -1.0, 0.0), (0.5, 0.5, 0.5),
+    (-1.0, -1.0, 0.0), (0.5, 0.5, 0.5),
     excluded=(((-0.5, -0.5, 0.0), (0.0, 0.0, 0.5)),),
 )
 _EXAMPLE_DOMAINS = {
@@ -100,16 +98,16 @@ _EXAMPLE_DOMAINS = {
     2: _UNIT_CUBE,
     # (-1,1)^2 x (0,1) minus the quadrant x>=0, y<=0
     3: DomainSpec(
-        "lshaped_prism", (-1.0, -1.0, 0.0), (1.0, 1.0, 1.0),
+        (-1.0, -1.0, 0.0), (1.0, 1.0, 1.0),
         excluded=(((0.0, -1.0, 0.0), (1.0, 0.0, 1.0)),),
     ),
     4: DomainSpec(
-        "cube_with_cavity", (-1.5, -1.5, -1.5), (0.5, 0.5, 0.5),
+        (-1.5, -1.5, -1.5), (0.5, 0.5, 0.5),
         excluded=(((-1.0, -1.0, -1.0), (0.0, 0.0, 0.0)),),
     ),
     5: _TOROID_1HOLE,
     6: DomainSpec(
-        "toroid_2holes", (-1.0, -1.0, 0.0), (1.5, 1.5, 0.5),
+        (-1.0, -1.0, 0.0), (1.5, 1.5, 0.5),
         excluded=(
             ((-0.5, -0.5, 0.0), (0.0, 0.0, 0.5)),
             ((0.5, -0.5, 0.0), (1.0, 0.0, 0.5)),

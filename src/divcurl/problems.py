@@ -55,21 +55,26 @@ class ProblemError(ValueError):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A div-curl benchmark problem on one of the box-union domains.
+    """A div-curl problem on a box-union domain.
 
     ``exact_u``, ``f`` and ``g`` are vectorized callables mapping (N, 3)
     point arrays to (N, 3), (N,) and (N, 3) values.  ``eps`` is a constant
     symmetric positive definite 3x3 matrix.
+
+    Who reads each field: the mesh reads ``domain``; the assembly reads
+    ``eps`` (into B) and the loads ``f``, ``g`` and :meth:`phi1`, which
+    takes ``normal_trace_field``, else ``exact_u``; the errors read
+    ``exact_u`` and ``eps``; the report header reads ``params``.  No
+    solver stage reads ``singular_axes`` or ``singular_points``: they
+    keep a load check's points off the singular sets
+    (``tests/invariants.py::oracle_points``).
     """
 
-    example: int
-    name: str
     eps: np.ndarray
     domain: DomainSpec
     exact_u: callable
     f: callable
     g: callable
-    regularity: str
     params: dict = field(default_factory=dict)
     singular_axes: tuple = ()  # (x0, y0) of vertical singular edges
     singular_points: tuple = ()  # isolated singular points
@@ -161,9 +166,7 @@ def _problem_1():
         out[:, 2] = 2.0 * np.pi * np.sin(np.pi * x) * np.sin(np.pi * y)
         return out
 
-    return ProblemSpec(
-        1, "unit_cube_smooth", eps, build_domain(1), exact_u, f, g, "H^1"
-    )
+    return ProblemSpec(eps, build_domain(1), exact_u, f, g)
 
 
 def _problem_2():
@@ -191,15 +194,7 @@ def _problem_2():
         return out
 
     return ProblemSpec(
-        2,
-        "unit_cube_edge_singular",
-        np.eye(3),
-        build_domain(2),
-        exact_u,
-        f,
-        g,
-        "H^(5/3-)",
-        singular_axes=((0.0, 0.0),),
+        np.eye(3), build_domain(2), exact_u, f, g, singular_axes=((0.0, 0.0),)
     )
 
 
@@ -219,15 +214,7 @@ def _problem_3():
         return np.zeros_like(pts)
 
     return ProblemSpec(
-        3,
-        "lshape_gradient_singular",
-        np.eye(3),
-        build_domain(3),
-        exact_u,
-        f,
-        g,
-        "H^(2/3-)",
-        singular_axes=((0.0, 0.0),),
+        np.eye(3), build_domain(3), exact_u, f, g, singular_axes=((0.0, 0.0),)
     )
 
 
@@ -244,19 +231,11 @@ def _problem_4():
         return np.zeros_like(pts)
 
     return ProblemSpec(
-        4,
-        "cavity_corner_singular",
-        np.eye(3),
-        build_domain(4),
-        exact_u,
-        f,
-        g,
-        "H^(2/3-)",
-        singular_points=((0.0, 0.0, 0.0),),
+        np.eye(3), build_domain(4), exact_u, f, g, singular_points=((0.0, 0.0, 0.0),)
     )
 
 
-def _toroid_curl_problem(example, name, gammas, centers, beta=0.0):
+def _toroid_curl_problem(example, gammas, centers, beta=0.0):
     derivs = [_corner_potential(gam, c) for gam, c in zip(gammas, centers)]
 
     def potential_part(pts):
@@ -284,7 +263,6 @@ def _toroid_curl_problem(example, name, gammas, centers, beta=0.0):
             out[:, 2] += 2.0 * np.pi * beta * np.sin(np.pi * x) * np.sin(np.pi * y)
         return out
 
-    reg = f"H^({min(gammas):.4g}-)"
     params = {"alpha": 2.0, "beta": beta}
     if len(gammas) == 1:
         params["gamma"] = gammas[0]
@@ -297,14 +275,7 @@ def _toroid_curl_problem(example, name, gammas, centers, beta=0.0):
     # tracking the full field; that defect is the discrete harmonic field
     # this benchmark extracts.
     return ProblemSpec(
-        example,
-        name,
-        np.eye(3),
-        build_domain(example),
-        exact_u,
-        f,
-        g,
-        reg,
+        np.eye(3), build_domain(example), exact_u, f, g,
         params=params,
         singular_axes=tuple(centers),
         normal_trace_field=potential_part if beta else None,
@@ -322,15 +293,9 @@ _BUILDERS = {
     2: _problem_2,
     3: _problem_3,
     4: _problem_4,
-    5: lambda gamma: _toroid_curl_problem(
-        5, "toroid_curl_singular", (gamma,), ((0.0, 0.0),)
-    ),
-    6: lambda: _toroid_curl_problem(
-        6, "toroid2_curl_singular", (0.5, 2.0 / 3.0), ((0.0, 0.0), (1.0, 0.0))
-    ),
-    7: lambda gamma, beta: _toroid_curl_problem(
-        7, "toroid_harmonic_pollution", (gamma,), ((0.0, 0.0),), beta=beta
-    ),
+    5: lambda gamma: _toroid_curl_problem(5, (gamma,), ((0.0, 0.0),)),
+    6: lambda: _toroid_curl_problem(6, (0.5, 2.0 / 3.0), ((0.0, 0.0), (1.0, 0.0))),
+    7: lambda gamma, beta: _toroid_curl_problem(7, (gamma,), ((0.0, 0.0),), beta=beta),
 }
 
 

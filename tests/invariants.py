@@ -96,10 +96,10 @@ def patch_test_defects(domain: DomainSpec | None = None) -> tuple:
     round-off."""
     value = np.array([1.0, -2.0, 0.5])
     spec = problems.ProblemSpec(
-        0, "constant_patch", np.diag([3.0, 2.0, 1.0]),
+        np.diag([3.0, 2.0, 1.0]),
         build_domain(1) if domain is None else domain,
         lambda p: np.broadcast_to(value, (len(p), 3)).copy(),
-        lambda p: np.zeros(len(p)), lambda p: np.zeros_like(p), "constant",
+        lambda p: np.zeros(len(p)), lambda p: np.zeros_like(p),
     )
     row = solve_level(spec, 2, "direct").row
     return row["err_u"], max(row["tnorm_dual"], row["tnorm_s"])

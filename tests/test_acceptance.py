@@ -151,9 +151,9 @@ def test_criterion_10_system_sanity():
     spec = make_problem(1)
     m = build_structured_tet_mesh(spec.domain, 2)
     zero_spec = ProblemSpec(
-        0, "zero", spec.eps, spec.domain,
+        spec.eps, spec.domain,
         lambda p: np.zeros_like(p), lambda p: np.zeros(len(p)),
-        lambda p: np.zeros_like(p), "zero",
+        lambda p: np.zeros_like(p),
     )
     zero_system = assemble_global(zero_spec, m)
     sol = solve(zero_system)

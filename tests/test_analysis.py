@@ -20,8 +20,8 @@ from divcurl.weak_ops import project_field
 
 def field_problem(u, eps, domain=None):
     return ProblemSpec(
-        0, "field", np.asarray(eps, float), domain or build_domain(1),
-        u, lambda p: np.zeros(len(p)), lambda p: np.zeros_like(p), "x",
+        np.asarray(eps, float), domain or build_domain(1),
+        u, lambda p: np.zeros(len(p)), lambda p: np.zeros_like(p),
     )
 
 
@@ -163,12 +163,35 @@ def test_cavity_found_on_undeclared_domain():
     # the mesh finds the cavity, so its constant is still recovered
     spec = make_problem(4)
     dom = spec.domain
-    custom = DomainSpec("custom", dom.lo, dom.hi, dom.excluded)
+    custom = DomainSpec(dom.lo, dom.hi, dom.excluded)
     row = solve_level(dataclasses.replace(spec, domain=custom), 2).row
     want = solve_level(spec, 2).row
     del row["seconds"], want["seconds"]
     assert row["cavity_c1"] is not None
     assert row == want
+
+
+def test_custom_problem_from_keyword_fields():
+    # README's recipe: a domain is its boxes, a problem its coefficient,
+    # domain, exact field and loads.  A constant field on a cube with an
+    # undeclared cavity passes the patch test.
+    value = np.array([1.0, -2.0, 0.5])
+    domain = DomainSpec(
+        lo=(0.0, 0.0, 0.0),
+        hi=(1.5, 1.5, 1.5),
+        excluded=(((0.5, 0.5, 0.5), (1.0, 1.0, 1.0)),),
+    )
+    spec = ProblemSpec(
+        eps=np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        domain=domain,
+        exact_u=lambda p: np.broadcast_to(value, (len(p), 3)).copy(),
+        f=lambda p: np.zeros(len(p)),
+        g=lambda p: np.zeros_like(p),
+    )
+    level = solve_level(spec, 2)
+    assert level.mesh.num_boundary_components == 2
+    assert level.row["err_u"] <= 1e-10
+    assert max(level.row["tnorm_dual"], level.row["tnorm_s"]) <= 1e-10
 
 
 def test_extraction_small_on_simply_connected():

@@ -25,14 +25,11 @@ def constant_problem(value, eps=None, domain=None):
     value = np.asarray(value, dtype=float)
     dom = domain or build_domain(1)
     return ProblemSpec(
-        0,
-        "constant",
         np.eye(3) if eps is None else np.asarray(eps, float),
         dom,
         lambda p: np.broadcast_to(value, (len(p), 3)).copy(),
         lambda p: np.zeros(len(p)),
         lambda p: np.zeros_like(p),
-        "constant",
     )
 
 
@@ -44,14 +41,11 @@ def affine_problem(C, d, eps):
     epsC = eps @ C
     curl = np.array([C[2, 1] - C[1, 2], C[0, 2] - C[2, 0], C[1, 0] - C[0, 1]])
     return ProblemSpec(
-        0,
-        "affine",
         eps,
         build_domain(1),
         lambda p: p @ C.T + d,
         lambda p: np.full(len(p), np.trace(epsC)),
         lambda p: np.broadcast_to(curl, (len(p), 3)).copy(),
-        "affine",
     )
 
 
@@ -76,9 +70,8 @@ def test_dof_counts_unit_cube(cube1):
         assert dm.offsets[name][0] >= u_start
     assert dm.total == 120
     # 12 boundary faces: sb loses 12, qb loses 24, lam0 loses the pin
-    assert dm.fixed.sum() == 37
-    assert dm.num_free == 83
-    assert dm.fixed[dm.pinned_lam0]
+    assert dm.num_free == dm.total - 37 == 83
+    assert dm.pinned_lam0 not in dm.free
 
 
 def test_cavity_sb_grouping():
@@ -324,11 +317,10 @@ def test_rhs_zero_for_zero_loads():
 
 def test_rhs_constant_curl_source(cube1):
     spec = ProblemSpec(
-        0, "gsrc", np.eye(3), build_domain(1),
+        np.eye(3), build_domain(1),
         lambda p: np.zeros_like(p),
         lambda p: np.zeros(len(p)),
         lambda p: np.tile([0.0, 0.0, 1.0], (len(p), 1)),
-        "x",
     )
     dm = build_dof_map(cube1)
     F = assemble_rhs(spec, cube1, dm)
@@ -397,7 +389,7 @@ def test_consistency_identity_affine():
     lamq = np.zeros(dm.total, dtype=bool)
     for name in ("lam0", "lamb", "q0", "qb"):
         lamq[dm.block(name)] = True
-    lamq &= ~dm.fixed
+    lamq = dm.free[lamq[dm.free]]  # the free ones, as raw indices
     scale = max(1.0, np.abs(system.F).max())
     # the multiplier-equation residual is minus the projection defect
     assert np.abs((resid + defect)[lamq]).max() < 1e-10 * scale

@@ -22,14 +22,11 @@ from invariants import lattice_order_defects
 def constant_problem(value, eps):
     value = np.asarray(value, dtype=float)
     return ProblemSpec(
-        0,
-        "constant",
         np.asarray(eps, float),
         build_domain(1),
         lambda p: np.broadcast_to(value, (len(p), 3)).copy(),
         lambda p: np.zeros(len(p)),
         lambda p: np.zeros_like(p),
-        "constant",
     )
 
 
@@ -646,7 +643,7 @@ def test_unscalable_condensed_system_raises(block, method):
     m = build_structured_tet_mesh(spec.domain, 2)
     system = assemble_global(spec, m)
     dof = system.dofmap.index(block, 0)
-    assert not system.dofmap.fixed[dof]
+    assert dof in system.dofmap.free
     keep = np.ones(system.dofmap.total)
     keep[dof] = 0.0
     system.A = sparse.diags(keep) @ system.A @ sparse.diags(keep)
