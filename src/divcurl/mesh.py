@@ -15,7 +15,7 @@ Conventions
 * A face is identified by its sorted vertex triple.  ``face_tets[:, 0]``
   is the tet where the face first appears in mesh order, the lowest-index
   incident tet, and the stored normal is its outward normal; the other
-  incident tet carries sign -1 in ``tet_face_signs``.
+  incident tet's outward normal is its negative.
 * Boundary tags: -1 interior, 0 the exterior component, i >= 1 the i-th
   cavity surface.  The components and the first Betti number are read
   off the mesh's own boundary surface, never declared.
@@ -76,8 +76,9 @@ class DomainSpec:
     ----------
     lo, hi : tuple of float
         Bounding box corners.
-    excluded : tuple of (lo, hi) box pairs
-        Boxes removed from the bounding box.  Cavities and tunnels are
+    excluded : tuple of (lo, hi) pairs of 3-vectors, lo < hi
+        Boxes removed from the bounding box; :func:`build_structured_tet_mesh`
+        raises :class:`MeshError` on any other.  Cavities and tunnels are
         not declared: the mesh finds them (``Mesh.face_tags``,
         ``Mesh.betti1``).
     """
@@ -244,17 +245,12 @@ class Mesh:
         # canonical face normal := outward normal of the first incident tet
         self.face_normals = outward.reshape(-1, 3)[first]
 
-        dots = np.einsum(
-            "tfd,tfd->tf", outward, self.face_normals[self.tet_faces]
-        )
-        if not np.allclose(np.abs(dots), 1.0, atol=1e-10):
-            raise MeshError("inconsistent face orientation")
-        self.tet_face_signs = np.where(dots > 0, 1, -1).astype(np.int8)
-
         # per-tet areas and normals come from the shared face arrays, so
-        # the two tets of an interior face carry opposite face weights
+        # the two tets of an interior face carry opposite face weights:
+        # sign +1 in the face's first incident tet, -1 in the other
         areas = self.face_areas[self.tet_faces]
-        signs = self.tet_face_signs[:, :, None].astype(float)
+        mine = self.face_tets[self.tet_faces, 0] == np.arange(len(self.tets))[:, None]
+        signs = np.where(mine, 1.0, -1.0)[:, :, None]
         normals = self.face_normals[self.tet_faces] * signs
         self.geometry = TetGeometry(volumes, grad, areas, normals, diameters)
 
@@ -379,6 +375,13 @@ def build_structured_tet_mesh(domain: DomainSpec, n: int) -> Mesh:
     # reaching past the bounding box is clipped to it
     active = np.ones(counts, dtype=bool)
     for box in domain.excluded:
+        try:
+            lo, hi = np.asarray(box, dtype=float)
+            valid = lo.shape == (3,) and np.all(lo < hi)  # NaN fails too
+        except (TypeError, ValueError):  # ragged, not numbers, or not a pair
+            valid = False
+        if not valid:
+            raise MeshError(f"excluded box {box} is not a pair of 3-vectors lo < hi")
         ends = _lattice_index(box, domain, n)
         if ends is None:
             raise MeshError(

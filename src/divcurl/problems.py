@@ -59,7 +59,8 @@ class ProblemSpec:
 
     ``exact_u``, ``f`` and ``g`` are vectorized callables mapping (N, 3)
     point arrays to (N, 3), (N,) and (N, 3) values.  ``eps`` is a constant
-    symmetric positive definite 3x3 matrix.
+    symmetric positive definite 3x3 matrix; any other raises
+    :class:`ProblemError`.
 
     Who reads each field: the mesh reads ``domain``; the assembly reads
     ``eps`` (into B) and the loads ``f``, ``g`` and :meth:`phi1`, which
@@ -79,6 +80,18 @@ class ProblemSpec:
     singular_axes: tuple = ()  # (x0, y0) of vertical singular edges
     singular_points: tuple = ()  # isolated singular points
     normal_trace_field: callable = None  # boundary field, defaults to exact_u
+
+    def __post_init__(self):
+        eps = np.asarray(self.eps, dtype=float)
+        if eps.shape == (3, 3) and np.isfinite(eps).all() and (eps == eps.T).all():
+            try:
+                np.linalg.cholesky(eps)
+                return
+            except np.linalg.LinAlgError:
+                pass
+        raise ProblemError(
+            f"eps must be a symmetric positive definite 3x3 matrix, got {eps.tolist()}"
+        )
 
     def phi1(self, points: np.ndarray, normals: np.ndarray) -> np.ndarray:
         """Normal boundary data (eps u_b) . n for unit normals.

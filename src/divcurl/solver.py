@@ -2,7 +2,6 @@
 
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 # unused here, but perfbench/tracing.py times scipy calls through this name
@@ -133,121 +132,100 @@ def _lattice_permutation(mesh, dofmap):
     return p, np.append(first, len(p))
 
 
-class _Fronts(NamedTuple):
-    """Symbolic multifrontal structure; front ``f``'s parts of the flat
-    arrays are at ``row_start[f]:row_start[f+1]`` (the rows of its own
-    entries below its pivots) and ``entry_start[f]:entry_start[f+1]``
-    (pivot-column entries).  Rows are permuted: row ``k`` is the free DoF
-    ``order[k]``.  The numeric phase adds the rows that a front's
-    children pass up, and places each row by searching the front's
-    sorted row list."""
-
-    scale: np.ndarray  # Ruiz scale of each free DoF
-    order: np.ndarray  # the lattice permutation
-    bounds: np.ndarray  # front f's pivots are bounds[f]:bounds[f+1]
-    rows: np.ndarray  # ascending and once each within a front
-    row_start: np.ndarray
-    entry_row: np.ndarray  # permuted row of each pivot-column entry
-    entry_col: np.ndarray  # its column among its front's own pivots
-    entry_value: np.ndarray  # float64; a front casts them to its dtype
-    entry_start: np.ndarray
-
-
-def _fronts(system: GlobalSystem) -> _Fronts:
-    """Symbolic phase of the multifrontal factor: one front per lattice group.
-
-    It reduces ``system`` itself, and drops ``A_ff`` once it has read it.
-    It reads the scaled matrix ``diag(scale) A_ff diag(scale)``, with the
-    max-norm ``scale`` of :func:`~divcurl.condense._ruiz_scale`, without
-    forming it: each entry it keeps is ``(scale[i] * scale[j]) * a_ij``,
-    the same product for (j, i), so what it keeps is exactly as symmetric
-    as ``A_ff``; a row of ``A_ff`` with no nonzero entry raises
-    ``LinAlgError``.  Front ``f`` eliminates the permuted positions
-    ``bounds[f]:bounds[f+1]`` (its pivots) in the order of
-    :func:`_lattice_permutation`.  ``A_ff`` is exactly symmetric, so the
-    rows of ``A_ff[p]`` are the columns of the permuted matrix.  Each
-    entry keeps its permuted row and its column among its front's pivots;
-    ``rows`` holds, per front, the rows of its entries below its pivots,
-    sorted and once each; the numeric phase joins them with the rows that
-    each front's children pass up, and reads the front's parent from the
-    result.  The entry values stay float64, so that one symbolic phase
-    serves a factor of either precision.  ``entry_row`` and ``entry_col``
-    are int32.
-    """
-    A_ff = system.reduced()[0]
-    scale = _ruiz_scale(A_ff, A_ff.diagonal())
-    p, bounds = _lattice_permutation(system.mesh, system.dofmap)
-    n, num = len(p), len(bounds) - 1
-    front = np.repeat(np.arange(num), np.diff(bounds))  # of each permuted position
-    # int32 positions halve the memory traffic of the passes over entries
-    inv = np.empty(n, dtype=np.int32)
-    inv[p] = np.arange(n, dtype=np.int32)
-    B = A_ff[p]
-    del A_ff
-    count = np.diff(B.indptr)
-    row = inv[B.indices]
-    # a front reads its pivot columns from its first pivot down
-    start = bounds[front].astype(np.int32)
-    keep = row >= np.repeat(start, count)
-    col = np.repeat(np.arange(n, dtype=np.int32) - start, count)[keep]
-    f = np.repeat(front.astype(np.int32), count)[keep]
-    value = np.repeat(scale[p], count)[keep] * scale[B.indices[keep]] * B.data[keep]
-    row = row[keep]
-    off = row >= bounds[1:][f]
-    # (front, row) pairs as keys front * n + row, sorted and once each
-    keys = np.sort(f[off].astype(np.int64) * n + row[off])
-    row_front, rows = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
-    return _Fronts(
-        scale,
-        p,
-        bounds,
-        rows,
-        np.searchsorted(row_front, np.arange(num + 1)),
-        row,
-        col,
-        value,
-        np.searchsorted(f, np.arange(num + 1)),
-    )
-
-
 # a front whose pivot block P has an inverse with an entry above this
 # passes its variables to its parent front (a delayed pivot); a root
-# front has no parent.  :func:`_fronts` equilibrates the entries it reads
-# to a largest |entry| near 1 in every row: on problems 1-7 at 1/h <= 8
-# the healthy blocks have |P^-1| <= 5.76, and the one exactly singular
-# block (problems 5 and 7 at 1/h = 2) reads 8.4e6 in float32 and 4.5e15
-# in float64.
+# front has no parent.  :class:`_FrontalFactor` equilibrates the entries
+# it reads to a largest |entry| near 1 in every row: on problems 1-7 at
+# 1/h <= 8 the healthy blocks have |P^-1| <= 5.76, and the one exactly
+# singular block (problems 5 and 7 at 1/h = 2) reads 8.4e6 in float32
+# and 4.5e15 in float64.
 PIVOT_GROWTH_LIMIT = 1e4
 
 
 class _FrontalFactor:
-    """Multifrontal ``dtype`` block LDL^T on the lattice ``fronts`` of
-    :func:`_fronts`, in their permuted positions.
+    """Multifrontal block LDL^T of a system's ``A_ff``, one front per
+    lattice group of :func:`_lattice_permutation`, in permuted positions.
 
-    Each front's sorted row list is its pivots and the rows of its own
-    entries below them, joined with the row lists its children pass up:
-    the pivots that delayed children hold, all earlier, come first, and
-    the rows past its own pivots are its update rows.  So the list is the
-    front's column of the filled matrix, and its parent is the front of
-    its first update row (Liu, SIAM Review 34, 1992).  Each front is
-    assembled dense in ``dtype`` from its pivot columns and the Schur
-    complements of its children (extend-add), every row landing where one
-    search in that list puts it, and its pivot block ``P`` is inverted.
-    It stores ``P^-1`` and ``L21 = F21 P^-1`` (``F12 = F21^T``, so there
-    is no ``U`` and no per-entry index) and passes ``F22 - L21 F21^T`` to
-    its parent.  Fronts whose pivot blocks are bitwise equal share one
-    ``P^-1``.  A front whose ``P^-1`` fails the growth test passes its
-    whole front instead, and the parent eliminates those variables first
-    (Duff & Reid, ACM TOMS 9, 1983); a root front has no update row and
-    no parent, and keeps any finite ``P^-1``.  The dense work stays in
-    numpy, whose BLAS the refinement loop also uses: alternating two BLAS
-    libraries stalls both thread pools.  ``nnz`` counts the entries of
-    every front's ``P^-1`` and ``L21``, a shared ``P^-1`` once for each
-    front that uses it, and ``delayed`` the delayed fronts.
+    :meth:`factor` is the numeric phase.  Each front's sorted row list is
+    its pivots and its own rows, joined with the row lists its children
+    pass up: the pivots that delayed children hold, all earlier, come
+    first, and the rows past its own pivots are its update rows.  So the
+    list is the front's column of the filled matrix, and its parent is
+    the front of its first update row (Liu, SIAM Review 34, 1992).  Each
+    front is assembled dense in ``dtype`` from its pivot columns and the
+    Schur complements of its children (extend-add), every row landing
+    where one search in that list puts it, and its pivot block ``P`` is
+    inverted.  It stores ``P^-1`` and ``L21 = F21 P^-1`` (``F12 =
+    F21^T``, so there is no ``U`` and no per-entry index) and passes
+    ``F22 - L21 F21^T`` to its parent.  Fronts whose pivot blocks are
+    bitwise equal share one ``P^-1``.  A front whose ``P^-1`` fails the
+    growth test passes its whole front instead, and the parent eliminates
+    those variables first (Duff & Reid, ACM TOMS 9, 1983); a root front
+    has no update row and no parent, and keeps any finite ``P^-1``.  The
+    dense work stays in numpy, whose BLAS the refinement loop also uses:
+    alternating two BLAS libraries stalls both thread pools.  ``nnz``
+    counts the entries of every front's ``P^-1`` and ``L21``, a shared
+    ``P^-1`` once for each front that uses it, and ``delayed`` the
+    delayed fronts.
     """
 
-    def __init__(self, fronts, dtype):
-        _, _, bounds, rows, row_start, entry_row, entry_col, value, start = fronts
+    def __init__(self, system: GlobalSystem):
+        """Symbolic phase of the multifrontal factor: one front per lattice group.
+
+        It reduces ``system`` itself, and drops ``A_ff`` once it has read it.
+        It reads the scaled matrix ``diag(scale) A_ff diag(scale)``, with the
+        max-norm ``scale`` of :func:`~divcurl.condense._ruiz_scale`, without
+        forming it: each entry it keeps is ``(scale[i] * scale[j]) * a_ij``,
+        the same product for (j, i), so what it keeps is exactly as symmetric
+        as ``A_ff``; a row of ``A_ff`` with no nonzero entry raises
+        ``LinAlgError``.  Front ``f`` eliminates the permuted positions
+        ``bounds[f]:bounds[f+1]`` (its pivots) in the order of
+        :func:`_lattice_permutation`.  ``A_ff`` is exactly symmetric, so the
+        rows of ``A_ff[p]`` are the columns of the permuted matrix.  Each
+        entry keeps its permuted row and its column among its front's pivots;
+        ``rows`` holds, per front, the rows of its entries below its pivots,
+        sorted and once each (front ``f``'s are ``row_start[f]:row_start[f+1]``,
+        its entries ``entry_start[f]:entry_start[f+1]``, and row ``k`` is the
+        free DoF ``order[k]``); the numeric phase joins them with the rows that
+        each front's children pass up, and reads the front's parent from the
+        result.  The entry values stay float64, so that one symbolic phase
+        serves a factor of either precision.  ``entry_row`` and ``entry_col``
+        are int32.
+        """
+        A_ff = system.reduced()[0]
+        self.scale = scale = _ruiz_scale(A_ff, A_ff.diagonal())
+        p, bounds = _lattice_permutation(system.mesh, system.dofmap)
+        self.order, self.bounds = p, bounds
+        n, num = len(p), len(bounds) - 1
+        front = np.repeat(np.arange(num), np.diff(bounds))  # of each permuted position
+        # int32 positions halve the memory traffic of the passes over entries
+        inv = np.empty(n, dtype=np.int32)
+        inv[p] = np.arange(n, dtype=np.int32)
+        B = A_ff[p]
+        del A_ff
+        count = np.diff(B.indptr)
+        row = inv[B.indices]
+        # a front reads its pivot columns from its first pivot down
+        start = bounds[front].astype(np.int32)
+        keep = row >= np.repeat(start, count)
+        self.entry_col = np.repeat(np.arange(n, dtype=np.int32) - start, count)[keep]
+        f = np.repeat(front.astype(np.int32), count)[keep]
+        self.entry_value = (
+            np.repeat(scale[p], count)[keep] * scale[B.indices[keep]] * B.data[keep]
+        )
+        self.entry_row = row = row[keep]
+        self.entry_start = np.searchsorted(f, np.arange(num + 1))
+        off = row >= bounds[1:][f]
+        # (front, row) pairs as keys front * n + row, sorted and once each
+        keys = np.sort(f[off].astype(np.int64) * n + row[off])
+        row_front, self.rows = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+        self.row_start = np.searchsorted(row_front, np.arange(num + 1))
+
+    def factor(self, dtype):
+        """Numeric phase in ``dtype``; it drops any earlier factor first."""
+        bounds, rows, row_start = self.bounds, self.rows, self.row_start
+        entry_row, entry_col = self.entry_row, self.entry_col
+        value, start = self.entry_value, self.entry_start
         self.blocks, self.nnz, self.delayed = [], 0, 0
         # front -> [(rows, matrix, delayed pivots)]: a child's Schur
         # complement on its update rows, or a delayed front on its pivots
@@ -318,6 +296,39 @@ class _FrontalFactor:
         for pivots, up, Pinv, L21 in reversed(self.blocks):
             x[pivots] -= L21.T @ x[up]
         return x
+
+    def refine(self, system, residual, diagnostics):
+        """Solve ``system`` by float32 refinement, else in float64, as
+        :func:`solve` describes, reading ``residual``; fill the factor's
+        four ``diagnostics`` and return the free DoFs' ``x``, ``r`` and the
+        true relative residual.  A float64 factor that breaks down raises."""
+        free, scale, order = system.dofmap.free, self.scale, self.order
+        for dtype in ("float32", "float64"):
+            try:
+                self.factor(dtype)
+            except RuntimeError:  # a root pivot block broke down
+                if dtype == "float64":
+                    raise
+                continue
+            diagnostics.update(
+                delayed_fronts=self.delayed, fill_nnz=self.nnz, factor_dtype=dtype
+            )
+            y, rel, r = np.zeros(len(order)), 1.0, system.F
+            # the first solve from y = 0, then up to REFINE_STEPS corrections
+            for steps in range(REFINE_STEPS + 1):
+                # S r is the residual of the scaled system; normalising it
+                # before the cast keeps a tiny residual from underflowing
+                r_s = (scale * r[free])[order]
+                r_norm = np.linalg.norm(r_s)
+                y[order] += r_norm * self.solve((r_s / r_norm).astype(dtype))
+                prev = rel
+                r, rel = residual(scale * y)
+                if rel <= REFINE_TARGET or not rel <= 0.5 * prev:
+                    break
+            diagnostics["refine_steps"] = steps
+            if rel <= REFINE_TARGET:
+                break
+        return scale * y, r, rel
 
 
 # the true relative residual each method must reach, or solve raises
@@ -406,7 +417,7 @@ def solve(system: GlobalSystem, method: str = "auto") -> SolutionFields:
     MINRES path) in float32 with a multifrontal block LDL^T
     (:class:`_FrontalFactor`) whose fronts are the lattice
     nested-dissection groups of :func:`_lattice_permutation`; the scale is
-    applied to each entry as the symbolic phase (:func:`_fronts`) reads it
+    applied to each entry as the symbolic phase (its constructor) reads it
     from ``A_ff``, so no scaled copy is formed.  It stores 4 bytes per
     factor entry and no index; float64 iterative refinement (Langou et
     al., SC 2006) then corrects the solution from the true residual until
@@ -471,41 +482,11 @@ def solve(system: GlobalSystem, method: str = "auto") -> SolutionFields:
 
     if method == "direct":
         try:
-            fronts = _fronts(system)
-        except (SolverError, np.linalg.LinAlgError) as exc:
+            x, r, rel = _FrontalFactor(system).refine(system, residual, diagnostics)
+        except (RuntimeError, np.linalg.LinAlgError) as exc:
             raise SolverError(
                 f"direct factorization failed: {exc}", diagnostics
             ) from exc
-        scale, order = fronts.scale, fronts.order
-        for dtype in ("float32", "float64"):
-            try:
-                lu = _FrontalFactor(fronts, dtype)
-            except RuntimeError as exc:  # a root pivot block broke down
-                if dtype == "float64":
-                    raise SolverError(
-                        f"direct factorization failed: {exc}", diagnostics
-                    ) from exc
-                continue
-            diagnostics.update(
-                delayed_fronts=lu.delayed, fill_nnz=lu.nnz, factor_dtype=dtype
-            )
-            y, rel, r = np.zeros(n), 1.0, system.F
-            # the first solve from y = 0, then up to REFINE_STEPS corrections
-            for steps in range(REFINE_STEPS + 1):
-                # S r is the residual of the scaled system; normalising it
-                # before the cast keeps a tiny residual from underflowing
-                r_s = (scale * r[free])[order]
-                r_norm = np.linalg.norm(r_s)
-                y[order] += r_norm * lu.solve((r_s / r_norm).astype(dtype))
-                prev = rel
-                r, rel = residual(scale * y)
-                if rel <= REFINE_TARGET or not rel <= 0.5 * prev:
-                    break
-            diagnostics["refine_steps"] = steps
-            if rel <= REFINE_TARGET:
-                break
-            del lu  # stalled or out of steps; free it before the refactor
-        x = scale * y
     else:
         try:
             condensed = Condensed(system)

@@ -23,6 +23,7 @@ from divcurl.mesh import (
 from divcurl.quadrature import gauss_points
 
 __all__ = [
+    "constant_problem",
     "commutativity_defect",
     "kernel_identity_defect",
     "patch_test_defects",
@@ -89,18 +90,26 @@ def kernel_identity_defect(mesh: Mesh, rng: np.random.Generator) -> float:
     return float(worst)
 
 
+def constant_problem(
+    value, eps, domain: DomainSpec | None = None
+) -> problems.ProblemSpec:
+    """The constant field ``value`` with coefficient ``eps`` on ``domain``
+    (default: the unit cube); its loads f and g are zero."""
+    value = np.asarray(value, dtype=float)
+    return problems.ProblemSpec(
+        np.asarray(eps, float),
+        build_domain(1) if domain is None else domain,
+        lambda p: np.broadcast_to(value, (len(p), 3)).copy(),
+        lambda p: np.zeros(len(p)), lambda p: np.zeros_like(p),
+    )
+
+
 def patch_test_defects(domain: DomainSpec | None = None) -> tuple:
     """(e_u, larger dual semi-norm) of the direct solve for a constant
     field with eps = diag(3, 2, 1) on ``domain`` (default: the unit cube)
     at 1/h = 2; the scheme reproduces constants, so both vanish up to
     round-off."""
-    value = np.array([1.0, -2.0, 0.5])
-    spec = problems.ProblemSpec(
-        np.diag([3.0, 2.0, 1.0]),
-        build_domain(1) if domain is None else domain,
-        lambda p: np.broadcast_to(value, (len(p), 3)).copy(),
-        lambda p: np.zeros(len(p)), lambda p: np.zeros_like(p),
-    )
+    spec = constant_problem([1.0, -2.0, 0.5], np.diag([3.0, 2.0, 1.0]), domain)
     row = solve_level(spec, 2, "direct").row
     return row["err_u"], max(row["tnorm_dual"], row["tnorm_s"])
 

@@ -18,19 +18,7 @@ from divcurl.problems import ProblemSpec, make_problem
 from divcurl.solver import solve
 from divcurl.weak_ops import weak_curl, weak_gradient
 
-from invariants import system_defects
-
-
-def constant_problem(value, eps=None, domain=None):
-    value = np.asarray(value, dtype=float)
-    dom = domain or build_domain(1)
-    return ProblemSpec(
-        np.eye(3) if eps is None else np.asarray(eps, float),
-        dom,
-        lambda p: np.broadcast_to(value, (len(p), 3)).copy(),
-        lambda p: np.zeros(len(p)),
-        lambda p: np.zeros_like(p),
-    )
+from invariants import constant_problem, system_defects
 
 
 def affine_problem(C, d, eps):
@@ -309,7 +297,7 @@ def test_quadratic_forms_psd():
 
 
 def test_rhs_zero_for_zero_loads():
-    spec = constant_problem([0.0, 0.0, 0.0])
+    spec = constant_problem([0.0, 0.0, 0.0], np.eye(3))
     m = build_structured_tet_mesh(spec.domain, 1)
     F = assemble_rhs(spec, m, build_dof_map(m))
     assert np.abs(F).max() == 0.0

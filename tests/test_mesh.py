@@ -185,6 +185,24 @@ def test_excluded_box_clipped_to_bounding_box(box, clipped):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+@pytest.mark.parametrize(
+    "box",
+    [
+        # inverted on one axis, flat on one axis: unchecked, each removes nothing
+        ((0.5, 0.0, 0.0), (0.0, 1.0, 1.0)),
+        ((0.0, 0.0, 0.5), (1.0, 1.0, 0.5)),
+        # not a pair of 3-vectors: unchecked, numpy raises or misreads them
+        ((0.0, 0.0), (1.0, 1.0, 1.0)),
+        ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2.0, 2.0, 2.0)),
+        (0.0, 0.0, 0.0, 1.0, 1.0, 1.0),
+    ],
+)
+def test_malformed_excluded_box_rejected(box):
+    domain = DomainSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (box,))
+    with pytest.raises(MeshError, match="not a pair of 3-vectors lo < hi"):
+        build_structured_tet_mesh(domain, 2)
+
+
 _LATTICE = 4  # cells per axis of [0, 2]^3 at n = 2
 
 

@@ -1,6 +1,8 @@
 """Benchmark problem definitions: exact fields, loads, and the
 finite-difference oracle that validates every derived load formula."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,24 @@ def test_parameter_validation():
     make_problem(7, gamma=2.0 / 3.0)
     assert make_problem(5).params["gamma"] == 2.0 / 3.0
     assert make_problem(7).params["beta"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "eps",
+    [
+        np.eye(2),  # unchecked, the assembly raises a bare ValueError
+        np.diag([3.0, np.inf, 1.0]),
+        np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),  # err_u 4
+        -np.eye(3),  # err_Qu is nan
+    ],
+    ids=["2x2", "infinite", "asymmetric", "negative"],
+)
+def test_eps_must_be_symmetric_positive_definite(eps):
+    # checked on construction, and again by dataclasses.replace
+    with pytest.raises(ProblemError, match="symmetric positive definite 3x3"):
+        dataclasses.replace(make_problem(1), eps=eps)
+    contrast = np.diag([1e6, 1.0, 1e-6])
+    assert dataclasses.replace(make_problem(1), eps=contrast).eps is contrast
 
 
 def test_phi1_antisymmetry(rng):

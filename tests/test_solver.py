@@ -9,25 +9,14 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from divcurl import solver
-from divcurl.analysis import error_u, triple_norm_dual, triple_norm_s
-from divcurl.assembly import LOCAL_BLOCKS, assemble_global
+from divcurl.analysis import error_u, solve_level, triple_norm_dual, triple_norm_s
+from divcurl.assembly import LOCAL_BLOCKS, GlobalSystem, assemble_global
 from divcurl.condense import Condensed, _ruiz_scale
-from divcurl.mesh import build_domain, build_structured_tet_mesh
-from divcurl.problems import ProblemSpec, make_problem
+from divcurl.mesh import build_structured_tet_mesh
+from divcurl.problems import make_problem
 from divcurl.solver import SolverError, recover_cavity_constants, solve
 
-from invariants import lattice_order_defects
-
-
-def constant_problem(value, eps):
-    value = np.asarray(value, dtype=float)
-    return ProblemSpec(
-        np.asarray(eps, float),
-        build_domain(1),
-        lambda p: np.broadcast_to(value, (len(p), 3)).copy(),
-        lambda p: np.zeros(len(p)),
-        lambda p: np.zeros_like(p),
-    )
+from invariants import constant_problem, lattice_order_defects
 
 
 def test_zero_load_gives_zero_solution():
@@ -78,14 +67,15 @@ def test_direct_deterministic():
 
 
 def scaled_matrix(system):
-    """The symbolic phase of the direct solve, and the matrix it factors:
-    entry (i, j) of ``A_ff`` times ``scale[i] * scale[j]``, in CSR form."""
+    """The direct solve's factor after its symbolic phase, and the matrix
+    it factors: entry (i, j) of ``A_ff`` times ``scale[i] * scale[j]``, in
+    CSR form."""
     A_ff, _ = system.reduced()
-    fronts = solver._fronts(system)
-    s = fronts.scale
+    lu = solver._FrontalFactor(system)
+    s = lu.scale
     A_s = A_ff.copy()
     A_s.data = (np.repeat(s, np.diff(A_ff.indptr)) * s[A_ff.indices]) * A_ff.data
-    return fronts, A_s
+    return lu, A_s
 
 
 @pytest.mark.parametrize("example", range(1, 8))
@@ -97,8 +87,8 @@ def test_equilibrated_matrix_is_exactly_symmetric(example):
     system = assemble_global(spec, m)
     A_ff, _ = system.reduced()
     assert (A_ff != A_ff.T).nnz == 0  # so the rows of A_ff[p] are its columns
-    fronts = solver._fronts(system)
-    s, p, bounds = fronts.scale, fronts.order, fronts.bounds
+    lu = solver._FrontalFactor(system)
+    s, p, bounds = lu.scale, lu.order, lu.bounds
     # the scale of the MINRES path: every row of s A_ff s has its largest
     # entry in [0.85, 1] (0.862 at the least)
     assert np.array_equal(s, _ruiz_scale(A_ff, A_ff.diagonal()))
@@ -108,9 +98,9 @@ def test_equilibrated_matrix_is_exactly_symmetric(example):
     assert largest.max() <= 1 + 1e-15  # a few rounding errors above 1
     kept = 0
     for f, (start, end) in enumerate(zip(bounds[:-1], bounds[1:])):
-        entries = slice(fronts.entry_start[f], fronts.entry_start[f + 1])
-        row, col = fronts.entry_row[entries], fronts.entry_col[entries]
-        value = fronts.entry_value[entries]
+        entries = slice(lu.entry_start[f], lu.entry_start[f + 1])
+        row, col = lu.entry_row[entries], lu.entry_col[entries]
+        value = lu.entry_value[entries]
         i, j = p[row], p[start + col]
         assert np.array_equal(value, (s[i] * s[j]) * A[i, j])  # bitwise
         below = A[np.ix_(p[start:], p[start:end])] != 0
@@ -120,7 +110,7 @@ def test_equilibrated_matrix_is_exactly_symmetric(example):
         P[row[pivot] - start, col[pivot]] = value[pivot]
         assert np.array_equal(P, P.T)  # mirrored pivot-block entries
         kept += len(value)
-    assert kept == len(fronts.entry_value)
+    assert kept == len(lu.entry_value)
 
 
 @pytest.mark.parametrize(
@@ -244,42 +234,47 @@ def test_failed_factorization_keeps_diagnostics(monkeypatch):
     m = build_structured_tet_mesh(spec.domain, 2)
     system = assemble_global(spec, m)
 
-    def singular(*args, **kwargs):
+    def singular(lu, dtype):
         raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(solver, "_FrontalFactor", singular)
+    monkeypatch.setattr(solver._FrontalFactor, "factor", singular)
     with pytest.raises(SolverError, match="exactly singular") as info:
         solve(system, method="direct")
     assert info.value.diagnostics["method"] == "direct"
     assert info.value.diagnostics["num_free"] == system.dofmap.num_free
 
 
-class NoisyFactor:
-    """A factor whose solves are off by a relative ``amplitude`` of noise."""
+class NoisyFloat32Solves:
+    """Makes each solve with a float32 factor off by a relative
+    ``amplitude`` of noise, and counts those solves; a float64 factor's
+    solves stay exact."""
 
-    def __init__(self, lu, amplitude):
-        self.lu, self.nnz, self.delayed = lu, lu.nnz, lu.delayed
-        self.amplitude, self.solves = amplitude, 0
-        self.rng = np.random.default_rng(0)
+    def __init__(self, monkeypatch, amplitude):
+        self.solves, rng = 0, np.random.default_rng(0)
+        exact = solver._FrontalFactor.solve
 
-    def solve(self, b):
-        self.solves += 1
-        out = self.lu.solve(b)
-        noise = self.rng.standard_normal(out.shape).astype(out.dtype)
-        return out * (1 + self.amplitude * noise)
+        def solve(lu, b):
+            out = exact(lu, b)
+            if b.dtype != np.float32:
+                return out
+            self.solves += 1
+            noise = rng.standard_normal(out.shape).astype(out.dtype)
+            return out * (1 + amplitude * noise)
+
+        monkeypatch.setattr(solver._FrontalFactor, "solve", solve)
 
 
 def patch_float32_factor(monkeypatch, float32_factor):
-    """Route the float32 factor through ``float32_factor(factor, *args)``;
-    the float64 factor is built as usual."""
-    factor = solver._FrontalFactor
+    """Route the float32 numeric phase through ``float32_factor(factor,
+    lu)``, ``factor`` the unpatched method; the float64 one runs as usual."""
+    factor = solver._FrontalFactor.factor
 
-    def build(*args):
-        if args[-1] == "float32":
-            return float32_factor(factor, *args)
-        return factor(*args)
+    def routed(lu, dtype):
+        if dtype == "float32":
+            return float32_factor(factor, lu)
+        return factor(lu, dtype)
 
-    monkeypatch.setattr(solver, "_FrontalFactor", build)
+    monkeypatch.setattr(solver._FrontalFactor, "factor", routed)
 
 
 def float64_reference(system):
@@ -289,8 +284,8 @@ def float64_reference(system):
     frontal factor is checked against in either precision.
     """
     _, F_f = system.reduced()
-    fronts, A_s = scaled_matrix(system)
-    scale, p = fronts.scale, fronts.order
+    frontal, A_s = scaled_matrix(system)
+    scale, p = frontal.scale, frontal.order
     lu = spla.splu(
         A_s[p][:, p].tocsc(),
         permc_spec="NATURAL",
@@ -359,17 +354,11 @@ def test_noisy_float32_factor_falls_back_to_float64(
     spec = make_problem(1)
     m = build_structured_tet_mesh(spec.domain, 2)
     system = assemble_global(spec, m)
-    noisy = []
-
-    def float32_factor(factor, *args):
-        noisy.append(NoisyFactor(factor(*args), amplitude))
-        return noisy[-1]
-
-    patch_float32_factor(monkeypatch, float32_factor)
+    noisy = NoisyFloat32Solves(monkeypatch, amplitude)
     sol = solve(system, method="direct")
     if dtype == "float64":
         # the float32 corrections made before the factor was dropped
-        assert noisy[0].solves == 1 + steps
+        assert noisy.solves == 1 + steps
         assert_float64_fallback(system, sol, 1)
     else:
         assert sol.diagnostics["factor_dtype"] == "float32"
@@ -382,7 +371,7 @@ def test_float32_factor_failure_falls_back_to_float64(monkeypatch):
     m = build_structured_tet_mesh(spec.domain, 2)
     system = assemble_global(spec, m)
 
-    def singular(factor, *args):
+    def singular(factor, lu):
         raise RuntimeError("Factor is exactly singular")
 
     patch_float32_factor(monkeypatch, singular)
@@ -391,25 +380,58 @@ def test_float32_factor_failure_falls_back_to_float64(monkeypatch):
 
 def test_float64_fallback_reuses_the_symbolic_phase(monkeypatch):
     # a float32 factor that breaks down after its numeric phase: the
-    # float64 refactor reads the same fronts
+    # float64 refactor reads the same symbolic arrays, from one object
     spec = make_problem(1)
     m = build_structured_tet_mesh(spec.domain, 2)
     system = assemble_global(spec, m)
-    symbolic, fronts = [], solver._fronts
+    symbolic, factored, init = [], [], solver._FrontalFactor.__init__
 
-    def counted(*args):
-        symbolic.append(True)
-        return fronts(*args)
+    def counted(lu, *args):
+        symbolic.append(lu)
+        init(lu, *args)
 
-    def breaks_down(factor, *args):
-        factor(*args)
+    def breaks_down(factor, lu):
+        factor(lu, "float32")
+        factored.append(lu)
         raise RuntimeError("the root pivot block is singular")
 
-    monkeypatch.setattr(solver, "_fronts", counted)
+    monkeypatch.setattr(solver._FrontalFactor, "__init__", counted)
     patch_float32_factor(monkeypatch, breaks_down)
     sol = solve(system, method="direct")
-    assert len(symbolic) == 1
+    assert len(symbolic) == 1 and factored == symbolic
     assert_float64_fallback(system, sol, 1)
+
+
+@pytest.mark.parametrize(
+    "example, method, amplitude",
+    [
+        # problem 4 has a cavity, and problem 5 delays a front at 1/h = 2
+        *((e, m, None) for e in (1, 4, 5) for m in ("direct", "minres")),
+        (5, "direct", 0.3),  # a float64 refactor
+    ],
+)
+def test_each_level_reduces_and_solves_once(monkeypatch, example, method, amplitude):
+    # perfbench pairs level i with the i-th call of GlobalSystem.reduced
+    # (for its nnz) and of solver.solve (for its method), so one call more
+    # or less shifts every later level
+    calls, reduced, solve_once = [], GlobalSystem.reduced, solver.solve
+
+    def counted_reduced(system):
+        calls.append("reduced")
+        return reduced(system)
+
+    def counted_solve(*args, **kwargs):
+        calls.append("solve")
+        return solve_once(*args, **kwargs)
+
+    monkeypatch.setattr(GlobalSystem, "reduced", counted_reduced)
+    monkeypatch.setattr(solver, "solve", counted_solve)
+    if amplitude:
+        NoisyFloat32Solves(monkeypatch, amplitude)
+    level = solve_level(make_problem(example), 2, method)
+    assert sorted(calls) == ["reduced", "solve"]
+    if amplitude:
+        assert level.sol.diagnostics["factor_dtype"] == "float64"
 
 
 def test_float64_refactor_delays_pivots_too(monkeypatch):
@@ -418,9 +440,7 @@ def test_float64_refactor_delays_pivots_too(monkeypatch):
     spec = make_problem(5)
     m = build_structured_tet_mesh(spec.domain, 2)
     system = assemble_global(spec, m)
-    patch_float32_factor(
-        monkeypatch, lambda factor, *args: NoisyFactor(factor(*args), 0.3)
-    )
+    NoisyFloat32Solves(monkeypatch, 0.3)
     sol = solve(system, method="direct")
     assert sol.diagnostics["delayed_fronts"] >= 1
     assert_float64_fallback(system, sol, 5)
@@ -434,10 +454,10 @@ def test_pivots_delayed_to_the_root_are_solved_there(monkeypatch):
     m = build_structured_tet_mesh(spec.domain, 2)
     system = assemble_global(spec, m)
     monkeypatch.setattr(solver, "PIVOT_GROWTH_LIMIT", 0.0)
-    fronts = solver._fronts(system)
-    lu = solver._FrontalFactor(fronts, "float32")
-    assert lu.delayed == len(fronts.bounds) - 2  # every front but the root
-    assert len(lu.blocks) == 1 and len(lu.blocks[0][0]) == len(fronts.order)
+    lu = solver._FrontalFactor(system)
+    lu.factor("float32")
+    assert lu.delayed == len(lu.bounds) - 2  # every front but the root
+    assert len(lu.blocks) == 1 and len(lu.blocks[0][0]) == len(lu.order)
     sol = solve(system, method="direct")
     d = sol.diagnostics
     assert d["factor_dtype"] == "float32" and d["delayed_fronts"] == lu.delayed
@@ -485,10 +505,10 @@ def test_symbolic_fronts_match_the_filled_graph(monkeypatch, example):
     spec = make_problem(example)
     m = build_structured_tet_mesh(spec.domain, 2)
     system = assemble_global(spec, m)
-    fronts, A_s = scaled_matrix(system)
-    p, bounds = fronts.order, fronts.bounds
+    lu, A_s = scaled_matrix(system)
+    p, bounds = lu.order, lu.bounds
     monkeypatch.setattr(solver, "PIVOT_GROWTH_LIMIT", np.inf)
-    lu = solver._FrontalFactor(fronts, "float64")
+    lu.factor("float64")
     assert lu.delayed == 0 and len(lu.blocks) == len(bounds) - 1
     filled = A_s[p][:, p].toarray() != 0
     for j in range(len(p)):  # symbolic Gaussian elimination
@@ -896,7 +916,7 @@ def test_nonfinite_load_raises_before_the_solve(monkeypatch, method, bad):
     def unreachable(*args):
         raise AssertionError("a factor or an iteration started")
 
-    monkeypatch.setattr(solver, "_fronts", unreachable)
+    monkeypatch.setattr(solver, "_FrontalFactor", unreachable)
     monkeypatch.setattr(solver, "_minres", unreachable)
     # filterwarnings = error turns an escaping RuntimeWarning into a failure
     with pytest.raises(SolverError, match="load is not finite") as info:
