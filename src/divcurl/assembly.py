@@ -49,7 +49,8 @@ import scipy.sparse as sparse
 
 from .mesh import Mesh
 from .problems import ProblemSpec
-from .quadrature import TET_REF_MEASURE, TRI_REF_MEASURE, gauss_points
+from .quadrature import TET_REF_MEASURE, TRI_REF_MEASURE
+from .weak_ops import gauss_blocks
 
 __all__ = [
     "DofMap",
@@ -292,29 +293,26 @@ def assemble_rhs(
     problem: ProblemSpec, mesh: Mesh, dofmap: DofMap, quad_degree: int = 4
 ) -> np.ndarray:
     """Load vector: g against psi0, -f against phi0, phi1 against phib on
-    the boundary."""
+    the boundary, integrated one block of simplices at a time."""
     F = np.zeros(dofmap.total)
-    tets = np.arange(mesh.num_tets)
+    lam0, lamb = F[dofmap.block("lam0")], F[dofmap.block("lamb")]
+    q0 = F[dofmap.block("q0")].reshape(-1, 3)
 
-    phys, wts = gauss_points(mesh.vertices[mesh.tets], quad_degree)
-    flat = phys.reshape(-1, 3)
     scale = mesh.geometry.volumes / TET_REF_MEASURE
-
-    fvals = problem.f(flat).reshape(mesh.num_tets, -1)
-    F[dofmap.index("lam0", tets)] = -scale * (fvals @ wts)
-
-    gvals = problem.g(flat).reshape(mesh.num_tets, -1, 3)
-    q0 = dofmap.index("q0", tets[:, None], np.arange(3)[None, :])
-    F[q0] = scale[:, None] * np.einsum("k,tkd->td", wts, gvals)
+    for tets, points, wts in gauss_blocks(mesh.vertices, mesh.tets, quad_degree):
+        fvals = problem.f(points).reshape(-1, len(wts))
+        lam0[tets] = -scale[tets] * (fvals @ wts)
+        gvals = problem.g(points).reshape(-1, len(wts), 3)
+        q0[tets] = scale[tets, None] * np.einsum("k,tkd->td", wts, gvals)
 
     bfaces = mesh.boundary_faces
-    if len(bfaces):
-        fphys, twts = gauss_points(mesh.vertices[mesh.faces[bfaces]], quad_degree)
+    tris, fscale = mesh.faces[bfaces], mesh.face_areas[bfaces] / TRI_REF_MEASURE
+    for block, points, wts in gauss_blocks(mesh.vertices, tris, quad_degree):
+        faces = bfaces[block]
         # canonical normal of a boundary face is the domain outward normal
-        norms = np.repeat(mesh.face_normals[bfaces], len(twts), axis=0)
-        p1 = problem.phi1(fphys.reshape(-1, 3), norms).reshape(len(bfaces), -1)
-        fscale = mesh.face_areas[bfaces] / TRI_REF_MEASURE
-        F[dofmap.index("lamb", bfaces)] = fscale * (p1 @ twts)
+        norms = np.repeat(mesh.face_normals[faces], len(wts), axis=0)
+        p1 = problem.phi1(points, norms).reshape(-1, len(wts))
+        lamb[faces] = fscale[block] * (p1 @ wts)
     return F
 
 

@@ -59,8 +59,8 @@ class ProblemSpec:
 
     ``exact_u``, ``f`` and ``g`` are vectorized callables mapping (N, 3)
     point arrays to (N, 3), (N,) and (N, 3) values.  ``eps`` is a constant
-    symmetric positive definite 3x3 matrix; any other raises
-    :class:`ProblemError`.
+    symmetric positive definite 3x3 matrix, kept as a float array; any
+    other raises :class:`ProblemError`.
 
     Who reads each field: the mesh reads ``domain``; the assembly reads
     ``eps`` (into B) and the loads ``f``, ``g`` and :meth:`phi1`, which
@@ -86,6 +86,7 @@ class ProblemSpec:
         if eps.shape == (3, 3) and np.isfinite(eps).all() and (eps == eps.T).all():
             try:
                 np.linalg.cholesky(eps)
+                object.__setattr__(self, "eps", eps)
                 return
             except np.linalg.LinAlgError:
                 pass

@@ -7,6 +7,7 @@ reference simplex (1/2 for the unit triangle, 1/6 for the unit tet).
 """
 
 from functools import lru_cache, reduce
+from numbers import Integral
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -17,13 +18,14 @@ TRI_REF_MEASURE = 0.5
 TET_REF_MEASURE = 1.0 / 6.0
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def simplex_rule(dim: int, degree: int):
     """Points (k, dim) and weights (k,) of the rule exact to total
-    ``degree`` (>= 1) on the simplex spanned by the origin and the ``dim``
-    unit coordinate points."""
-    if degree < 1:
-        raise ValueError(f"quadrature degree must be >= 1, got {degree}")
+    ``degree``, an integer >= 1, on the simplex spanned by the origin and
+    the ``dim`` unit coordinate points.  The cache is typed, so a bool or
+    float degree is checked and not served the rule of an equal int."""
+    if isinstance(degree, bool) or not isinstance(degree, Integral) or degree < 1:
+        raise ValueError(f"quadrature degree must be an int >= 1, got {degree!r}")
     # m-point Gauss-Jacobi is exact for 1-D polynomials up to degree 2m-1;
     # line j integrates against (1 - t)^j over [0, 1]
     m = max(1, (degree + 2) // 2)

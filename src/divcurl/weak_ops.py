@@ -25,7 +25,7 @@ __all__ = [
     "weak_gradient",
     "weak_curl",
     "project_field",
-    "field_blocks",
+    "gauss_blocks",
     "BLOCK_TETS",
     "TANGENT_TOL",
 ]
@@ -55,20 +55,19 @@ def weak_curl(geom: TetGeometry, psib: np.ndarray) -> np.ndarray:
     ) / geom.volumes[:, None]
 
 
-# tets per block of a field evaluation at the Gauss points: at degree 4 a
-# block's values take 1.3 MB, where the whole mesh's would scale with it
+# simplices per block of the quadrature loop: at degree 4 a block's field
+# values take 1.3 MB, where the whole mesh's would scale with it
 BLOCK_TETS = 2048
 
 
-def field_blocks(u, mesh, degree: int = 4):
-    """Yield ``(tets, values, weights)`` for each block of ``BLOCK_TETS``
-    tets: the slice of the block, ``u`` at its Gauss points (b, k, 3) and
-    the reference weights (k,)."""
-    for start in range(0, mesh.num_tets, BLOCK_TETS):
-        tets = slice(start, start + BLOCK_TETS)
-        phys, wts = gauss_points(mesh.vertices[mesh.tets[tets]], degree)
-        vals = np.asarray(u(phys.reshape(-1, 3)), dtype=float)
-        yield tets, vals.reshape(phys.shape), wts
+def gauss_blocks(vertices, simplices, degree: int):
+    """Yield ``(block, points, weights)`` for each block of ``BLOCK_TETS``
+    ``simplices`` (n, dim + 1) of ``vertices``: the block's slice, its
+    Gauss points (b k, 3), simplex by simplex, and the weights (k,)."""
+    for start in range(0, len(simplices), BLOCK_TETS):
+        block = slice(start, start + BLOCK_TETS)
+        points, wts = gauss_points(vertices[simplices[block]], degree)
+        yield block, points.reshape(-1, 3), wts
 
 
 def project_field(u, mesh, degree: int = 4) -> np.ndarray:
@@ -77,7 +76,8 @@ def project_field(u, mesh, degree: int = 4) -> np.ndarray:
     Returns the (num_tets, 3) array of cell averages of ``u``.
     """
     qu = np.empty((mesh.num_tets, 3))
-    for tets, vals, wts in field_blocks(u, mesh, degree):
+    for tets, points, wts in gauss_blocks(mesh.vertices, mesh.tets, degree):
+        vals = np.asarray(u(points), dtype=float).reshape(-1, len(wts), 3)
         qu[tets] = np.einsum("k,tkd->td", wts, vals)
     qu /= TET_REF_MEASURE
     return qu

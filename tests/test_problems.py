@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from divcurl.analysis import solve_level
 from divcurl.problems import (
     ProblemError,
     cyl_coords,
@@ -152,6 +153,19 @@ def test_eps_must_be_symmetric_positive_definite(eps):
         dataclasses.replace(make_problem(1), eps=eps)
     contrast = np.diag([1e6, 1.0, 1e-6])
     assert dataclasses.replace(make_problem(1), eps=contrast).eps is contrast
+
+
+def test_list_eps_is_stored_as_the_array_it_validates():
+    # a list eps used to pass the check, be kept as given, and fail in phi1
+    # (``self.eps.T``) with an AttributeError that escaped LevelError
+    eps = [[3, 0, 0], [0, 2, 0], [0, 0, 1]]
+    rows = []
+    for given in (eps, np.array(eps, dtype=float)):
+        spec = dataclasses.replace(make_problem(1), eps=given)
+        assert isinstance(spec.eps, np.ndarray) and spec.eps.dtype == float
+        row = solve_level(spec, 2).row
+        rows.append({k: v for k, v in row.items() if k != "seconds"})
+    assert rows[0] == rows[1]
 
 
 def test_phi1_antisymmetry(rng):

@@ -99,6 +99,14 @@ def test_degree_below_one_rejected():
         simplex_rule(3, 0)
     with pytest.raises(ValueError):
         simplex_rule(2, -1)
+    # a bool or a non-integer is no degree, even where it equals one that
+    # is cached; a numpy integer is one
+    simplex_rule(3, 1)
+    for degree in (True, 2.5, 4.0, np.float64(4)):
+        with pytest.raises(ValueError):
+            simplex_rule(3, degree)
+    for got, want in zip(simplex_rule(3, np.int64(4)), simplex_rule(3, 4)):
+        assert np.array_equal(got, want)
     tet = np.eye(4, 3)[None]
     with pytest.raises(ValueError):
         gauss_points(tet, 0)

@@ -1,5 +1,6 @@
 """Bitwise guards and memory bounds for the assembled saddle system."""
 
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -12,7 +13,9 @@ from divcurl.analysis import triple_norm_dual, triple_norm_s
 from divcurl.assembly import assemble_global, assemble_s1, assemble_s2
 from divcurl.mesh import build_structured_tet_mesh
 from divcurl.problems import make_problem
+from divcurl.quadrature import simplex_rule
 from divcurl.solver import SolutionFields
+from divcurl.weak_ops import BLOCK_TETS
 
 _DIGEST_FILE = Path(__file__).parent / "data" / "system_digests.json"
 
@@ -41,6 +44,36 @@ _RECORDED = json.loads(_DIGEST_FILE.read_text())
 def test_system_arrays_match_recorded_digests(key):
     example, n = (int(part) for part in key.split("/"))
     assert _system_digests(example, n) == _RECORDED[key]
+
+
+def test_loads_are_evaluated_one_block_at_a_time():
+    # problem 4 at 1/h = 4 has 2688 tets, two blocks; f, g and the
+    # boundary field each see at most a block's Gauss points per call,
+    # and F is bitwise the one assembled over the whole mesh at once
+    spec = make_problem(4)
+    sizes = {"f": [], "g": [], "trace": []}
+
+    def counted(name, fn):
+        def wrapper(points):
+            sizes[name].append(len(points))
+            return fn(points)
+        return wrapper
+
+    spec = dataclasses.replace(
+        spec,
+        f=counted("f", spec.f),
+        g=counted("g", spec.g),
+        normal_trace_field=counted("trace", spec.normal_trace_field or spec.exact_u),
+    )
+    mesh = build_structured_tet_mesh(spec.domain, 4)
+    assert mesh.num_tets == 2688
+    system = assemble_global(spec, mesh)
+    k_tet, k_tri = len(simplex_rule(3, 4)[1]), len(simplex_rule(2, 4)[1])
+    blocks = [BLOCK_TETS, mesh.num_tets - BLOCK_TETS]
+    assert sizes["f"] == sizes["g"] == [b * k_tet for b in blocks]
+    assert max(sizes["trace"]) <= BLOCK_TETS * k_tri
+    assert sum(sizes["trace"]) == len(mesh.boundary_faces) * k_tri
+    assert _digest(system.F) == _RECORDED["4/4"]["F"]
 
 
 @pytest.mark.parametrize("example", [1, 4, 7])
