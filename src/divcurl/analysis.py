@@ -20,7 +20,7 @@ import numpy as np
 from . import assembly, mesh as meshmod, solver
 from .assembly import GlobalSystem
 from .mesh import Mesh
-from .problems import ProblemSpec
+from .problems import ProblemError, ProblemSpec, evaluate
 from .quadrature import TET_REF_MEASURE
 from .solver import SolutionFields
 from .weak_ops import gauss_blocks, project_field
@@ -54,7 +54,8 @@ def _exact_cells(problem, u_h, mesh, degree):
     stays at the size of a block and not of the mesh."""
     cellsq, qu = np.empty(mesh.num_tets), np.empty((mesh.num_tets, 3))
     for tets, points, wts in gauss_blocks(mesh.vertices, mesh.tets, degree):
-        uex = np.asarray(problem.exact_u(points), dtype=float).reshape(-1, len(wts), 3)
+        uex = evaluate("exact_u", problem.exact_u, points, (3,))
+        uex = uex.reshape(-1, len(wts), 3)
         diff = uex - u_h[tets, None, :]
         cellsq[tets] = np.einsum("k,tk->t", wts, _weighted_sq(diff, problem.eps))
         qu[tets] = np.einsum("k,tkd->td", wts, uex)
@@ -273,6 +274,6 @@ def solve_level(
             row["cavity_c1"] = sol.cavity_constants.get(1)
             row["residual_before_recovery"] = diag.get("raw_residual_before")
             row["residual_after_recovery"] = diag.get("raw_residual_after")
-    except (meshmod.MeshError, solver.SolverError, MemoryError) as exc:
+    except (meshmod.MeshError, ProblemError, solver.SolverError, MemoryError) as exc:
         raise LevelError(stage, exc) from exc
     return Level(msh, system, sol, qu, cells, row)

@@ -48,7 +48,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .mesh import Mesh
-from .problems import ProblemSpec
+from .problems import ProblemSpec, evaluate
 from .quadrature import TET_REF_MEASURE, TRI_REF_MEASURE
 from .weak_ops import gauss_blocks
 
@@ -300,9 +300,9 @@ def assemble_rhs(
 
     scale = mesh.geometry.volumes / TET_REF_MEASURE
     for tets, points, wts in gauss_blocks(mesh.vertices, mesh.tets, quad_degree):
-        fvals = problem.f(points).reshape(-1, len(wts))
+        fvals = evaluate("f", problem.f, points, ()).reshape(-1, len(wts))
         lam0[tets] = -scale[tets] * (fvals @ wts)
-        gvals = problem.g(points).reshape(-1, len(wts), 3)
+        gvals = evaluate("g", problem.g, points, (3,)).reshape(-1, len(wts), 3)
         q0[tets] = scale[tets, None] * np.einsum("k,tkd->td", wts, gvals)
 
     bfaces = mesh.boundary_faces

@@ -39,6 +39,7 @@ from .mesh import DomainSpec, _numeric, build_domain
 __all__ = [
     "ProblemSpec",
     "ProblemError",
+    "evaluate",
     "make_problem",
     "cyl_coords",
     "finite_difference_check",
@@ -101,8 +102,29 @@ class ProblemSpec:
         (problem 7 drives the boundary with the vector-potential part
         only, which is what leaves a harmonic defect in the solution).
         """
-        ub = self.normal_trace_field or self.exact_u
-        return np.einsum("nd,nd->n", ub(points) @ self.eps.T, normals)
+        name = "normal_trace_field" if self.normal_trace_field else "exact_u"
+        ub = evaluate(name, getattr(self, name), points, (3,))
+        return np.einsum("nd,nd->n", ub @ self.eps.T, normals)
+
+
+def evaluate(name: str, func, points: np.ndarray, shape: tuple) -> np.ndarray:
+    """``func(points)`` as a float array of shape ``(len(points), *shape)``.
+
+    Values of another shape, or one that is not finite, raise
+    :class:`ProblemError` naming the callable ``name``, with both shapes
+    or the first point whose value is not finite.
+    """
+    values = np.asarray(func(points), dtype=float)
+    want = (len(points), *shape)
+    if values.shape != want:
+        raise ProblemError(
+            f"{name} returned values of shape {values.shape}, expected {want}"
+        )
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = np.flatnonzero(~finite.reshape(len(points), -1).all(axis=1))[0]
+        raise ProblemError(f"{name} is not finite at the point {points[bad].tolist()}")
+    return values
 
 
 def cyl_coords(points: np.ndarray):

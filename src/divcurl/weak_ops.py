@@ -19,6 +19,7 @@ safe to call concurrently.
 import numpy as np
 
 from .mesh import TetGeometry
+from .problems import evaluate
 from .quadrature import TET_REF_MEASURE, gauss_points
 
 __all__ = [
@@ -73,11 +74,13 @@ def gauss_blocks(vertices, simplices, degree: int):
 def project_field(u, mesh, degree: int = 4) -> np.ndarray:
     """Elementwise L2 projection of a vector field onto cell constants.
 
-    Returns the (num_tets, 3) array of cell averages of ``u``.
+    Returns the (num_tets, 3) array of cell averages of ``u``; values of
+    ``u`` that are not one finite 3-vector per point raise
+    :class:`~divcurl.problems.ProblemError`.
     """
     qu = np.empty((mesh.num_tets, 3))
     for tets, points, wts in gauss_blocks(mesh.vertices, mesh.tets, degree):
-        vals = np.asarray(u(points), dtype=float).reshape(-1, len(wts), 3)
+        vals = evaluate("u", u, points, (3,)).reshape(-1, len(wts), 3)
         qu[tets] = np.einsum("k,tkd->td", wts, vals)
     qu /= TET_REF_MEASURE
     return qu

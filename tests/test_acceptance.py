@@ -11,16 +11,16 @@ import time
 import numpy as np
 
 from divcurl.analysis import error_u, triple_norm_dual, triple_norm_s
-from divcurl.assembly import assemble_global
 from divcurl.cli import RunConfig, run_study
-from divcurl.mesh import build_structured_tet_mesh
-from divcurl.problems import ProblemSpec, make_problem
+from divcurl.problems import make_problem
 from divcurl.solver import solve
 
 from invariants import (
     commutativity_defect,
+    constant_problem,
     load_oracle_defect,
     patch_test_defects,
+    system_at,
     system_defects,
 )
 
@@ -148,15 +148,7 @@ def test_criterion_10_system_sanity():
     asymmetry, min_energy = system_defects(np.random.default_rng(7), 100)
     assert asymmetry == 0.0
     assert min_energy >= -1e-12
-    spec = make_problem(1)
-    m = build_structured_tet_mesh(spec.domain, 2)
-    zero_spec = ProblemSpec(
-        spec.eps, spec.domain,
-        lambda p: np.zeros_like(p), lambda p: np.zeros(len(p)),
-        lambda p: np.zeros_like(p),
-    )
-    zero_system = assemble_global(zero_spec, m)
-    sol = solve(zero_system)
+    sol = solve(system_at(constant_problem([0.0, 0.0, 0.0], make_problem(1).eps), 2))
     assert np.abs(sol.x).max() == 0.0
     report_line(10, "matrix exactly symmetric, stabilizers PSD, homogeneous solve zero")
 
@@ -165,8 +157,8 @@ def test_criterion_11_solver_cross_check():
     spec = make_problem(1)
     worst = 0.0
     for n in (2, 4):
-        m = build_structured_tet_mesh(spec.domain, n)
-        system = assemble_global(spec, m)
+        system = system_at(spec, n)
+        m = system.mesh
         sd = solve(system, method="direct")
         si = solve(system, method="minres")
         worst = max(

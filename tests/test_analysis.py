@@ -13,20 +13,15 @@ from divcurl.analysis import (
     error_u,
     solve_level,
 )
-from divcurl.mesh import DomainSpec, build_domain, build_structured_tet_mesh
+from divcurl.mesh import DomainSpec, build_structured_tet_mesh
 from divcurl.problems import ProblemSpec, make_problem
 from divcurl.weak_ops import project_field
 
-
-def field_problem(u, eps, domain=None):
-    return ProblemSpec(
-        np.asarray(eps, float), domain or build_domain(1),
-        u, lambda p: np.zeros(len(p)), lambda p: np.zeros_like(p),
-    )
+from invariants import constant_problem, system_at
 
 
 def test_error_u_zero_for_projection_of_constant():
-    spec = field_problem(lambda p: np.tile([1.0, 2.0, 3.0], (len(p), 1)), np.eye(3))
+    spec = constant_problem([1.0, 2.0, 3.0], np.eye(3))
     m = build_structured_tet_mesh(spec.domain, 2)
     u_h = project_field(spec.exact_u, m)
     assert error_u(spec, u_h, m) < 1e-12
@@ -34,7 +29,7 @@ def test_error_u_zero_for_projection_of_constant():
 
 def test_error_u_weighted_constant_mismatch():
     # eps = 4 I and a unit constant error: ||eps^(1/2) e|| = 2 sqrt(|Omega|)
-    spec = field_problem(lambda p: np.zeros_like(p), 4.0 * np.eye(3))
+    spec = constant_problem([0.0, 0.0, 0.0], 4.0 * np.eye(3))
     m = build_structured_tet_mesh(spec.domain, 2)
     u_h = np.zeros((m.num_tets, 3))
     u_h[:, 0] = 1.0
@@ -211,14 +206,11 @@ def test_combined_multiplier_norms_decrease():
     # past the coarsest level, the summed stabilizer semi-norms shrink by
     # at least 1.8x per halving of h on the smooth benchmark
     from divcurl.analysis import triple_norm_dual, triple_norm_s
-    from divcurl.assembly import assemble_global
     from divcurl.solver import solve
 
-    spec = make_problem(1)
     sums = []
     for n in (4, 8):
-        m = build_structured_tet_mesh(spec.domain, n)
-        system = assemble_global(spec, m)
+        system = system_at(1, n)
         sol = solve(system)
         sums.append(triple_norm_dual(system, sol) + triple_norm_s(system, sol))
     assert sums[0] / sums[1] >= 1.8

@@ -18,7 +18,7 @@ from divcurl.problems import ProblemSpec, make_problem
 from divcurl.solver import solve
 from divcurl.weak_ops import weak_curl, weak_gradient
 
-from invariants import constant_problem, system_defects
+from invariants import constant_problem, system_at, system_defects
 
 
 def affine_problem(C, d, eps):
@@ -201,12 +201,10 @@ def test_curl_coupling_matches_kernel():
 
 
 def test_global_symmetry_and_block_structure():
-    spec = make_problem(1)
-    m = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, m)
+    system = system_at(1, 2)
     asym = (system.A - system.A.T).tocoo()
     assert asym.nnz == 0 or np.abs(asym.data).max() == 0.0
-    dm = system.dofmap
+    m, dm = system.mesh, system.dofmap
     # (u, u) block is empty
     ub = dm.block("u")
     assert system.A[ub, ub].nnz == 0
@@ -392,9 +390,7 @@ def test_consistency_identity_affine():
 
 
 def test_joint_scaling_invariance():
-    spec = make_problem(1)
-    m = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, m)
+    system = system_at(1, 2)
     sol1 = solve(system, method="direct")
     system.A = system.A * 3.0
     system.F = system.F * 3.0
@@ -407,8 +403,7 @@ def test_reduced_is_free_submatrix():
     # boundary traces; reduced() must equal the restriction R A R^T
     from scipy import sparse
 
-    spec = make_problem(4)
-    system = assemble_global(spec, build_structured_tet_mesh(spec.domain, 2))
+    system = system_at(4, 2)
     dm, free = system.dofmap, system.dofmap.free
     assert dm.cavity_faces and dm.pinned_lam0 not in set(free)
     assert len(free) < dm.total - 1

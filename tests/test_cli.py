@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -275,6 +276,47 @@ def test_exact_field_evaluated_once_per_level(tmp_path):
     report = run_study(config)
     assert report.failure is None and len(report.rows) == 2
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("fault", ["shape", "nonfinite"])
+@pytest.mark.parametrize(
+    "name, example, stage",
+    [
+        ("f", 1, "assemble"),
+        ("g", 1, "assemble"),
+        ("normal_trace_field", 7, "assemble"),
+        ("exact_u", 1, "assemble"),  # the boundary data reads it
+        ("exact_u", 7, "errors"),  # its boundary data has a field of its own
+    ],
+)
+def test_bad_problem_callable_fails_its_level(name, example, stage, fault):
+    # one value too few, or a NaN at the last point, fails the level with
+    # a ProblemError naming the callable, where it used to escape run_study
+    # or report a non-finite load at the solve
+    spec = divcurl.make_problem(example)
+    good = getattr(spec, name)
+
+    def bad(points):
+        values = np.array(good(points))
+        if fault == "shape":
+            return values[:-1]
+        values[-1] = np.nan
+        return values
+
+    spec = dataclasses.replace(spec, **{name: bad})
+    config = RunConfig(example=example, refinements=(2, 4), problem_spec=spec)
+    report = run_study(config)
+    assert report.rows == []
+    assert report.failure["inv_h"] == 2 and report.failure["stage"] == stage
+    message = report.failure["message"]
+    if fault == "shape":
+        shapes = re.fullmatch(
+            rf"{name} returned values of shape \((\d+),( 3|)\), expected \((\d+),\2\)",
+            message,
+        )
+        assert int(shapes[1]) == int(shapes[3]) - 1, message
+    else:
+        assert message.startswith(f"{name} is not finite at the point [")
 
 
 def test_failure_stage_mesh(tmp_path, capsys):

@@ -10,20 +10,22 @@ import scipy.sparse.linalg as spla
 
 from divcurl import solver
 from divcurl.analysis import error_u, solve_level, triple_norm_dual, triple_norm_s
-from divcurl.assembly import LOCAL_BLOCKS, GlobalSystem, assemble_global
+from divcurl.assembly import LOCAL_BLOCKS, GlobalSystem
 from divcurl.condense import Condensed, _ruiz_scale
-from divcurl.mesh import build_structured_tet_mesh
 from divcurl.problems import make_problem
 from divcurl.solver import SolverError, recover_cavity_constants, solve
 
-from invariants import constant_problem, lattice_order_defects
+from invariants import (
+    condensed_defects,
+    constant_problem,
+    frontal_defects,
+    lattice_order_defects,
+    system_at,
+)
 
 
 def test_zero_load_gives_zero_solution():
-    spec = constant_problem([0.0, 0.0, 0.0], np.eye(3))
-    m = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, m)
-    sol = solve(system)
+    sol = solve(system_at(constant_problem([0.0, 0.0, 0.0], np.eye(3)), 2))
     assert np.abs(sol.x).max() == 0.0
     assert sol.diagnostics["relative_residual"] == 0.0
 
@@ -36,81 +38,55 @@ def test_patch_test_constant_field():
         (np.diag([100.0, 1.0, 0.01]), 4, "float64"),
     ):
         spec = constant_problem([1.0, -2.0, 0.5], eps)
-        m = build_structured_tet_mesh(spec.domain, n)
-        system = assemble_global(spec, m)
+        system = system_at(spec, n)
         sol = solve(system, method="direct")
         assert sol.diagnostics["factor_dtype"] == dtype
         assert sol.diagnostics["relative_residual"] <= solver.ACCEPT["direct"]
-        assert error_u(spec, sol.u, m) <= 1e-8
+        assert error_u(spec, sol.u, system.mesh) <= 1e-8
         assert triple_norm_dual(system, sol) <= 1e-8
         assert triple_norm_s(system, sol) <= 1e-8
         assert np.abs(sol.u - [1.0, -2.0, 0.5]).max() < 1e-10
 
 
 def test_smoke_problem1():
-    spec = make_problem(1)
-    m = build_structured_tet_mesh(spec.domain, 4)
-    system = assemble_global(spec, m)
-    sol = solve(system, method="direct")
+    sol = solve(system_at(1, 4), method="direct")
     assert sol.diagnostics["relative_residual"] <= 1e-10
     assert np.isfinite(sol.u).all()
 
 
 def test_direct_deterministic():
     for example in (1, 5):  # problem 5 delays a front at 1/h = 2
-        spec = make_problem(example)
-        m = build_structured_tet_mesh(spec.domain, 2)
-        system = assemble_global(spec, m)
+        system = system_at(example, 2)
         x1 = solve(system, method="direct").x
         x2 = solve(system, method="direct").x
         assert np.array_equal(x1, x2)
 
 
 def scaled_matrix(system):
-    """The direct solve's factor after its symbolic phase, and the matrix
-    it factors: entry (i, j) of ``A_ff`` times ``scale[i] * scale[j]``, in
-    CSR form."""
+    """The matrix the direct solve factors, entry (i, j) of ``A_ff`` times
+    ``s[i] * s[j]`` in CSR form, and the scale ``s`` of ``_ruiz_scale``."""
     A_ff, _ = system.reduced()
-    lu = solver._FrontalFactor(system)
-    s = lu.scale
+    s = _ruiz_scale(A_ff, A_ff.diagonal())
     A_s = A_ff.copy()
     A_s.data = (np.repeat(s, np.diff(A_ff.indptr)) * s[A_ff.indices]) * A_ff.data
-    return lu, A_s
+    return A_s, s
 
 
 @pytest.mark.parametrize("example", range(1, 8))
 def test_equilibrated_matrix_is_exactly_symmetric(example):
     # the symbolic phase keeps each entry of the pivot columns, from the
     # front's first pivot down, scaled as (scale[i] * scale[j]) * a_ij
-    spec = make_problem(example)
-    m = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, m)
+    system = system_at(example, 2)
     A_ff, _ = system.reduced()
     assert (A_ff != A_ff.T).nnz == 0  # so the rows of A_ff[p] are its columns
-    lu = solver._FrontalFactor(system)
-    s, p, bounds = lu.scale, lu.order, lu.bounds
     # the scale of the MINRES path: every row of s A_ff s has its largest
     # entry in [0.85, 1] (0.862 at the least)
-    assert np.array_equal(s, _ruiz_scale(A_ff, A_ff.diagonal()))
-    A = A_ff.toarray()
-    largest = np.abs(s[:, None] * A * s).max(axis=1)
+    largest = abs(scaled_matrix(system)[0]).max(axis=1).toarray()
     assert largest.min() >= 0.85
     assert largest.max() <= 1 + 1e-15  # a few rounding errors above 1
-    kept = 0
-    for f, (start, end) in enumerate(zip(bounds[:-1], bounds[1:])):
-        entries = slice(lu.entry_start[f], lu.entry_start[f + 1])
-        row, col = lu.entry_row[entries], lu.entry_col[entries]
-        value = lu.entry_value[entries]
-        i, j = p[row], p[start + col]
-        assert np.array_equal(value, (s[i] * s[j]) * A[i, j])  # bitwise
-        below = A[np.ix_(p[start:], p[start:end])] != 0
-        assert len(value) == np.count_nonzero(below)
-        P = np.zeros((end - start, end - start))
-        pivot = row < end
-        P[row[pivot] - start, col[pivot]] = value[pivot]
-        assert np.array_equal(P, P.T)  # mirrored pivot-block entries
-        kept += len(value)
-    assert kept == len(lu.entry_value)
+    defects = frontal_defects(system)
+    for fact in ("scale", "entry_count", "entry_value", "pivot_mirror"):
+        assert defects[fact] == 0, defects
 
 
 @pytest.mark.parametrize(
@@ -121,10 +97,8 @@ def test_equilibrated_matrix_is_exactly_symmetric(example):
     ],
 )
 def test_lattice_permutation_orders_u_after_three_faces(example, n):
-    spec = make_problem(example)
-    m = build_structured_tet_mesh(spec.domain, n)
-    system = assemble_global(spec, m)
-    dm = system.dofmap
+    system = system_at(example, n)
+    m, dm = system.mesh, system.dofmap
     defects = lattice_order_defects(m, dm)
     assert not any(defects.values()), defects
     p, bounds = solver._lattice_permutation(m, dm)
@@ -139,14 +113,8 @@ def test_lattice_permutation_orders_u_after_three_faces(example, n):
     assert u_pos.min() >= 0
     faces = m.tet_faces
     # latest free multiplier (lamb, qb) of each of a tet's four faces
-    last_multiplier = np.stack(
-        [
-            pos[dm.index("lamb", faces)],
-            pos[dm.index("qb", faces, 0)],
-            pos[dm.index("qb", faces, 1)],
-        ],
-        axis=-1,
-    ).max(axis=-1)
+    multipliers = [dm.index("lamb", faces), *(dm.index("qb", faces, c) for c in (0, 1))]
+    last_multiplier = pos[np.array(multipliers)].max(axis=0)
     faces_before_u = (last_multiplier < u_pos.min(axis=1)[:, None]).sum(axis=1)
     assert faces_before_u.min() >= 3
 
@@ -163,53 +131,33 @@ def test_lattice_groups_keep_a_set_without_a_plane_whole():
 
 
 def test_lattice_order_beats_colamd_fill():
-    spec = make_problem(1)
-    m = build_structured_tet_mesh(spec.domain, 4)
-    system = assemble_global(spec, m)
+    system = system_at(1, 4)
     fill = solve(system, method="direct").diagnostics["fill_nnz"]
-    A_s = scaled_matrix(system)[1]
+    A_s = scaled_matrix(system)[0]
     colamd = spla.splu(A_s.tocsc(), permc_spec="COLAMD")
     assert fill < colamd.nnz
 
 
 def test_lattice_order_halves_fill():
     # eliminating u after its fourth face instead stores 926,061 entries
-    spec = make_problem(1)
-    m = build_structured_tet_mesh(spec.domain, 4)
-    system = assemble_global(spec, m)
-    assert solve(system, method="direct").diagnostics["fill_nnz"] < 700_000
+    assert solve(system_at(1, 4), method="direct").diagnostics["fill_nnz"] < 700_000
 
 
-# fill_nnz of the direct solve by 1/h and problem; problems 5 and 7 delay
-# one front at 1/h = 2
+# fill_nnz of the direct solve by 1/h and problem 1-7; problems 5 and 7
+# delay one front at 1/h = 2
 FILL_NNZ = {
-    2: {
-        1: 63_209,
-        2: 63_209,
-        3: 213_323,
-        4: 535_181,
-        5: 56_693,
-        6: 181_316,
-        7: 56_693,
-    },
-    4: {
-        1: 688_433,
-        2: 688_433,
-        3: 2_417_539,
-        4: 6_220_401,
-        5: 625_245,
-        6: 2_016_384,
-        7: 625_245,
-    },
+    n: dict(zip(range(1, 8), fill))
+    for n, fill in (
+        (2, (63_209, 63_209, 213_323, 535_181, 56_693, 181_316, 56_693)),
+        (4, (688_433, 688_433, 2_417_539, 6_220_401, 625_245, 2_016_384, 625_245)),
+    )
 }
 
 
 @pytest.mark.parametrize("example", range(1, 8))
 def test_direct_solve_accurate_despite_zero_u_block(example):
-    spec = make_problem(example)
     for n in (2, 4):
-        m = build_structured_tet_mesh(spec.domain, n)
-        system = assemble_global(spec, m)
+        system = system_at(example, n)
         sol = solve(system, method="direct")
         d = sol.diagnostics
         assert d["factor_dtype"] == "float32"
@@ -230,9 +178,7 @@ def test_direct_solve_accurate_despite_zero_u_block(example):
 
 
 def test_failed_factorization_keeps_diagnostics(monkeypatch):
-    spec = make_problem(1)
-    m = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, m)
+    system = system_at(1, 2)
 
     def singular(lu, dtype):
         raise RuntimeError("Factor is exactly singular")
@@ -284,8 +230,8 @@ def float64_reference(system):
     frontal factor is checked against in either precision.
     """
     _, F_f = system.reduced()
-    frontal, A_s = scaled_matrix(system)
-    scale, p = frontal.scale, frontal.order
+    A_s, scale = scaled_matrix(system)
+    p, _ = solver._lattice_permutation(system.mesh, system.dofmap)
     lu = spla.splu(
         A_s[p][:, p].tocsc(),
         permc_spec="NATURAL",
@@ -298,9 +244,7 @@ def float64_reference(system):
 
 
 def test_float32_factor_matches_float64_fill_and_solution():
-    spec = make_problem(4)
-    m = build_structured_tet_mesh(spec.domain, 4)
-    system = assemble_global(spec, m)
+    system = system_at(4, 4)
     sol = solve(system, method="direct")
     diagnostics = sol.diagnostics
     assert diagnostics["factor_dtype"] == "float32"
@@ -317,9 +261,7 @@ def test_refinement_survives_a_tiny_load():
     # a 1e-36 load leaves residuals below float32's smallest normal number
     # (1.2e-38) unless each correction's right-hand side is normalised
     # before the cast; unnormalised, the refinement stalls from 1e-33 down
-    spec = make_problem(1)
-    m = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, m)
+    system = system_at(1, 2)
     tiny = dataclasses.replace(system, F=1e-36 * system.F)
     sol = solve(tiny, method="direct")
     assert sol.diagnostics["factor_dtype"] == "float32"
@@ -351,9 +293,7 @@ def assert_float64_fallback(system, sol, example):
 def test_noisy_float32_factor_falls_back_to_float64(
     monkeypatch, amplitude, dtype, steps
 ):
-    spec = make_problem(1)
-    m = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, m)
+    system = system_at(1, 2)
     noisy = NoisyFloat32Solves(monkeypatch, amplitude)
     sol = solve(system, method="direct")
     if dtype == "float64":
@@ -367,9 +307,7 @@ def test_noisy_float32_factor_falls_back_to_float64(
 
 
 def test_float32_factor_failure_falls_back_to_float64(monkeypatch):
-    spec = make_problem(1)
-    m = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, m)
+    system = system_at(1, 2)
 
     def singular(factor, lu):
         raise RuntimeError("Factor is exactly singular")
@@ -380,25 +318,23 @@ def test_float32_factor_failure_falls_back_to_float64(monkeypatch):
 
 def test_float64_fallback_reuses_the_symbolic_phase(monkeypatch):
     # a float32 factor that breaks down after its numeric phase: the
-    # float64 refactor reads the same symbolic arrays, from one object
-    spec = make_problem(1)
-    m = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, m)
-    symbolic, factored, init = [], [], solver._FrontalFactor.__init__
+    # float64 refactor reads the same symbolic phase, which orders once
+    system = system_at(1, 2)
+    orders, factored, permutation = [], [], solver._lattice_permutation
 
-    def counted(lu, *args):
-        symbolic.append(lu)
-        init(lu, *args)
+    def counted(*args):
+        orders.append(args)
+        return permutation(*args)
 
     def breaks_down(factor, lu):
         factor(lu, "float32")
         factored.append(lu)
         raise RuntimeError("the root pivot block is singular")
 
-    monkeypatch.setattr(solver._FrontalFactor, "__init__", counted)
+    monkeypatch.setattr(solver, "_lattice_permutation", counted)
     patch_float32_factor(monkeypatch, breaks_down)
     sol = solve(system, method="direct")
-    assert len(symbolic) == 1 and factored == symbolic
+    assert len(orders) == 1 and len(factored) == 1
     assert_float64_fallback(system, sol, 1)
 
 
@@ -437,9 +373,7 @@ def test_each_level_reduces_and_solves_once(monkeypatch, example, method, amplit
 def test_float64_refactor_delays_pivots_too(monkeypatch):
     # problem 5 at 1/h = 2 has an exactly singular pivot block, which the
     # float64 factor passes to its parent front as the float32 one does
-    spec = make_problem(5)
-    m = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, m)
+    system = system_at(5, 2)
     NoisyFloat32Solves(monkeypatch, 0.3)
     sol = solve(system, method="direct")
     assert sol.diagnostics["delayed_fronts"] >= 1
@@ -449,18 +383,14 @@ def test_float64_refactor_delays_pivots_too(monkeypatch):
 def test_pivots_delayed_to_the_root_are_solved_there(monkeypatch):
     # with no growth allowed every pivot block with a parent fails its
     # test and passes its variables up; the root front has no parent, so
-    # it keeps its finite inverse and eliminates them all
-    spec = make_problem(1)
-    m = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, m)
+    # it keeps its finite inverse and eliminates them all, with no update
+    # row: 22 delayed fronts and 719^2 entries on problem 1 at 1/h = 2
+    system = system_at(1, 2)
+    fronts = len(solver._lattice_permutation(system.mesh, system.dofmap)[1]) - 1
     monkeypatch.setattr(solver, "PIVOT_GROWTH_LIMIT", 0.0)
-    lu = solver._FrontalFactor(system)
-    lu.factor("float32")
-    assert lu.delayed == len(lu.bounds) - 2  # every front but the root
-    assert len(lu.blocks) == 1 and len(lu.blocks[0][0]) == len(lu.order)
-    sol = solve(system, method="direct")
-    d = sol.diagnostics
-    assert d["factor_dtype"] == "float32" and d["delayed_fronts"] == lu.delayed
+    d = solve(system, method="direct").diagnostics
+    assert d["factor_dtype"] == "float32" and d["delayed_fronts"] == fronts - 1
+    assert d["fill_nnz"] == system.dofmap.num_free**2
     assert d["relative_residual"] <= 1e-13
 
 
@@ -468,9 +398,7 @@ def test_singular_root_raises_with_diagnostics(monkeypatch):
     # a zero matrix, its sparsity kept, has no row the equilibration can
     # scale; under a unit scale every pivot block is singular, so every
     # front delays and the root's inverse is not finite in either precision
-    spec = make_problem(1)
-    m = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, m)
+    system = system_at(1, 2)
     zero = dataclasses.replace(system, A=0.0 * system.A)
     for match in ("no entry to scale it by", "root front"):
         with pytest.raises(SolverError, match=match) as info:
@@ -483,9 +411,7 @@ def test_singular_root_raises_with_diagnostics(monkeypatch):
 def test_chains_of_delayed_fronts_keep_the_factor_accurate(monkeypatch):
     # a limit below the healthy |P^-1| of up to 5.76 delays about half of
     # the fronts, some into parents that delay again
-    spec = make_problem(4)
-    m = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, m)
+    system = system_at(4, 2)
     monkeypatch.setattr(solver, "PIVOT_GROWTH_LIMIT", 5.0)
     sol = solve(system, method="direct")
     d = sol.diagnostics
@@ -497,39 +423,23 @@ def test_chains_of_delayed_fronts_keep_the_factor_accurate(monkeypatch):
 
 
 @pytest.mark.parametrize("example", range(1, 8))
-def test_symbolic_fronts_match_the_filled_graph(monkeypatch, example):
+def test_symbolic_fronts_match_the_filled_graph(example):
     # the update rows of each front are the rows below its pivots that its
     # pivot columns reach in the filled graph of the permuted matrix; with
     # no front delayed, a front of k pivots and r update rows stores
     # k (k + r) entries
-    spec = make_problem(example)
-    m = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, m)
-    lu, A_s = scaled_matrix(system)
-    p, bounds = lu.order, lu.bounds
-    monkeypatch.setattr(solver, "PIVOT_GROWTH_LIMIT", np.inf)
-    lu.factor("float64")
-    assert lu.delayed == 0 and len(lu.blocks) == len(bounds) - 1
-    filled = A_s[p][:, p].toarray() != 0
-    for j in range(len(p)):  # symbolic Gaussian elimination
-        below = j + 1 + np.flatnonzero(filled[j + 1 :, j])
-        filled[np.ix_(below, below)] = True
-    nnz = 0
-    for s, e, (pivots, up, _, _) in zip(bounds[:-1], bounds[1:], lu.blocks):
-        rows = e + np.flatnonzero(filled[e:, s:e].any(axis=1))
-        assert pivots == slice(s, e) and np.array_equal(up, rows)
-        nnz += (e - s) * (e - s + len(rows))
-    assert lu.nnz == nnz
+    defects = frontal_defects(system_at(example, 2))
+    assert defects["update_rows"] == defects["nnz"] == 0, defects
 
 
 @pytest.mark.parametrize("example", range(1, 8))
 def test_minres_matches_direct(example):
     spec = make_problem(example)
-    m = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, m)
+    system = system_at(spec, 2)
     sd = solve(system, method="direct")
     si = solve(system, method="minres")
     assert si.diagnostics["relative_residual"] <= 1e-8
+    m = system.mesh
     assert error_u(spec, sd.u, m) == pytest.approx(error_u(spec, si.u, m), abs=1e-6)
     for norm in (triple_norm_dual, triple_norm_s):
         assert norm(system, sd) == pytest.approx(norm(system, si), abs=1e-6)
@@ -543,10 +453,8 @@ def test_minres_matches_direct(example):
 
 @pytest.mark.parametrize("example", range(1, 8))
 def test_local_blocks_are_block_diagonal_per_tet(example):
-    spec = make_problem(example)
-    m = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, m)
-    dm = system.dofmap
+    system = system_at(example, 2)
+    m, dm = system.mesh, system.dofmap
     A_ff, _ = system.reduced()
     tet = dm.per_dof(np.arange(m.num_tets), np.full(m.num_faces, -1))[dm.free]
     name = np.full(dm.total, -1)
@@ -571,49 +479,15 @@ def test_local_blocks_are_block_diagonal_per_tet(example):
 
 @pytest.mark.parametrize("example", [1, 4, 7])
 def test_condensed_product_is_the_schur_complement(example):
-    spec = make_problem(example)
-    system = assemble_global(spec, build_structured_tet_mesh(spec.domain, 2))
-    A_ff, F_f = system.reduced()
-    S = Condensed(system)
-    nG, GL = len(S.b), np.argsort(S.order)
-    A, F = A_ff.toarray()[GL][:, GL], F_f[GL]
-    D_inv = np.linalg.inv(A[nG:, nG:])
-    schur = A[:nG, :nG] - A[:nG, nG:] @ D_inv @ A[nG:, :nG]
-    # the Ruiz scale: every row of s P s, where P is A_GG with the
-    # complement's diagonal, has its largest entry in [0.9, 1]
-    s, P = S.scale, A[:nG, :nG].copy()
-    np.fill_diagonal(P, np.diag(schur))
-    largest = np.abs(s[:, None] * P * s).max(axis=1)
-    assert largest.min() >= 0.9
-    assert largest.max() <= 1 + 1e-15  # a few rounding errors above 1
-    # the shift P = I + f q q^T: q is the unit vector of 1/s on the lamb
-    # positions, and f moves its Rayleigh quotient to 1
-    dm = system.dofmap
-    lamb = S.order[np.searchsorted(dm.free, np.arange(*dm.offsets["lamb"]))]
-    q = np.zeros(nG)
-    q[lamb] = 1.0 / s[lamb]
-    q /= np.linalg.norm(q)
-    assert np.allclose(S.q, q[lamb], rtol=1e-15, atol=0)
-    assert S.shift > -1.0
-    mu = q @ (s * (schur @ (s * q)))
-    assert (1 + S.shift) ** 2 * mu == pytest.approx(1.0, rel=1e-10)
-    P = np.eye(nG) + S.shift * np.outer(q, q)
-    z = np.random.default_rng(7).standard_normal(nG)
-    product = P @ (s * (schur @ (s * (P @ z))))
-    assert np.allclose(S @ z, product, rtol=0, atol=1e-12 * np.abs(product).max())
-    b = P @ (s * (F[:nG] - A[:nG, nG:] @ D_inv @ F[nG:]))
-    assert np.allclose(S.b, b, rtol=0, atol=1e-12 * np.abs(b).max())
-    x = S.solution(z)
-    y = z.copy()
-    # the dot of _project, summed by einsum, not BLAS, so the bits agree
-    y[lamb] += S.shift * np.einsum("i,i", S.q, z[lamb]) * S.q
-    assert np.allclose(y, P @ z, rtol=0, atol=1e-15 * np.abs(y).max())
-    assert np.array_equal(x[GL][:nG], s * y)
-    r = F_f - A_ff @ x
-    assert np.abs(r[GL][nG:]).max() <= 1e-12 * np.abs(F).max()  # local rows hold
-    # the residual that solve reads, of the assembled matrix, holds r bitwise
-    raw = system.F - system.A @ system.expand(x)
-    assert np.array_equal(raw[dm.free], r)
+    # the Ruiz band is [0.9, 1] up to a few rounding errors above 1; the
+    # solution's G part and the residual solve reads hold bitwise
+    defects = condensed_defects(system_at(example, 2))
+    bounds = dict(product=1e-12, b=1e-12, projection=1e-15, solution_g=0, q=1e-15)
+    bounds.update(local_rows=1e-12, raw_residual=0, shift=1e-10)
+    bounds.update(ruiz_low=0.0, ruiz_high=1e-15)
+    assert set(defects) == set(bounds)
+    for fact, bound in bounds.items():
+        assert defects[fact] <= bound, (fact, defects)
 
 
 @pytest.mark.parametrize(("example", "n", "most"), [(1, 3, 515), (4, 2, 680)])
@@ -622,15 +496,12 @@ def test_minres_iterations_on_the_equilibrated_complement(example, n, most):
     # iterations, the Ruiz-equilibrated one 703 and 751, and shifted as
     # well 613 and 630; problem 1, which fits no cavity constant, now stops
     # at the 1e-8 acceptance after 476
-    spec = make_problem(example)
-    system = assemble_global(spec, build_structured_tet_mesh(spec.domain, n))
-    assert solve(system, method="minres").diagnostics["iterations"] <= most
+    assert solve(system_at(example, n), method="minres").diagnostics["iterations"] <= most
 
 
 @pytest.mark.parametrize("example", [1, 4, 7])
 def test_minres_stops_at_its_acceptance_unless_a_cavity_constant_is_fitted(example):
-    spec = make_problem(example)
-    system = assemble_global(spec, build_structured_tet_mesh(spec.domain, 2))
+    system = system_at(example, 2)
     assert bool(system.dofmap.cavity_faces) == (example == 4)
     diagnostics = solve(system, method="minres").diagnostics
     if example == 4:  # the cavity fit needs the tighter stop
@@ -659,9 +530,7 @@ def test_unscalable_condensed_system_raises(block, method):
     # a zeroed u DoF leaves a row of A_ff, and of the complement, with no
     # entry to scale it by; a zeroed s0 DoF leaves its row of A_ff empty
     # too, and its tet's 1x1 block singular
-    spec = make_problem(1)
-    m = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, m)
+    system = system_at(1, 2)
     dof = system.dofmap.index(block, 0)
     assert dof in system.dofmap.free
     keep = np.ones(system.dofmap.total)
@@ -678,8 +547,7 @@ def test_minres_holds_little_beyond_A_ff():
     # 2.96 times the bytes of A_ff, and condensed pieces kept beside A_ff
     # at 3.99; a condensed operator that holds the only copy reads 2.34,
     # and 2.65 with the Schur diagonal taken from a scipy entrywise product
-    spec = make_problem(4)
-    system = assemble_global(spec, build_structured_tet_mesh(spec.domain, 4))
+    system = system_at(4, 4)
     A_ff, _ = system.reduced()
     size = A_ff.data.nbytes + A_ff.indices.nbytes + A_ff.indptr.nbytes
     del A_ff
@@ -766,15 +634,10 @@ class CountedProducts:
 
 def true_residual(system, solution):
     """The true relative residual that solve checks, of the free DoFs
-    ``solution(y)``: ||(F - A x)_f|| / ||F_f|| over the free rows f."""
-    free = system.dofmap.free
-    fnorm = np.linalg.norm(system.F[free])
-
-    def residual(y):
-        r = system.F - system.A @ system.expand(solution(y))
-        return float(np.linalg.norm(r[free]) / fnorm)
-
-    return residual
+    ``solution(y)``: ||(F - A x)_f|| / ||F_f|| over the free rows f, whose
+    entries are bitwise those of F_f - A_ff x (``condensed_defects``)."""
+    residual = relative_residual(*system.reduced())
+    return lambda y: residual(solution(y))
 
 
 @pytest.mark.parametrize("case", ["dense", "condensed"])
@@ -783,8 +646,7 @@ def test_in_place_minres_matches_the_reference(case):
         A, b = indefinite_matrix()
         residual = relative_residual(A, b)
     else:
-        spec = make_problem(1)
-        system = assemble_global(spec, build_structured_tet_mesh(spec.domain, 3))
+        system = system_at(1, 3)
         A = Condensed(system)
         b, residual = A.b, true_residual(system, A.solution)
     b_before = b.copy()
@@ -843,8 +705,7 @@ def test_minres_exact_krylov_termination(b_kind):
 def test_reported_residuals_are_those_of_the_assembled_matrix(example, method):
     # both numbers are read off r = F - A x over the raw numbering, for the
     # x that solve returns (before any cavity recovery)
-    spec = make_problem(example)
-    system = assemble_global(spec, build_structured_tet_mesh(spec.domain, 2))
+    system = system_at(example, 2)
     sol = solve(system, method=method)
     dm, d = system.dofmap, sol.diagnostics
     r = system.F - system.A @ sol.x
@@ -865,8 +726,7 @@ def test_load_incompatibility_is_the_load_on_constant_lambda(example):
     # dropped row's residual is F.v up to the residual of the free rows;
     # MINRES, which stops at 1e-8 on every problem but 4, misses F.v by
     # 6.4e-10 at most (problem 7), the direct path by 1e-15 or less
-    spec = make_problem(example)
-    system = assemble_global(spec, build_structured_tet_mesh(spec.domain, 2))
+    system = system_at(example, 2)
     dm = system.dofmap
     v = np.zeros(dm.total)
     v[dm.block("lam0")] = v[dm.block("lamb")] = 1.0
@@ -880,9 +740,7 @@ def test_load_incompatibility_is_the_load_on_constant_lambda(example):
 
 
 def test_minres_max_iter_bounds_whole_solve(monkeypatch):
-    spec = make_problem(1)
-    m = build_structured_tet_mesh(spec.domain, 3)
-    system = assemble_global(spec, m)
+    system = system_at(1, 3)
     monkeypatch.setattr(solver, "MINRES_MAX_ITER", 800)
     try:
         diagnostics = solve(system, method="minres").diagnostics
@@ -893,13 +751,10 @@ def test_minres_max_iter_bounds_whole_solve(monkeypatch):
 
 
 def test_unknown_method_rejected():
-    spec = make_problem(1)
-    m = build_structured_tet_mesh(spec.domain, 1)
-    system = assemble_global(spec, m)
     with pytest.raises(ValueError):
-        solve(system, method="cg")
+        solve(system_at(1, 1), method="cg")
     # the method is checked before the zero-load early return
-    zero = assemble_global(constant_problem([0.0, 0.0, 0.0], np.eye(3)), m)
+    zero = system_at(constant_problem([0.0, 0.0, 0.0], np.eye(3)), 1)
     with pytest.raises(ValueError, match="unknown"):
         solve(zero, method="cg")
 
@@ -908,15 +763,13 @@ def test_unknown_method_rejected():
 # 1e200 is finite, but its square overflows the norm of the load
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
 def test_nonfinite_load_raises_before_the_solve(monkeypatch, method, bad):
-    spec = make_problem(1)
-    m = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, m)
+    system = system_at(1, 2)
     system.F[system.dofmap.free[0]] = bad
 
     def unreachable(*args):
         raise AssertionError("a factor or an iteration started")
 
-    monkeypatch.setattr(solver, "_FrontalFactor", unreachable)
+    monkeypatch.setattr(solver, "_lattice_permutation", unreachable)
     monkeypatch.setattr(solver, "_minres", unreachable)
     # filterwarnings = error turns an escaping RuntimeWarning into a failure
     with pytest.raises(SolverError, match="load is not finite") as info:
@@ -925,9 +778,7 @@ def test_nonfinite_load_raises_before_the_solve(monkeypatch, method, bad):
 
 
 def test_nan_matrix_entry_stops_minres_at_once():
-    spec = make_problem(1)
-    m = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, m)
+    system = system_at(1, 2)
     system.A.data[100] = np.nan
     assert np.isnan(system.reduced()[0].data).any()  # the entry is free
     # the NaN recurrence checks the true residual, which stops the run
@@ -937,9 +788,7 @@ def test_nan_matrix_entry_stops_minres_at_once():
 
 
 def test_missed_tolerance_raises_with_diagnostics(monkeypatch):
-    spec = make_problem(1)
-    m = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, m)
+    system = system_at(1, 2)
     # no solve reaches 1e-300: refinement stalls and the float64 fallback
     # misses it too
     monkeypatch.setitem(solver.ACCEPT, "direct", 1e-300)
@@ -961,18 +810,14 @@ def test_missed_tolerance_raises_with_diagnostics(monkeypatch):
 
 
 def test_recovery_passthrough_simply_connected():
-    spec = make_problem(1)
-    m = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, m)
+    system = system_at(1, 2)
     sol = solve(system)
     sol2 = recover_cavity_constants(system, sol)
     assert sol2 is sol
 
 
 def test_cavity_recovery_problem4():
-    spec = make_problem(4)
-    m = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, m)
+    system = system_at(4, 2)
     base = solve(system)
     sol = recover_cavity_constants(system, base)
     assert set(sol.cavity_constants) == {1}
@@ -990,4 +835,4 @@ def test_cavity_recovery_problem4():
     assert c1 == pytest.approx((AS @ r) / (AS @ AS), rel=1e-12)
     # the recovered constant lands on the cavity trace values
     sb = sol.x[system.dofmap.block("sb")]
-    assert np.allclose(sb[m.face_tags == 1], c1)
+    assert np.allclose(sb[system.mesh.face_tags == 1], c1)

@@ -17,6 +17,8 @@ from divcurl.quadrature import simplex_rule
 from divcurl.solver import SolutionFields
 from divcurl.weak_ops import BLOCK_TETS
 
+from invariants import system_at
+
 _DIGEST_FILE = Path(__file__).parent / "data" / "system_digests.json"
 
 
@@ -27,8 +29,7 @@ def _digest(array) -> str:
 def _system_digests(example: int, n: int) -> dict:
     """SHA-256 of every array of ``A``, ``F`` and ``reduced()`` of problem
     ``example`` at 1/h = ``n``."""
-    spec = make_problem(example)
-    system = assemble_global(spec, build_structured_tet_mesh(spec.domain, n))
+    system = system_at(example, n)
     A_ff, F_f = system.reduced()
     out = {"F": _digest(system.F), "F_f": _digest(F_f)}
     for prefix, M in (("A", system.A), ("A_ff", A_ff)):
@@ -78,13 +79,11 @@ def test_loads_are_evaluated_one_block_at_a_time():
 
 @pytest.mark.parametrize("example", [1, 4, 7])
 def test_semi_norms_read_the_stabilizer_blocks_of_A_bitwise(example):
-    spec = make_problem(example)
-    mesh = build_structured_tet_mesh(spec.domain, 2)
-    system = assemble_global(spec, mesh)
+    system = system_at(example, 2)
     x = np.random.default_rng(example).standard_normal(system.dofmap.total)
     sol = SolutionFields(x, system.dofmap)
-    S1 = assemble_s1(mesh, system.dofmap)
-    S2 = assemble_s2(mesh, system.dofmap)
+    S1 = assemble_s1(system.mesh, system.dofmap)
+    S2 = assemble_s2(system.mesh, system.dofmap)
     assert triple_norm_dual(system, sol) == np.sqrt(x @ (S1 @ x))
     assert triple_norm_s(system, sol) == np.sqrt(x @ (S2 @ x))
 

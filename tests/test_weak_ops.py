@@ -69,21 +69,22 @@ def test_curl_rejects_non_tangential(ref_geom):
         weak_curl(ref_geom, psib)
 
 
+def assert_face_weights_cancel(m):
+    """The two tets of an interior face carry opposite face weights |F| n_F,
+    so their surface terms in the coupling block cancel exactly; the
+    weights of one tet close, so constant traces have zero gradient."""
+    geom = m.geometry
+    total = np.zeros((m.num_faces, 3))
+    np.add.at(total, m.tet_faces, geom.areas[:, :, None] * geom.normals)
+    interior = m.face_tet_count == 2
+    assert np.all(total[interior] == 0.0)
+    assert np.linalg.norm(total[~interior], axis=1).min() > 0.0  # not vacuous
+    assert np.abs(weak_gradient(geom, np.ones((m.num_tets, 4)))).max() < 1e-12
+
+
 def test_sign_consistency():
-    # the two tets of an interior face carry opposite face weights |F| n_F,
-    # so their surface terms in the coupling block cancel exactly; the
-    # weights of one tet close, so constant traces have zero gradient
     for example in range(1, 8):
-        m = build_structured_tet_mesh(build_domain(example), 2)
-        geom = m.geometry
-        weights = geom.areas[:, :, None] * geom.normals
-        total = np.zeros((m.num_faces, 3))
-        np.add.at(total, m.tet_faces, weights)
-        interior = m.face_tet_count == 2
-        assert np.all(total[interior] == 0.0), example
-        assert np.linalg.norm(total[~interior], axis=1).min() > 0.0  # not vacuous
-        grad = weak_gradient(geom, np.ones((m.num_tets, 4)))
-        assert np.abs(grad).max() < 1e-12, example
+        assert_face_weights_cancel(build_structured_tet_mesh(build_domain(example), 2))
 
 
 def test_sign_consistency_off_lattice(jittered_mesh):
@@ -92,16 +93,9 @@ def test_sign_consistency_off_lattice(jittered_mesh):
     rng = np.random.default_rng(3)
     for example, n in ((1, 3), (4, 4)):
         lattice, m = jittered_mesh(example, n, rng)
-        geom = m.geometry
-        assert geom.volumes.min() > 0.0
+        assert m.geometry.volumes.min() > 0.0
         assert np.abs(m.face_normals - lattice.face_normals).max() > 1e-3
-        weights = geom.areas[:, :, None] * geom.normals
-        total = np.zeros((m.num_faces, 3))
-        np.add.at(total, m.tet_faces, weights)
-        interior = m.face_tet_count == 2
-        assert np.all(total[interior] == 0.0), example
-        grad = weak_gradient(geom, np.ones((m.num_tets, 4)))
-        assert np.abs(grad).max() < 1e-12, example
+        assert_face_weights_cancel(m)
 
 
 def test_kernels_linear_in_traces():
