@@ -5,15 +5,16 @@ Its weak gradient and weak curl are the constant vectors obtained by
 testing integration-by-parts identities against constants, which boils
 down to area-weighted sums over the four faces.  The kernels act on a
 whole batch of tets at once; here the batch is the reference tet alone,
-then a mesh.  The key structural fact demonstrated below: projecting a
-smooth field into weak data and applying the discrete kernel reproduces
-the projected derivative exactly for affine fields (the
-commuting-projection property the convergence theory rests on).
+then the mesh of problem 3's L-shaped domain (``make_problem(3).domain``).
+The key structural fact demonstrated below: projecting a smooth field
+into weak data and applying the discrete kernel reproduces the projected
+derivative exactly for affine fields (the commuting-projection property
+the convergence theory rests on).
 """
 
 import numpy as np
 
-from divcurl import build_domain, build_structured_tet_mesh, tet_geometry
+from divcurl import build_structured_tet_mesh, make_problem, tet_geometry
 from divcurl import project_field, weak_curl, weak_gradient
 
 verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -39,7 +40,7 @@ print("co-normal formula:        ", 3.0 * np.cross(w, ref.grad_bary[0, i]))
 # commuting projections: weak gradient of the projected affine field
 # equals the exact gradient, on every tet of a mesh at once
 coeff = np.array([1.0, 2.0, 3.0])
-mesh = build_structured_tet_mesh(build_domain(3), 2)
+mesh = build_structured_tet_mesh(make_problem(3).domain, 2)
 tet_verts = mesh.vertices[mesh.tets]
 fcent = (tet_verts.sum(axis=1)[:, None, :] - tet_verts) / 3.0  # face i omits vertex i
 grad = weak_gradient(mesh.geometry, fcent @ coeff)

@@ -38,7 +38,6 @@ from .mesh import (
     Mesh,
     MeshError,
     TetGeometry,
-    build_domain,
     build_structured_tet_mesh,
     tet_geometry,
     write_vtk,

@@ -33,7 +33,6 @@ __all__ = [
     "Mesh",
     "MeshError",
     "TetGeometry",
-    "build_domain",
     "build_structured_tet_mesh",
     "tet_geometry",
     "write_vtk",
@@ -88,53 +87,10 @@ class DomainSpec:
     excluded: tuple = ()
 
 
-_UNIT_CUBE = DomainSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
-# square annulus extruded in z; the hole runs through the full height
-_TOROID_1HOLE = DomainSpec(
-    (-1.0, -1.0, 0.0), (0.5, 0.5, 0.5),
-    excluded=(((-0.5, -0.5, 0.0), (0.0, 0.0, 0.5)),),
-)
-_EXAMPLE_DOMAINS = {
-    1: _UNIT_CUBE,
-    2: _UNIT_CUBE,
-    # (-1,1)^2 x (0,1) minus the quadrant x>=0, y<=0
-    3: DomainSpec(
-        (-1.0, -1.0, 0.0), (1.0, 1.0, 1.0),
-        excluded=(((0.0, -1.0, 0.0), (1.0, 0.0, 1.0)),),
-    ),
-    4: DomainSpec(
-        (-1.5, -1.5, -1.5), (0.5, 0.5, 0.5),
-        excluded=(((-1.0, -1.0, -1.0), (0.0, 0.0, 0.0)),),
-    ),
-    5: _TOROID_1HOLE,
-    6: DomainSpec(
-        (-1.0, -1.0, 0.0), (1.5, 1.5, 0.5),
-        excluded=(
-            ((-0.5, -0.5, 0.0), (0.0, 0.0, 0.5)),
-            ((0.5, -0.5, 0.0), (1.0, 0.0, 0.5)),
-        ),
-    ),
-    7: _TOROID_1HOLE,
-}
-
-
 def _numeric(value, kind):
     """``isinstance(value, kind)``, false for a bool: ``bool`` is an
     ``Integral`` and a ``Real``, but not a numeric setting."""
     return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def build_domain(example_id: int) -> DomainSpec:
-    """Return the computational domain of benchmark problem 1..7.
-
-    The specs are frozen and shared: every call for one problem returns
-    the same object, and problems 1, 2 and 5, 7 share theirs.  An id that
-    is a bool or not an integer raises :class:`MeshError`, as one out of
-    range does.
-    """
-    if not _numeric(example_id, Integral) or example_id not in _EXAMPLE_DOMAINS:
-        raise MeshError(f"unknown example id {example_id!r}, expected 1..7")
-    return _EXAMPLE_DOMAINS[example_id]
 
 
 @dataclass(frozen=True)

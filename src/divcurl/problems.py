@@ -1,4 +1,4 @@
-"""Built-in benchmark problems: coefficient, exact field, and loads.
+"""Built-in benchmark problems: domain, coefficient, exact field, and loads.
 
 Each problem prescribes an exact vector field u and a symmetric positive
 definite coefficient matrix; the volume loads and the normal boundary
@@ -34,7 +34,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .mesh import DomainSpec, _numeric, build_domain
+from .mesh import DomainSpec, _numeric
 
 __all__ = [
     "ProblemSpec",
@@ -185,6 +185,31 @@ def _rotating_field(pts, beta=1.0):
     return out
 
 
+# the benchmark domains; problems 1, 2 share the cube and 5, 7 the toroid
+_UNIT_CUBE = DomainSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+# (-1,1)^2 x (0,1) minus the quadrant x>=0, y<=0
+_L_PRISM = DomainSpec(
+    (-1.0, -1.0, 0.0), (1.0, 1.0, 1.0),
+    excluded=(((0.0, -1.0, 0.0), (1.0, 0.0, 1.0)),),
+)
+_CUBE_CAVITY = DomainSpec(
+    (-1.5, -1.5, -1.5), (0.5, 0.5, 0.5),
+    excluded=(((-1.0, -1.0, -1.0), (0.0, 0.0, 0.0)),),
+)
+# square annulus extruded in z; the hole runs through the full height
+_TOROID_1HOLE = DomainSpec(
+    (-1.0, -1.0, 0.0), (0.5, 0.5, 0.5),
+    excluded=(((-0.5, -0.5, 0.0), (0.0, 0.0, 0.5)),),
+)
+_TOROID_2HOLES = DomainSpec(
+    (-1.0, -1.0, 0.0), (1.5, 1.5, 0.5),
+    excluded=(
+        ((-0.5, -0.5, 0.0), (0.0, 0.0, 0.5)),
+        ((0.5, -0.5, 0.0), (1.0, 0.0, 0.5)),
+    ),
+)
+
+
 def _problem_1():
     eps = np.diag([3.0, 2.0, 1.0])
 
@@ -202,7 +227,7 @@ def _problem_1():
         out[:, 2] = 2.0 * np.pi * np.sin(np.pi * x) * np.sin(np.pi * y)
         return out
 
-    return ProblemSpec(eps, build_domain(1), exact_u, f, g)
+    return ProblemSpec(eps, _UNIT_CUBE, exact_u, f, g)
 
 
 def _problem_2():
@@ -230,7 +255,7 @@ def _problem_2():
         return out
 
     return ProblemSpec(
-        np.eye(3), build_domain(2), exact_u, f, g, singular_axes=((0.0, 0.0),)
+        np.eye(3), _UNIT_CUBE, exact_u, f, g, singular_axes=((0.0, 0.0),)
     )
 
 
@@ -250,7 +275,7 @@ def _problem_3():
         return np.zeros_like(pts)
 
     return ProblemSpec(
-        np.eye(3), build_domain(3), exact_u, f, g, singular_axes=((0.0, 0.0),)
+        np.eye(3), _L_PRISM, exact_u, f, g, singular_axes=((0.0, 0.0),)
     )
 
 
@@ -267,11 +292,13 @@ def _problem_4():
         return np.zeros_like(pts)
 
     return ProblemSpec(
-        np.eye(3), build_domain(4), exact_u, f, g, singular_points=((0.0, 0.0, 0.0),)
+        np.eye(3), _CUBE_CAVITY, exact_u, f, g, singular_points=((0.0, 0.0, 0.0),)
     )
 
 
-def _toroid_curl_problem(example, gammas, centers, beta=0.0):
+def _toroid_curl_problem(domain, gammas, beta=0.0):
+    # potential i is singular on the vertical edge at hole i's high x, y corner
+    centers = tuple(hi[:2] for _, hi in domain.excluded)
     derivs = [_corner_potential(gam, c) for gam, c in zip(gammas, centers)]
 
     def potential_part(pts):
@@ -311,9 +338,9 @@ def _toroid_curl_problem(example, gammas, centers, beta=0.0):
     # tracking the full field; that defect is the discrete harmonic field
     # this benchmark extracts.
     return ProblemSpec(
-        np.eye(3), build_domain(example), exact_u, f, g,
+        np.eye(3), domain, exact_u, f, g,
         params=params,
-        singular_axes=tuple(centers),
+        singular_axes=centers,
         normal_trace_field=potential_part if beta else None,
     )
 
@@ -329,9 +356,9 @@ _BUILDERS = {
     2: _problem_2,
     3: _problem_3,
     4: _problem_4,
-    5: lambda gamma: _toroid_curl_problem(5, (gamma,), ((0.0, 0.0),)),
-    6: lambda: _toroid_curl_problem(6, (0.5, 2.0 / 3.0), ((0.0, 0.0), (1.0, 0.0))),
-    7: lambda gamma, beta: _toroid_curl_problem(7, (gamma,), ((0.0, 0.0),), beta=beta),
+    5: lambda gamma: _toroid_curl_problem(_TOROID_1HOLE, (gamma,)),
+    6: lambda: _toroid_curl_problem(_TOROID_2HOLES, (0.5, 2.0 / 3.0)),
+    7: lambda gamma, beta: _toroid_curl_problem(_TOROID_1HOLE, (gamma,), beta=beta),
 }
 
 
@@ -349,7 +376,8 @@ def make_problem(example_id: int, **params) -> ProblemSpec:
         default 1).
 
     Problems 1-4 and 6 take no parameters.  A value matches an allowed one
-    to a relative 1e-9; anything else raises :class:`ProblemError`.
+    to a relative 1e-9; anything else, or an id that is a bool or not an
+    integer 1..7, raises :class:`ProblemError`.
     """
     if not _numeric(example_id, Integral) or example_id not in _BUILDERS:
         raise ProblemError(f"unknown example id {example_id!r}, expected 1..7")

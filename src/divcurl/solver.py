@@ -289,19 +289,24 @@ class _FrontalFactor:
     def solve(self, b):
         """Solve with the factor; ``b`` and the result are in its dtype."""
         x = b.copy()
-        for pivots, up, Pinv, L21 in self.blocks:
-            xp = x[pivots]
-            x[up] -= L21 @ xp
-            x[pivots] = Pinv @ xp
-        for pivots, up, Pinv, L21 in reversed(self.blocks):
-            x[pivots] -= L21.T @ x[up]
+        # BLAS now and then flags an invalid value on finite data; refine
+        # checks every result for a value that is not finite
+        with np.errstate(invalid="ignore"):
+            for pivots, up, Pinv, L21 in self.blocks:
+                xp = x[pivots]
+                x[up] -= L21 @ xp
+                x[pivots] = Pinv @ xp
+            for pivots, up, Pinv, L21 in reversed(self.blocks):
+                x[pivots] -= L21.T @ x[up]
         return x
 
     def refine(self, system, residual, diagnostics):
         """Solve ``system`` by float32 refinement, else in float64, as
         :func:`solve` describes, reading ``residual``; fill the factor's
         four ``diagnostics`` and return the free DoFs' ``x``, ``r`` and the
-        true relative residual.  A float64 factor that breaks down raises."""
+        true relative residual.  A float32 solve with a value that is not
+        finite drops the factor, as a breakdown does; a float64 factor that
+        breaks down, or whose solve is not finite, raises."""
         free, scale, order = system.dofmap.free, self.scale, self.order
         for dtype in ("float32", "float64"):
             try:
@@ -320,7 +325,13 @@ class _FrontalFactor:
                 # before the cast keeps a tiny residual from underflowing
                 r_s = (scale * r[free])[order]
                 r_norm = np.linalg.norm(r_s)
-                y[order] += r_norm * self.solve((r_s / r_norm).astype(dtype))
+                d = self.solve((r_s / r_norm).astype(dtype))
+                if not np.isfinite(d).all():
+                    if dtype == "float64":
+                        raise SolverError("its float64 solve is not finite")
+                    rel = np.inf
+                    break
+                y[order] += r_norm * d
                 prev = rel
                 r, rel = residual(scale * y)
                 if rel <= REFINE_TARGET or not rel <= 0.5 * prev:

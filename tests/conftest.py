@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from divcurl.mesh import Mesh, build_domain, build_structured_tet_mesh
+from divcurl.mesh import Mesh
+from invariants import mesh_at
 
 
 @pytest.fixture
@@ -14,7 +15,7 @@ def jittered_mesh():
     or quadrature point is a lattice value."""
 
     def build(example: int, n: int, rng: np.random.Generator):
-        lattice = build_structured_tet_mesh(build_domain(example), n)
+        lattice = mesh_at(example, n)
         boundary = np.zeros(lattice.num_vertices, dtype=bool)
         boundary[lattice.faces[lattice.face_tet_count == 1].ravel()] = True
         jitter = rng.uniform(-0.05, 0.05, (lattice.num_vertices, 3)) / n

@@ -16,16 +16,11 @@ from divcurl import problems, solver, weak_ops
 from divcurl.analysis import solve_level
 from divcurl.assembly import assemble_global, assemble_s1, assemble_s2
 from divcurl.condense import Condensed, _ruiz_scale
-from divcurl.mesh import (
-    DomainSpec,
-    Mesh,
-    build_domain,
-    build_structured_tet_mesh,
-    tet_geometry,
-)
+from divcurl.mesh import DomainSpec, Mesh, build_structured_tet_mesh, tet_geometry
 from divcurl.quadrature import gauss_points
 
 __all__ = [
+    "mesh_at",
     "system_at",
     "constant_problem",
     "commutativity_defect",
@@ -96,6 +91,11 @@ def kernel_identity_defect(mesh: Mesh, rng: np.random.Generator) -> float:
     return float(worst)
 
 
+def mesh_at(example: int, n: int) -> Mesh:
+    """The 1/h = ``n`` mesh of built-in problem ``example``'s domain."""
+    return build_structured_tet_mesh(problems.make_problem(example).domain, n)
+
+
 def system_at(example, n: int):
     """The assembled system of built-in problem ``example``, or of the
     :class:`~divcurl.problems.ProblemSpec` ``example``, on its 1/h = ``n``
@@ -112,7 +112,7 @@ def constant_problem(
     value = np.asarray(value, dtype=float)
     return problems.ProblemSpec(
         np.asarray(eps, float),
-        build_domain(1) if domain is None else domain,
+        problems.make_problem(1).domain if domain is None else domain,
         lambda p: np.broadcast_to(value, (len(p), 3)).copy(),
         lambda p: np.zeros(len(p)), lambda p: np.zeros_like(p),
     )

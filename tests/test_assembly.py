@@ -13,12 +13,12 @@ from divcurl.assembly import (
     assemble_s2,
     build_dof_map,
 )
-from divcurl.mesh import build_domain, build_structured_tet_mesh
+from divcurl.mesh import build_structured_tet_mesh
 from divcurl.problems import ProblemSpec, make_problem
 from divcurl.solver import solve
 from divcurl.weak_ops import weak_curl, weak_gradient
 
-from invariants import constant_problem, system_at, system_defects
+from invariants import constant_problem, mesh_at, system_at, system_defects
 
 
 def affine_problem(C, d, eps):
@@ -30,7 +30,7 @@ def affine_problem(C, d, eps):
     curl = np.array([C[2, 1] - C[1, 2], C[0, 2] - C[2, 0], C[1, 0] - C[0, 1]])
     return ProblemSpec(
         eps,
-        build_domain(1),
+        make_problem(1).domain,
         lambda p: p @ C.T + d,
         lambda p: np.full(len(p), np.trace(epsC)),
         lambda p: np.broadcast_to(curl, (len(p), 3)).copy(),
@@ -39,7 +39,7 @@ def affine_problem(C, d, eps):
 
 @pytest.fixture(scope="module")
 def cube1():
-    return build_structured_tet_mesh(build_domain(1), 1)
+    return mesh_at(1, 1)
 
 
 def test_dof_counts_unit_cube(cube1):
@@ -63,7 +63,7 @@ def test_dof_counts_unit_cube(cube1):
 
 
 def test_cavity_sb_grouping():
-    m = build_structured_tet_mesh(build_domain(4), 2)
+    m = mesh_at(4, 2)
     dm = build_dof_map(m)
     assert set(dm.cavity_faces) == {1}
     assert len(dm.cavity_faces[1]) == 12 * 4
@@ -89,7 +89,7 @@ def test_s1_single_tet_hand_value():
         [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     )
     # single-tet mesh via the unit cube at n=1 is 6 tets; use tet 0 locally
-    m = build_structured_tet_mesh(build_domain(1), 1)
+    m = mesh_at(1, 1)
     dm = build_dof_map(m)
     S1 = assemble_s1(m, dm)
     t = 0
@@ -169,7 +169,7 @@ def test_curl_coupling_matches_kernel():
     # every entry of the three coupling blocks is |T| times a batched weak
     # kernel of a unit face trace, on every tet of a mesh with interior
     # faces of both orientations and a full coefficient matrix
-    m = build_structured_tet_mesh(build_domain(4), 2)
+    m = mesh_at(4, 2)
     eps = np.array([[3.0, 0.5, 0.0], [0.5, 2.0, 0.2], [0.0, 0.2, 1.0]])
     dm = build_dof_map(m)
     B = assemble_Bh(m, eps, dm).tocsr()
@@ -303,7 +303,7 @@ def test_rhs_zero_for_zero_loads():
 
 def test_rhs_constant_curl_source(cube1):
     spec = ProblemSpec(
-        np.eye(3), build_domain(1),
+        np.eye(3), make_problem(1).domain,
         lambda p: np.zeros_like(p),
         lambda p: np.zeros(len(p)),
         lambda p: np.tile([0.0, 0.0, 1.0], (len(p), 1)),

@@ -15,14 +15,15 @@ from divcurl.mesh import (
     DomainSpec,
     Mesh,
     MeshError,
-    build_domain,
     build_structured_tet_mesh,
     tet_geometry,
     write_vtk,
 )
+from divcurl.problems import make_problem
 
 from invariants import (
     kernel_identity_defect,
+    mesh_at,
     lattice_order_defects,
     patch_test_defects,
     system_defects,
@@ -39,7 +40,7 @@ _DIGEST_ARRAYS = (
 
 
 def _mesh_digests(example: int, n: int) -> dict:
-    m = build_structured_tet_mesh(build_domain(example), n)
+    m = mesh_at(example, n)
     return {
         name: hashlib.sha256(np.ascontiguousarray(getattr(m, name)).tobytes()).hexdigest()
         for name in _DIGEST_ARRAYS
@@ -55,38 +56,24 @@ def test_mesh_arrays_match_recorded_digests(key):
     assert _mesh_digests(example, n) == _RECORDED[key]
 
 
-def test_unknown_example_rejected():
-    # a bool or a non-integer is no id, even where it equals one
-    for bad in (8, True, 1.0, 7.0, [1]):
-        with pytest.raises(MeshError):
-            build_domain(bad)
-    assert build_domain(np.int64(7)) is build_domain(7)
-
-
-def test_domain_families():
-    # problems 1, 2 share the unit cube and 5, 7 the one-hole toroid
-    assert build_domain(2) is build_domain(1)
-    assert build_domain(7) is build_domain(5)
-
-
 @pytest.mark.parametrize("n", (2, 4))
 @pytest.mark.parametrize(
     "example, components, betti1",
     [(1, 1, 0), (2, 1, 0), (3, 1, 0), (4, 2, 0), (5, 1, 1), (6, 1, 2), (7, 1, 1)],
 )
 def test_topology_from_mesh(example, components, betti1, n):
-    m = build_structured_tet_mesh(build_domain(example), n)
+    m = mesh_at(example, n)
     assert m.num_boundary_components == components
     assert m.betti1 == betti1
 
 
 def test_unit_cube_counts():
-    m1 = build_structured_tet_mesh(build_domain(1), 1)
+    m1 = mesh_at(1, 1)
     assert (m1.num_tets, m1.num_vertices, m1.num_faces) == (6, 8, 18)
     assert len(m1.boundary_faces) == 12
     assert np.all(m1.face_tags[m1.boundary_faces] == 0)
 
-    m2 = build_structured_tet_mesh(build_domain(1), 2)
+    m2 = mesh_at(1, 2)
     assert (m2.num_tets, m2.num_vertices) == (48, 27)
     # every cube contributes 6 equal-volume tets
     assert np.allclose(m2.geometry.volumes, (0.5**3) / 6.0)
@@ -94,12 +81,12 @@ def test_unit_cube_counts():
 
 def test_toroid_counts():
     # 8 active cells at n=2: 3x3 ring minus the hole cell, one layer
-    m = build_structured_tet_mesh(build_domain(5), 2)
+    m = mesh_at(5, 2)
     assert m.num_tets == 6 * 8
 
 
 def test_face_incidence_counts():
-    m = build_structured_tet_mesh(build_domain(3), 2)
+    m = mesh_at(3, 2)
     assert set(np.unique(m.face_tet_count)) == {1, 2}
     boundary = m.face_tet_count == 1
     assert np.all(m.face_tags[boundary] >= 0)
@@ -108,7 +95,7 @@ def test_face_incidence_counts():
 
 def test_cavity_classification():
     n = 4
-    m = build_structured_tet_mesh(build_domain(4), n)
+    m = mesh_at(4, n)
     # cavity surface: 6 unit squares, 2 n^2 triangles each
     assert np.count_nonzero(m.face_tags == 1) == 12 * n * n
     # outer box surface: 6 faces of edge 2
@@ -136,7 +123,7 @@ def test_pinched_boundary_rejected():
 
 
 def test_empty_input_rejected():
-    cube = build_domain(1)
+    cube = make_problem(1).domain
     # a bool or a non-integer is no resolution, as 0 is none
     for n in (0, True, 2.0, "2", None):
         with pytest.raises(MeshError, match="n must be an integer >= 1"):
@@ -202,7 +189,7 @@ def test_malformed_excluded_box_rejected(box):
         build_structured_tet_mesh(domain, 2)
 
 
-_LATTICE = 4  # cells per axis of [0, 2]^3 at n = 2
+_LATTICE = 6  # cells per axis of [0, 3]^3 at n = 2
 
 
 @st.composite
@@ -220,9 +207,10 @@ def _lattice_boxes(draw):
 
 
 def _box_union(boxes) -> DomainSpec:
-    """[0, 2]^3 minus ``boxes``, given in lattice units at n = 2."""
+    """[0, 3]^3 minus ``boxes``, given in lattice units at n = 2; it holds
+    two cavities, two tunnels or one of each."""
     halves = tuple(tuple(tuple(c / 2 for c in end) for end in box) for box in boxes)
-    return DomainSpec((0.0, 0.0, 0.0), (2.0, 2.0, 2.0), halves)
+    return DomainSpec((0.0, 0.0, 0.0), (3.0, 3.0, 3.0), halves)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -280,11 +268,32 @@ def test_system_invariants_on_random_box_unions(boxes):
     assert max(patch_test_defects(domain)) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "excluded, components, betti1",
+    [
+        # two cavities
+        ((((0.5, 0.5, 0.5), (1, 1, 1)), ((2, 2, 2), (2.5, 2.5, 2.5))), 3, 0),
+        # two tunnels
+        ((((0.5, 0.5, 0), (1, 1, 3)), ((2, 2, 0), (2.5, 2.5, 3))), 1, 2),
+        # a tunnel and a cavity
+        ((((0.5, 0.5, 0), (1, 1, 3)), ((2, 2, 1), (2.5, 2.5, 2))), 2, 1),
+    ],
+    ids=("two-cavities", "two-tunnels", "tunnel-and-cavity"),
+)
+def test_two_holes_in_a_box_union(excluded, components, betti1):
+    domain = DomainSpec((0.0, 0.0, 0.0), (3.0, 3.0, 3.0), excluded)
+    m = build_structured_tet_mesh(domain, 2)
+    assert (m.num_boundary_components, m.betti1) == (components, betti1)
+    defects = lattice_order_defects(m, build_dof_map(m))
+    assert not any(defects.values()), defects
+    assert max(patch_test_defects(domain)) <= 1e-10
+
+
 def test_alignment_precondition():
     for ex in (4, 5, 6, 7):
         with pytest.raises(MeshError):
-            build_structured_tet_mesh(build_domain(ex), 1)
-        build_structured_tet_mesh(build_domain(ex), 2)
+            mesh_at(ex, 1)
+        mesh_at(ex, 2)
     # a corner 1e-5 off the lattice is rejected, not snapped onto it; a
     # relative tolerance would scale with the coordinate and let it pass
     off_box = DomainSpec((0, 0, 0), (6, 6, 1), excluded=(((5.00005, 5, 0), (6, 6, 1)),))
@@ -295,16 +304,15 @@ def test_alignment_precondition():
 
 
 def test_closed_surface_identity():
-    m = build_structured_tet_mesh(build_domain(5), 2)
+    m = mesh_at(5, 2)
     geom = m.geometry
     residual = np.einsum("tf,tfd->td", geom.areas, geom.normals)
     assert np.abs(residual).max() < 1e-12
 
 
 def test_refinement_scaling():
-    dom = build_domain(1)
-    m1 = build_structured_tet_mesh(dom, 2)
-    m2 = build_structured_tet_mesh(dom, 4)
+    m1 = mesh_at(1, 2)
+    m2 = mesh_at(1, 4)
     assert m2.h == pytest.approx(m1.h / 2.0)
     assert m2.face_areas.max() == pytest.approx(m1.face_areas.max() / 4.0)
     assert m2.num_tets == 8 * m1.num_tets
@@ -326,7 +334,7 @@ def test_reference_tet_geometry():
 def test_simplex_identity_all_elements():
     # |F_i| n_i = -3 |T| grad(zeta_i), closed face weights and the
     # single-face curl identity on every element
-    m = build_structured_tet_mesh(build_domain(6), 2)
+    m = mesh_at(6, 2)
     geom = m.geometry
     weights = geom.areas[:, :, None] * geom.normals
     assert np.abs(weights + 3.0 * geom.volumes[:, None, None] * geom.grad_bary).max() < 1e-12
@@ -356,7 +364,7 @@ def test_degenerate_tet_rejected():
 
 
 def test_vtk_export(tmp_path):
-    m = build_structured_tet_mesh(build_domain(1), 1)
+    m = mesh_at(1, 1)
     path = tmp_path / "mesh.vtk"
     write_vtk(
         m,

@@ -106,6 +106,22 @@ def test_cyl_coords_conventions():
         cyl_coords(np.array([[0.0, 0.0, 1.0]]))
 
 
+def test_unknown_example_rejected():
+    # a bool or a non-integer is no id, even where it equals one
+    for bad in (8, True, 1.0, 7.0, [1]):
+        with pytest.raises(ProblemError, match="unknown example id"):
+            make_problem(bad)
+    problem = make_problem(np.int64(7))
+    assert problem.params == make_problem(7).params
+    assert problem.domain is make_problem(7).domain
+
+
+def test_domain_families():
+    # problems 1, 2 share the unit cube and 5, 7 the one-hole toroid
+    assert make_problem(2).domain is make_problem(1).domain
+    assert make_problem(7).domain is make_problem(5).domain
+
+
 def test_parameter_validation():
     with pytest.raises(ProblemError):
         make_problem(0)

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
-from divcurl.mesh import build_domain, build_structured_tet_mesh
 from divcurl.quadrature import (
     TET_REF_MEASURE,
     TRI_REF_MEASURE,
     gauss_points,
     simplex_rule,
 )
+
+from invariants import mesh_at
 
 
 def tet_moment(a, b, c):
@@ -144,7 +145,7 @@ def _einsum_map(points, verts):
 
 
 def test_maps_equal_einsum_definition_on_lattice():
-    m = build_structured_tet_mesh(build_domain(3), 4)
+    m = mesh_at(3, 4)
     for verts, dim in ((m.vertices[m.tets], 3), (m.vertices[m.faces], 2)):
         phys, wts = gauss_points(verts, 4)
         pts, want_wts = simplex_rule(dim, 4)

@@ -288,6 +288,7 @@ def assert_float64_fallback(system, sol, example):
         (1e-3, "float32", None),  # refinement absorbs the error
         (0.1, "float64", solver.REFINE_STEPS),  # too slow for the budget
         (0.3, "float64", 0),  # the first solve fails to halve the residual
+        (np.nan, "float64", 0),  # the first solve is not finite
     ],
 )
 def test_noisy_float32_factor_falls_back_to_float64(
@@ -304,6 +305,19 @@ def test_noisy_float32_factor_falls_back_to_float64(
         assert sol.diagnostics["factor_dtype"] == "float32"
         assert sol.diagnostics["relative_residual"] <= 1e-13
         assert sol.diagnostics["fill_nnz"] == FILL_NNZ[2][1]
+
+
+def test_nonfinite_float64_solve_raises_with_diagnostics(monkeypatch):
+    # a solve that is not finite in either precision: the float32 factor
+    # is dropped, and the float64 one raises instead of returning NaN
+    system = system_at(1, 2)
+    monkeypatch.setattr(
+        solver._FrontalFactor, "solve", lambda lu, b: np.full_like(b, np.nan)
+    )
+    with pytest.raises(SolverError, match="float64 solve is not finite") as info:
+        solve(system, method="direct")
+    d = info.value.diagnostics
+    assert d["factor_dtype"] == "float64" and d["num_free"] == system.dofmap.num_free
 
 
 def test_float32_factor_failure_falls_back_to_float64(monkeypatch):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from divcurl import weak_ops
-from divcurl.mesh import build_domain, build_structured_tet_mesh, tet_geometry
+from divcurl.mesh import tet_geometry
 from divcurl.weak_ops import project_field, weak_curl, weak_gradient
 
-from invariants import commutativity_defect, kernel_identity_defect
+from invariants import commutativity_defect, kernel_identity_defect, mesh_at
 
 REF = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -84,7 +84,7 @@ def assert_face_weights_cancel(m):
 
 def test_sign_consistency():
     for example in range(1, 8):
-        assert_face_weights_cancel(build_structured_tet_mesh(build_domain(example), 2))
+        assert_face_weights_cancel(mesh_at(example, 2))
 
 
 def test_sign_consistency_off_lattice(jittered_mesh):
@@ -100,7 +100,7 @@ def test_sign_consistency_off_lattice(jittered_mesh):
 
 def test_kernels_linear_in_traces():
     rng = np.random.default_rng(11)
-    m = build_structured_tet_mesh(build_domain(3), 2)
+    m = mesh_at(3, 2)
     geom = m.geometry
     a, b = rng.standard_normal((2, m.num_tets, 4))
     ga, gb = weak_gradient(geom, a), weak_gradient(geom, b)
@@ -117,7 +117,7 @@ def test_kernels_linear_in_traces():
 def test_cell_projection_values():
     # cell averages of 5, x and x^2, exact at quadrature degree 4; the
     # mean of x^2 over a tet is (sum x_i^2 + (sum x_i)^2) / 20
-    m = build_structured_tet_mesh(build_domain(1), 1)
+    m = mesh_at(1, 1)
     got = project_field(
         lambda p: np.column_stack([np.full(len(p), 5.0), p[:, 0], p[:, 0] ** 2]), m
     )
@@ -129,7 +129,7 @@ def test_cell_projection_values():
 
 
 def test_project_field_on_mesh():
-    m = build_structured_tet_mesh(build_domain(1), 2)
+    m = mesh_at(1, 2)
     qu = project_field(lambda p: p, m)
     centroids = m.vertices[m.tets].mean(axis=1)
     assert np.allclose(qu, centroids, atol=1e-13)
@@ -157,7 +157,7 @@ def test_commutativity_catches_flipped_gradient(monkeypatch):
 
 
 def test_invariants_catch_flipped_curl(monkeypatch):
-    cube = build_structured_tet_mesh(build_domain(1), 1)
+    cube = mesh_at(1, 1)
     assert kernel_identity_defect(cube, np.random.default_rng(1)) < 1e-12
     monkeypatch.setattr(
         weak_ops, "weak_curl", lambda geom, psib: -weak_curl(geom, psib)
