@@ -45,7 +45,6 @@ from .mesh import (
 from .problems import (
     ProblemError,
     ProblemSpec,
-    cyl_coords,
     finite_difference_check,
     make_problem,
 )

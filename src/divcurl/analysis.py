@@ -222,11 +222,10 @@ class LevelError(Exception):
 
 @dataclass
 class Level:
-    """One solved refinement level; ``qu`` holds the cell averages of the
-    exact field and ``row`` is the level's report row."""
+    """One solved refinement level without its system: ``qu`` holds the
+    cell averages of the exact field and ``row`` is the level's report row."""
 
     mesh: Mesh
-    system: GlobalSystem
     sol: SolutionFields
     qu: np.ndarray
     cell_errors: np.ndarray
@@ -276,4 +275,4 @@ def solve_level(
             row["residual_after_recovery"] = diag.get("raw_residual_after")
     except (meshmod.MeshError, ProblemError, solver.SolverError, MemoryError) as exc:
         raise LevelError(stage, exc) from exc
-    return Level(msh, system, sol, qu, cells, row)
+    return Level(msh, sol, qu, cells, row)

@@ -98,7 +98,7 @@ def run_study(config: RunConfig):
             if level.mesh.betti1 > 0:
                 data["eta_h"] = level.qu - level.sol.u
             vtk_fields = level.mesh, data
-        del level  # free this level's system before the next one is built
+        del level  # free this level's mesh and solution before the next one is built
     for path, text in ((config.csv, report.to_csv), (config.md, report.to_markdown)):
         if path:
             with open(path, "w") as fh:

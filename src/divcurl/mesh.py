@@ -21,6 +21,7 @@ Conventions
   off the mesh's own boundary surface, never declared.
 """
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 INTERIOR = -1
+_INDEX_MAX = 2**63 - 1  # vertex and lattice numbers are int64
 
 # The 6 tetrahedra of the cube split share the main diagonal; walking the
 # cube edges in each axis order gives equal volumes 1/6 and face
@@ -74,12 +76,12 @@ class DomainSpec:
     Attributes
     ----------
     lo, hi : tuple of float
-        Bounding box corners.
-    excluded : tuple of (lo, hi) pairs of 3-vectors, lo < hi
-        Boxes removed from the bounding box; :func:`build_structured_tet_mesh`
-        raises :class:`MeshError` on any other.  Cavities and tunnels are
-        not declared: the mesh finds them (``Mesh.face_tags``,
-        ``Mesh.betti1``).
+        Bounding box corners: finite 3-vectors, lo < hi.
+    excluded : tuple of (lo, hi) pairs of finite 3-vectors, lo < hi
+        Boxes removed from the bounding box.  On any other box, bounding
+        or excluded, :func:`build_structured_tet_mesh` raises
+        :class:`MeshError`.  Cavities and tunnels are not declared: the
+        mesh finds them (``Mesh.face_tags``, ``Mesh.betti1``).
     """
 
     lo: tuple
@@ -166,12 +168,13 @@ class Mesh:
     def _build_faces(self) -> np.ndarray:
         """Number the faces by first appearance and return, per face, the
         slot 4 t + i of its first appearance as local face i of tet t."""
-        nt = len(self.tets)
+        nv, nt = len(self.vertices), len(self.tets)
+        # one int64 key per sorted triple, lexicographic in its order
+        if nv**3 > _INDEX_MAX:
+            raise MeshError(f"{nv} vertices: the face key numbers at most 2**21 - 1")
         all_faces = self.tets[:, _FACE_VERTICES]  # (nt, 4, 3)
         all_faces = np.sort(all_faces.reshape(-1, 3), axis=1)
-        # one integer key per sorted triple; its order is lexicographic,
-        # and ravel_multi_index raises rather than overflow int64
-        key = np.ravel_multi_index(all_faces.T, (len(self.vertices),) * 3)
+        key = np.ravel_multi_index(all_faces.T, (nv,) * 3)
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
         # renumber faces by order of first appearance to keep mesh-order
         # determinism rather than lexicographic vertex order
@@ -182,16 +185,15 @@ class Mesh:
         self.faces = all_faces[first]
         self.tet_faces = rank[inverse].reshape(nt, 4)
 
-        counts = np.bincount(self.tet_faces.ravel(), minlength=len(self.faces))
-        if counts.max() > 2 or counts.min() < 1:
+        if np.bincount(self.tet_faces.ravel()).max() > 2:
             raise MeshError("non-manifold face incidence")
-        self.face_tet_count = counts
 
         # the two incident tets per face: the first appearance, which is
         # the lowest tet index, then the other one (-1 on the boundary)
         last = np.zeros(len(self.faces), dtype=np.int64)
         np.maximum.at(last, self.tet_faces.ravel(), np.arange(4 * nt) // 4)
-        self.face_tets = np.column_stack([first // 4, np.where(counts == 2, last, -1)])
+        lowest = first // 4
+        self.face_tets = np.column_stack([lowest, np.where(last > lowest, last, -1)])
         return first
 
     def _build_geometry(self, first: np.ndarray):
@@ -249,19 +251,19 @@ class Mesh:
             raise MeshError("pinched boundary: surface sheets meet at a vertex")
 
         nt = self.num_tets
-        inner = self.face_tets[self.face_tet_count == 2]
+        inner = self.face_tets[self.face_tets[:, 1] >= 0]
         adjacency = sparse.coo_matrix(
             (np.ones(len(inner)), (inner[:, 0], inner[:, 1])), shape=(nt, nt)
         )
         if connected_components(adjacency, directed=False)[0] != 1:
             raise MeshError("the tets do not form one connected piece")
 
-        faces_edges = sparse.coo_matrix(
-            (np.ones(3 * nb), (np.repeat(np.arange(nb), 3), nb + edge)),
-            shape=(nb + ne, nb + ne),
+        # the two boundary faces of each edge join the surface components
+        pairs = slots // 3
+        neighbours = sparse.coo_matrix(
+            (np.ones(ne), (pairs[:, 0], pairs[:, 1])), shape=(nb, nb)
         )
-        ncomp, labels = connected_components(faces_edges, directed=False)
-        labels = labels[:nb]
+        ncomp, labels = connected_components(neighbours, directed=False)
         first = np.unique(labels, return_index=True)[1]  # first face per component
         xlow = np.all(self.vertex_ijk[tri, 0] == self.vertex_ijk[:, 0].min(), axis=1)
         first[labels[np.argmax(xlow)]] = -1  # the exterior comes first
@@ -291,14 +293,25 @@ class Mesh:
 
     @property
     def boundary_faces(self) -> np.ndarray:
-        return np.flatnonzero(self.face_tet_count == 1)
+        return np.flatnonzero(self.face_tets[:, 1] < 0)
 
 
-def _lattice_index(points, domain: DomainSpec, n: int):
+def _box(corners, name: str) -> np.ndarray:
+    """The (2, 3) float corners lo, hi: finite 3-vectors, lo < hi, or MeshError."""
+    try:
+        box = np.asarray(corners, dtype=float)
+        if box.shape == (2, 3) and np.isfinite(box).all() and all(box[0] < box[1]):
+            return box
+    except (TypeError, ValueError):  # ragged, not numbers, or not a pair
+        pass
+    raise MeshError(f"{name} {corners} is not a pair of 3-vectors lo < hi")
+
+
+def _lattice_index(points, lo: np.ndarray, n: int):
     """Lattice indices of ``points`` at n cells per unit length, counted
-    from ``domain.lo``; None if any point is off the lattice."""
-    scaled = (np.asarray(points) - np.asarray(domain.lo)) * n
-    index = np.rint(scaled).astype(np.int64)
+    from ``lo``, as whole floats; None if any point is off the lattice."""
+    scaled = (points - lo) * n
+    index = np.rint(scaled)
     return index if np.allclose(scaled, index, rtol=0.0, atol=1e-9) else None
 
 
@@ -312,7 +325,8 @@ def build_structured_tet_mesh(domain: DomainSpec, n: int) -> Mesh:
         Cells per unit length; must place all excluded-box corners on the
         lattice (the half-unit features of the toroidal and cavity domains
         need an even n).  A bool or a non-integer raises
-        :class:`MeshError`, as ``n < 1`` does.
+        :class:`MeshError`, as ``n < 1`` does, and so does a lattice of
+        more vertices than an int64 numbers or a mesh of 2**21 or more.
 
     Returns
     -------
@@ -320,31 +334,31 @@ def build_structured_tet_mesh(domain: DomainSpec, n: int) -> Mesh:
     """
     if not _numeric(n, Integral) or n < 1:
         raise MeshError(f"n must be an integer >= 1, got {n!r}")
-    counts = _lattice_index(domain.hi, domain, n)
+    lo, hi = _box((domain.lo, domain.hi), "bounding box")
+    extents = hi - lo
+    # count the lattice vertices in Python integers before any cast
+    if np.any(extents >= _INDEX_MAX / n) or math.prod(
+        round(e * n) + 1 for e in extents.tolist()
+    ) > _INDEX_MAX:
+        raise MeshError(f"the n={n} lattice has more than 2**63 - 1 vertices")
+    counts = _lattice_index(hi, lo, n)
     if counts is None or np.any(counts < 1):
-        extents = np.asarray(domain.hi) - np.asarray(domain.lo)
         raise MeshError(
             f"resolution n={n} does not fit the bounding box extents {extents}"
         )
+    counts = counts.astype(np.int64)
 
     # active cells: the lattice cells outside every excluded box; a box
     # reaching past the bounding box is clipped to it
     active = np.ones(counts, dtype=bool)
     for box in domain.excluded:
-        try:
-            lo, hi = np.asarray(box, dtype=float)
-            valid = lo.shape == (3,) and np.all(lo < hi)  # NaN fails too
-        except (TypeError, ValueError):  # ragged, not numbers, or not a pair
-            valid = False
-        if not valid:
-            raise MeshError(f"excluded box {box} is not a pair of 3-vectors lo < hi")
-        ends = _lattice_index(box, domain, n)
+        ends = _lattice_index(_box(box, "excluded box"), lo, n)
         if ends is None:
             raise MeshError(
                 f"excluded box {box} is not aligned with the n={n} lattice; "
                 "use an even number of cells per unit length"
             )
-        active[tuple(map(slice, *np.clip(ends, 0, counts)))] = False
+        active[tuple(map(slice, *np.clip(ends, 0, counts).astype(np.int64)))] = False
     cells = np.argwhere(active)
     if len(cells) == 0:
         raise MeshError("domain contains no cells at this resolution")
@@ -356,7 +370,7 @@ def build_structured_tet_mesh(domain: DomainSpec, n: int) -> Mesh:
     lattice_ids = np.ravel_multi_index(tuple(np.moveaxis(corners, -1, 0)), shape)
     used, tets = np.unique(lattice_ids.ravel(), return_inverse=True)
     ijk = np.column_stack(np.unravel_index(used, shape))
-    return Mesh(np.asarray(domain.lo) + ijk / float(n), ijk, tets.reshape(-1, 4))
+    return Mesh(lo + ijk / float(n), ijk, tets.reshape(-1, 4))
 
 
 def write_vtk(mesh: Mesh, path: str, cell_data: dict | None = None) -> None:

@@ -41,7 +41,6 @@ __all__ = [
     "ProblemError",
     "evaluate",
     "make_problem",
-    "cyl_coords",
     "finite_difference_check",
 ]
 
@@ -125,23 +124,6 @@ def evaluate(name: str, func, points: np.ndarray, shape: tuple) -> np.ndarray:
         bad = np.flatnonzero(~finite.reshape(len(points), -1).all(axis=1))[0]
         raise ProblemError(f"{name} is not finite at the point {points[bad].tolist()}")
     return values
-
-
-def cyl_coords(points: np.ndarray):
-    """Cylindrical (r, theta) about the z-axis, theta in [0, 2 pi).
-
-    The cut runs along the positive x-axis (L-shaped domain convention,
-    the cut lies in the excluded quadrant).
-
-    Raises ``ValueError`` on the axis (r = 0).
-    """
-    pts = np.atleast_2d(points)
-    x, y = pts[:, 0], pts[:, 1]
-    r = np.hypot(x, y)
-    if np.any(r == 0.0):
-        raise ValueError("cylindrical angle undefined on the axis r = 0")
-    theta = np.arctan2(y, x)
-    return r, np.where(theta < 0.0, theta + 2.0 * np.pi, theta)
 
 
 def _corner_potential(gamma: float, center=(0.0, 0.0)):
@@ -261,7 +243,10 @@ def _problem_2():
 
 def _problem_3():
     def exact_u(pts):
-        r, theta = cyl_coords(pts)
+        # theta in [0, 2 pi): the cut, the positive x-axis, is not in the domain
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        theta = np.arctan2(pts[:, 1], pts[:, 0])
+        theta = np.where(theta < 0.0, theta + 2.0 * np.pi, theta)
         scale = (2.0 / 3.0) * r ** (-1.0 / 3.0)
         out = np.zeros_like(pts)
         out[:, 0] = scale * np.cos(theta / 3.0)

@@ -17,7 +17,7 @@ def jittered_mesh():
     def build(example: int, n: int, rng: np.random.Generator):
         lattice = mesh_at(example, n)
         boundary = np.zeros(lattice.num_vertices, dtype=bool)
-        boundary[lattice.faces[lattice.face_tet_count == 1].ravel()] = True
+        boundary[lattice.faces[lattice.boundary_faces].ravel()] = True
         jitter = rng.uniform(-0.05, 0.05, (lattice.num_vertices, 3)) / n
         jitter[boundary] = 0.0
         return lattice, Mesh(lattice.vertices + jitter, lattice.vertex_ijk, lattice.tets)

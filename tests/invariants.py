@@ -13,10 +13,10 @@ import numpy as np
 import scipy.sparse as sparse
 
 from divcurl import problems, solver, weak_ops
-from divcurl.analysis import solve_level
+from divcurl.analysis import error_u, triple_norm_dual, triple_norm_s
 from divcurl.assembly import assemble_global, assemble_s1, assemble_s2
 from divcurl.condense import Condensed, _ruiz_scale
-from divcurl.mesh import DomainSpec, Mesh, build_structured_tet_mesh, tet_geometry
+from divcurl.mesh import Mesh, build_structured_tet_mesh, tet_geometry
 from divcurl.quadrature import gauss_points
 
 __all__ = [
@@ -104,38 +104,40 @@ def system_at(example, n: int):
     return assemble_global(spec, build_structured_tet_mesh(spec.domain, n))
 
 
-def constant_problem(
-    value, eps, domain: DomainSpec | None = None
-) -> problems.ProblemSpec:
-    """The constant field ``value`` with coefficient ``eps`` on ``domain``
-    (default: the unit cube); its loads f and g are zero."""
+def constant_problem(value, eps) -> problems.ProblemSpec:
+    """The constant field ``value`` with coefficient ``eps`` on the unit
+    cube, or assembled on any mesh; its loads f and g are zero."""
     value = np.asarray(value, dtype=float)
     return problems.ProblemSpec(
         np.asarray(eps, float),
-        problems.make_problem(1).domain if domain is None else domain,
+        problems.make_problem(1).domain,
         lambda p: np.broadcast_to(value, (len(p), 3)).copy(),
         lambda p: np.zeros(len(p)), lambda p: np.zeros_like(p),
     )
 
 
-def patch_test_defects(domain: DomainSpec | None = None) -> tuple:
-    """(e_u, larger dual semi-norm) of the direct solve for a constant
-    field with eps = diag(3, 2, 1) on ``domain`` (default: the unit cube)
-    at 1/h = 2; the scheme reproduces constants, so both vanish up to
-    round-off."""
-    spec = constant_problem([1.0, -2.0, 0.5], np.diag([3.0, 2.0, 1.0]), domain)
-    row = solve_level(spec, 2, "direct").row
-    return row["err_u"], max(row["tnorm_dual"], row["tnorm_s"])
+def patch_test_defects(mesh: Mesh | None = None) -> tuple:
+    """(e_u, larger dual semi-norm) of the direct solve, cavity constants
+    recovered, for a constant field with eps = diag(3, 2, 1) on ``mesh``
+    (default: the unit cube at 1/h = 2); the scheme reproduces constants,
+    so both vanish up to round-off."""
+    mesh = mesh_at(1, 2) if mesh is None else mesh
+    spec = constant_problem([1.0, -2.0, 0.5], np.diag([3.0, 2.0, 1.0]))
+    system = assemble_global(spec, mesh)
+    sol = solver.recover_cavity_constants(system, solver.solve(system, "direct"))
+    duals = max(triple_norm_dual(system, sol), triple_norm_s(system, sol))
+    return error_u(spec, sol.u, mesh), duals
 
 
 def system_defects(
-    rng: np.random.Generator, samples: int, domain: DomainSpec | None = None
+    rng: np.random.Generator, samples: int, mesh: Mesh | None = None
 ) -> tuple:
     """(largest |A - A^T| entry, smallest x^T S x over S1 and S2) with
-    problem 1's coefficient on ``domain`` (default: the unit cube) at
-    1/h = 2, for ``samples`` standard normal vectors x."""
-    system = system_at(constant_problem(0.0, problems.make_problem(1).eps, domain), 2)
-    mesh = system.mesh
+    problem 1's coefficient on ``mesh`` (default: the unit cube at
+    1/h = 2), for ``samples`` standard normal vectors x."""
+    mesh = mesh_at(1, 2) if mesh is None else mesh
+    spec = constant_problem(0.0, problems.make_problem(1).eps)
+    system = assemble_global(spec, mesh)
     asym = (system.A - system.A.T).tocoo()
     asymmetry = float(np.abs(asym.data).max()) if asym.nnz else 0.0
     x = rng.standard_normal((samples, system.dofmap.total))

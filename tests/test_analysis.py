@@ -1,10 +1,13 @@
 """Error norms, rates, reports, and harmonic-field extraction."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
+from divcurl import assembly
 from divcurl.analysis import (
     ConvergenceReport,
     cell_error_norms,
@@ -151,6 +154,23 @@ def test_level_errors_match_error_functions(example):
     assert level.row["err_Qu"] == error_Qu(spec, u_h, m)
     assert np.array_equal(level.cell_errors, cell_error_norms(spec, u_h, m))
     assert np.array_equal(level.qu, project_field(spec.exact_u, m))
+
+
+def test_level_does_not_keep_its_system(monkeypatch):
+    # a level holds its results; the assembled A and F are freed on return
+    assembled = []
+
+    def assemble_global(*args, **kwargs):
+        system = real(*args, **kwargs)
+        assembled.append(weakref.ref(system.A))
+        return system
+
+    real = assembly.assemble_global
+    monkeypatch.setattr(assembly, "assemble_global", assemble_global)
+    level = solve_level(make_problem(4), 2)
+    gc.collect()
+    assert len(assembled) == 1 and assembled[0]() is None
+    assert level.row["num_tets"] == level.mesh.num_tets
 
 
 def test_cavity_found_on_undeclared_domain():

@@ -148,7 +148,7 @@ def test_coupling_entry_hand_value(cube1):
     cands = [
         f
         for f in range(cube1.num_faces)
-        if cube1.face_tet_count[f] == 1
+        if cube1.face_tets[f, 1] < 0
         and np.allclose(cube1.vertices[cube1.faces[f]][:, 0], 0.0)
     ]
     f = cands[0]

@@ -331,6 +331,19 @@ def test_failure_stage_mesh(tmp_path, capsys):
     assert "failed during mesh" in capsys.readouterr().err
 
 
+def test_malformed_or_huge_domain_fails_its_level_at_the_mesh(capsys):
+    # a bounding box of 2-vectors used to escape run_study as numpy's
+    # broadcasting error, and a lattice too large to index as "array is
+    # too big"
+    box = divcurl.DomainSpec((0, 0), (1, 1))
+    spec = dataclasses.replace(divcurl.make_problem(1), domain=box)
+    report = run_study(RunConfig(example=1, refinements=(2,), problem_spec=spec))
+    assert report.failure["stage"] == "mesh"
+    assert "is not a pair of 3-vectors lo < hi" in report.failure["message"]
+    assert main(["--example", "1", "--refinements", str(2**40)]) == 1
+    assert "failed during mesh" in capsys.readouterr().err
+
+
 def test_failure_stage_solve_keeps_completed_level(tmp_path, monkeypatch):
     from divcurl import solver
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -87,8 +88,10 @@ def test_toroid_counts():
 
 def test_face_incidence_counts():
     m = mesh_at(3, 2)
-    assert set(np.unique(m.face_tet_count)) == {1, 2}
-    boundary = m.face_tet_count == 1
+    counts = np.bincount(m.tet_faces.ravel(), minlength=m.num_faces)
+    assert set(np.unique(counts)) == {1, 2}
+    boundary = m.face_tets[:, 1] < 0
+    assert np.array_equal(counts == 1, boundary)
     assert np.all(m.face_tags[boundary] >= 0)
     assert np.all(m.face_tags[~boundary] == -1)
 
@@ -159,6 +162,8 @@ def test_split_domain_rejected():
         # entirely outside, below and above
         (((-1.0, -1.0, -1.0), (-0.5, -0.5, -0.5)), None),
         (((2.5, 0.0, 0.0), (3.0, 1.0, 1.0)), None),
+        # past any int64 lattice index, which used to warn in a cast
+        (((0.0, 0.0, 0.0), (1e30, 1.0, 1.0)), ((0.0, 0.0, 0.0), (2.0, 1.0, 1.0))),
     ],
 )
 def test_excluded_box_clipped_to_bounding_box(box, clipped):
@@ -187,6 +192,53 @@ def test_malformed_excluded_box_rejected(box):
     domain = DomainSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (box,))
     with pytest.raises(MeshError, match="not a pair of 3-vectors lo < hi"):
         build_structured_tet_mesh(domain, 2)
+
+
+_UNIT = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        # the bounding box is checked as an excluded box is: each of these
+        # used to raise numpy's own error, or warn in a cast
+        DomainSpec((0, 0), (1, 1)),
+        DomainSpec(("a", 0, 0), (1, 1, 1)),
+        DomainSpec(None, (1, 1, 1)),
+        DomainSpec((0.0, 0.0, np.nan), (1.0, 1.0, 1.0)),
+        DomainSpec((0.0, 0.0, 0.0), (1.0, np.inf, 1.0)),
+        DomainSpec((-np.inf, 0.0, 0.0), (1.0, 1.0, 1.0)),
+        # and an excluded box must have finite corners too
+        DomainSpec(*_UNIT, (((0.0, 0.0, 0.0), (0.5, np.nan, 0.5)),)),
+        DomainSpec(*_UNIT, (((0.0, -np.inf, 0.0), (0.5, 0.5, 0.5)),)),
+        DomainSpec(*_UNIT, (((0.0, 0.0, 0.0), (np.inf, 0.5, 0.5)),)),
+    ],
+    ids=("2-vectors", "a-string", "none", "nan", "inf", "minus-inf",
+         "excluded-nan", "excluded-minus-inf", "excluded-inf"),
+)
+def test_malformed_box_rejected_without_a_warning(domain):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshError, match="not a pair of 3-vectors lo < hi"):
+            build_structured_tet_mesh(domain, 2)
+
+
+def test_mesh_too_large_to_index_rejected():
+    # checked before any cast or allocation: an int64 numbers neither the
+    # vertices of the 1/h = 10**30 lattice nor the face keys of 2**21
+    # vertices; the zero arrays below are never written
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshError, match=r"more than 2\*\*63 - 1 vertices"):
+            build_structured_tet_mesh(make_problem(1).domain, 10**30)
+    tet = np.array([[0, 1, 2, 3]])
+    with pytest.raises(MeshError, match=r"at most 2\*\*21 - 1"):
+        Mesh(np.zeros((2**21, 3)), np.zeros((2**21, 3), dtype=np.int64), tet)
+    # one vertex fewer is still numbered
+    vertices = np.zeros((2**21 - 1, 3))
+    vertices[[1, 2, 3], [0, 1, 2]] = 1.0
+    m = Mesh(vertices, np.zeros((2**21 - 1, 3), dtype=np.int64), tet)
+    assert m.num_faces == len(m.boundary_faces) == 4
 
 
 _LATTICE = 6  # cells per axis of [0, 3]^3 at n = 2
@@ -240,7 +292,7 @@ def test_topology_on_random_box_unions(boxes):
     assert euler == 1 - m.betti1 + (m.num_boundary_components - 1)
 
     # the tags partition the boundary faces, the bounding box is exterior
-    boundary = m.face_tet_count == 1
+    boundary = m.face_tets[:, 1] < 0
     assert np.all(m.face_tags[~boundary] == -1)
     assert set(m.face_tags[boundary]) == set(range(m.num_boundary_components))
     ijk = m.vertex_ijk[m.faces]
@@ -253,19 +305,18 @@ def test_topology_on_random_box_unions(boxes):
 def test_system_invariants_on_random_box_unions(boxes):
     # exact symmetry, PSD stabilizers and the constant patch test on
     # domains with cavities and tunnels, not only the five built-in ones
-    domain = _box_union(boxes)
     try:
-        asymmetry, min_energy = system_defects(np.random.default_rng(0), 5, domain)
+        m = build_structured_tet_mesh(_box_union(boxes), 2)
     except MeshError:  # empty, split or pinched
         reject()
+    asymmetry, min_energy = system_defects(np.random.default_rng(0), 5, m)
     assert asymmetry == 0.0
     assert min_energy >= -1e-12
     # the facts the direct solve's lattice order rests on, checked before
     # the patch test solves through every front
-    m = build_structured_tet_mesh(domain, 2)
     defects = lattice_order_defects(m, build_dof_map(m))
     assert not any(defects.values()), defects
-    assert max(patch_test_defects(domain)) <= 1e-10
+    assert max(patch_test_defects(m)) <= 1e-10
 
 
 @pytest.mark.parametrize(
@@ -286,7 +337,7 @@ def test_two_holes_in_a_box_union(excluded, components, betti1):
     assert (m.num_boundary_components, m.betti1) == (components, betti1)
     defects = lattice_order_defects(m, build_dof_map(m))
     assert not any(defects.values()), defects
-    assert max(patch_test_defects(domain)) <= 1e-10
+    assert max(patch_test_defects(m)) <= 1e-10
 
 
 def test_alignment_precondition():

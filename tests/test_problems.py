@@ -9,7 +9,6 @@ import pytest
 from divcurl.analysis import solve_level
 from divcurl.problems import (
     ProblemError,
-    cyl_coords,
     finite_difference_check,
     make_problem,
 )
@@ -97,13 +96,14 @@ def test_problem7_combines_rotation():
     )
 
 
-def test_cyl_coords_conventions():
-    r, th = cyl_coords(np.array([[1.0, 0.0, 0.2], [0.0, -1.0, 0.2]]))
-    assert np.allclose(r, 1.0)
-    assert th[0] == pytest.approx(0.0, abs=1e-14)
-    assert th[1] == pytest.approx(1.5 * np.pi)
-    with pytest.raises(ValueError):
-        cyl_coords(np.array([[0.0, 0.0, 1.0]]))
+def test_problem_3_angle_conventions():
+    # theta runs over [0, 2 pi) from the positive x-axis, so at r = 1 the
+    # field is (2/3)(cos(theta/3), sin(theta/3), 0) on both sides of the cut
+    theta = np.array([0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi - 1e-9])
+    pts = np.column_stack([np.cos(theta), np.sin(theta), np.full(4, 0.2)])
+    want = np.column_stack([np.cos(theta / 3), np.sin(theta / 3), np.zeros(4)])
+    got = make_problem(3).exact_u(pts)
+    assert np.allclose(got, (2.0 / 3.0) * want, rtol=0.0, atol=1e-14)
 
 
 def test_unknown_example_rejected():
