@@ -29,12 +29,16 @@ for example in range(1, 8):
 # two identities every element satisfies:
 #   sum over faces of area-weighted outward normals is zero (closed surface)
 #   |F_i| n_i = -3 |T| grad(zeta_i) for the barycentric coordinates
-# both checked on every element at once from the mesh's geometry record
+# both checked on every element at once from the mesh's geometry record,
+# the second against barycentric gradients computed here
 mesh = build_structured_tet_mesh(make_problem(6).domain, 2)
 geom = mesh.geometry
 weights = geom.areas[:, :, None] * geom.normals  # |F| n_F, (nt, 4, 3)
 closed = np.abs(weights.sum(axis=1)).max()
-simplex = np.abs(weights + 3.0 * geom.volumes[:, None, None] * geom.grad_bary).max()
+# grad(zeta_i): column i of the inverse of the rows (1, x, y, z) of a tet
+rows = np.concatenate([np.ones((mesh.num_tets, 4, 1)), mesh.vertices[mesh.tets]], axis=2)
+grad_zeta = np.linalg.inv(rows)[:, 1:, :].transpose(0, 2, 1)  # (nt, 4, 3)
+simplex = np.abs(weights + 3.0 * geom.volumes[:, None, None] * grad_zeta).max()
 print(f"\nclosed-surface identity residual: {closed:.2e}")
 print(f"simplex identity residual:        {simplex:.2e}")
 

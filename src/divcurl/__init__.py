@@ -39,7 +39,6 @@ from .mesh import (
     MeshError,
     TetGeometry,
     build_structured_tet_mesh,
-    tet_geometry,
     write_vtk,
 )
 from .problems import (
@@ -49,6 +48,6 @@ from .problems import (
     make_problem,
 )
 from .solver import SolutionFields, SolverError, recover_cavity_constants, solve
-from .weak_ops import project_field, weak_curl, weak_gradient
+from .weak_ops import project_field
 
 __version__ = "0.1.0"

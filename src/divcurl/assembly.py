@@ -254,15 +254,20 @@ def assemble_s2(mesh: Mesh, dofmap: DofMap) -> sparse.csr_matrix:
 def assemble_Bh(mesh: Mesh, eps: np.ndarray, dofmap: DofMap) -> sparse.csr_matrix:
     """Coupling block B: rows on (lam, q), columns on (u, s).
 
-    At lowest order the weak kernels reduce to per-face surface terms:
+    At lowest order the weak gradient and weak curl are face sums over
+    the traces, with n_F the per-tet outward unit normal and psi_F
+    tangential (the qb coefficients on ``dofmap.tangents``):
+
+        grad_w v   =  (1/|T|) sum_F  v_F |F| n_F
+        curl_w psi = -(1/|T|) sum_F  |F| psi_F x n_F
+
+    so B holds the surface terms
 
         (u, eps grad_w phi)_T   = sum_F |F| phib_F  u . (eps n_F)
         (u, curl_w psi)_T       = -sum_F |F| u . (psib_F x n_F)
         (psi0, eps grad_w s)_T  = sum_F |F| sb_F  psi0 . (eps n_F)
 
-    with n_F the per-tet outward normal, so interior-face contributions
-    cancel between the two incident tets; each entry is |T| times a
-    :mod:`divcurl.weak_ops` kernel of a unit face trace.
+    and interior-face contributions cancel between the two incident tets.
     """
     nt = mesh.num_tets
     tf = mesh.tet_faces

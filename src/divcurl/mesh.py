@@ -35,7 +35,6 @@ __all__ = [
     "MeshError",
     "TetGeometry",
     "build_structured_tet_mesh",
-    "tet_geometry",
     "write_vtk",
     "INTERIOR",
 ]
@@ -79,9 +78,10 @@ class DomainSpec:
         Bounding box corners: finite 3-vectors, lo < hi.
     excluded : tuple of (lo, hi) pairs of finite 3-vectors, lo < hi
         Boxes removed from the bounding box.  On any other box, bounding
-        or excluded, :func:`build_structured_tet_mesh` raises
-        :class:`MeshError`.  Cavities and tunnels are not declared: the
-        mesh finds them (``Mesh.face_tags``, ``Mesh.betti1``).
+        or excluded, or an ``excluded`` that is not a sequence,
+        :func:`build_structured_tet_mesh` raises :class:`MeshError`.
+        Cavities and tunnels are not declared: the mesh finds them
+        (``Mesh.face_tags``, ``Mesh.betti1``).
     """
 
     lo: tuple
@@ -97,17 +97,15 @@ def _numeric(value, kind):
 
 @dataclass(frozen=True)
 class TetGeometry:
-    """Geometry of a batch of N tetrahedra.
+    """Geometry of the N tetrahedra of a mesh (``Mesh.geometry``).
 
-    ``grad_bary[t, i]`` is the gradient of the barycentric coordinate of
-    local vertex i, and local face i (opposite vertex i) has area
-    ``areas[t, i]`` and outward unit normal ``normals[t, i]``.  The face
-    weights ``areas[..., None] * normals`` (|F| n_F) are what the weak
-    kernels and the coupling block sum.
+    Local face i of tet t (opposite vertex i) has area ``areas[t, i]``
+    and outward unit normal ``normals[t, i]``.  The face weights
+    ``areas[..., None] * normals`` (|F| n_F) are what the coupling block
+    sums.
     """
 
     volumes: np.ndarray  # (N,)
-    grad_bary: np.ndarray  # (N, 4, 3)
     areas: np.ndarray  # (N, 4)
     normals: np.ndarray  # (N, 4, 3) outward
     diameters: np.ndarray  # (N,)
@@ -120,8 +118,8 @@ def _triangle_areas(tri: np.ndarray) -> np.ndarray:
 
 
 def _solid_geometry(verts: np.ndarray) -> tuple:
-    """Volumes, barycentric gradients, outward unit normals -grad/|grad|
-    and diameters of positively oriented (N, 4, 3) tets."""
+    """Volumes, outward unit normals -grad/|grad| of the barycentric
+    coordinates, and diameters of positively oriented (N, 4, 3) tets."""
     vol6 = np.linalg.det(verts[:, 1:, :] - verts[:, :1, :])
     if np.any(vol6 <= 0):
         raise MeshError("non-positive tet volume (degenerate or negatively oriented)")
@@ -132,17 +130,7 @@ def _solid_geometry(verts: np.ndarray) -> tuple:
     edge_vec = verts[:, pair_i, :] - verts[:, pair_j, :]
     diameters = np.linalg.norm(edge_vec, axis=2).max(axis=1)
     normals = -grad / np.linalg.norm(grad, axis=2)[:, :, None]
-    return vol6 / 6.0, grad, normals, diameters
-
-
-def tet_geometry(verts) -> TetGeometry:
-    """Geometry of free-standing tets with vertices ``verts`` (N, 4, 3);
-    raises :class:`MeshError` on a non-positive volume (callers orient
-    their tets)."""
-    verts = np.asarray(verts, dtype=float)
-    volumes, grad, normals, diameters = _solid_geometry(verts)
-    areas = _triangle_areas(verts[:, _FACE_VERTICES])
-    return TetGeometry(volumes, grad, areas, normals, diameters)
+    return vol6 / 6.0, normals, diameters
 
 
 class Mesh:
@@ -197,7 +185,7 @@ class Mesh:
         return first
 
     def _build_geometry(self, first: np.ndarray):
-        volumes, grad, outward, diameters = _solid_geometry(self.vertices[self.tets])
+        volumes, outward, diameters = _solid_geometry(self.vertices[self.tets])
         self.face_areas = _triangle_areas(self.vertices[self.faces])
 
         # canonical face normal := outward normal of the first incident tet
@@ -210,7 +198,7 @@ class Mesh:
         mine = self.face_tets[self.tet_faces, 0] == np.arange(len(self.tets))[:, None]
         signs = np.where(mine, 1.0, -1.0)[:, :, None]
         normals = self.face_normals[self.tet_faces] * signs
-        self.geometry = TetGeometry(volumes, grad, areas, normals, diameters)
+        self.geometry = TetGeometry(volumes, areas, normals, diameters)
 
     def _build_boundary_topology(self):
         """Tag the boundary components and count them and the tunnels.
@@ -351,7 +339,11 @@ def build_structured_tet_mesh(domain: DomainSpec, n: int) -> Mesh:
     # active cells: the lattice cells outside every excluded box; a box
     # reaching past the bounding box is clipped to it
     active = np.ones(counts, dtype=bool)
-    for box in domain.excluded:
+    try:
+        boxes = list(domain.excluded)
+    except TypeError:  # None or a number
+        raise MeshError(f"excluded {domain.excluded!r} is not a sequence") from None
+    for box in boxes:
         ends = _lattice_index(_box(box, "excluded box"), lo, n)
         if ends is None:
             raise MeshError(

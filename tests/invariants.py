@@ -2,25 +2,32 @@
 
 Each function measures properties of the discretization or of a solver
 and returns their defects; callers compare each with their own tolerance.
-Only here do tests read a solver's internals.  The weak kernels are looked
-up on :mod:`divcurl.weak_ops` at call time, so a kernel replaced there is
-the kernel that gets checked.
+Only here do tests read a solver's internals.  The assembly functions are
+looked up on :mod:`divcurl.assembly` at call time, so a block replaced
+there is the block that gets checked; the weak kernels are read off the
+coupling block of ``assemble_Bh``.
 """
 
 import itertools
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.sparse.csgraph import connected_components
 
-from divcurl import problems, solver, weak_ops
+from divcurl import assembly, problems, solver
 from divcurl.analysis import error_u, triple_norm_dual, triple_norm_s
-from divcurl.assembly import assemble_global, assemble_s1, assemble_s2
+from divcurl.assembly import assemble_global, build_dof_map
 from divcurl.condense import Condensed, _ruiz_scale
-from divcurl.mesh import Mesh, build_structured_tet_mesh, tet_geometry
+from divcurl.mesh import Mesh, build_structured_tet_mesh
 from divcurl.quadrature import gauss_points
 
 __all__ = [
     "mesh_at",
+    "one_tet",
+    "random_tets",
+    "jittered_mesh",
+    "simplex",
+    "coupled_kernels",
     "system_at",
     "constant_problem",
     "commutativity_defect",
@@ -42,58 +49,126 @@ def _relative_defect(got: np.ndarray, want: np.ndarray) -> float:
     return float((np.abs(got - want).max(axis=1) / scale).max())
 
 
-def commutativity_defect(rng: np.random.Generator, trials: int) -> float:
-    """Worst relative defect of the commuting-projection property on
-    ``trials`` random tets with vertices in [-1, 1]^3 and volume >= 1e-3.
+# a full coefficient, so that the gradient checks read every entry of eps
+_EPS = np.array([[3.0, 0.5, 0.0], [0.5, 2.0, 0.2], [0.0, 0.2, 1.0]])
 
-    For affine v and psi, the weak gradient of the face averages of v is
-    grad v, and the weak curl of the tangential face averages of psi is
-    curl psi.  The face average of an affine field is its value at the
-    face centroid.
+
+def simplex(mesh: Mesh) -> tuple:
+    """Volumes (nt,) and barycentric gradients grad(zeta_i) (nt, 4, 3) of
+    the mesh's tets, from the inverse of the rows (1, x, y, z) of their
+    vertices; the mesh's own geometry is not read."""
+    M = np.concatenate([np.ones((mesh.num_tets, 4, 1)), mesh.vertices[mesh.tets]], axis=2)
+    return np.linalg.det(M) / 6.0, np.linalg.inv(M)[:, 1:, :].transpose(0, 2, 1)
+
+
+def coupled_kernels(mesh: Mesh, eps, v: np.ndarray, psi: np.ndarray) -> tuple:
+    """The weak kernels read off the coupling block B per tet, each
+    (k, nt, 3): eps grad_w of the face values ``v`` (k, nf) as lamb traces,
+    (B^T x)[u_T] / |T|; curl_w of the tangential parts of the face vectors
+    ``psi`` (k, nf, 3) as qb traces, the same; and eps grad_w of ``v`` as
+    sb traces, (B x)[q0_T] / |T|.  The qb coefficients of psi on the
+    face's ``dofmap.tangents`` come from their 2x2 Gram solve."""
+    dm = build_dof_map(mesh)
+    B = assembly.assemble_Bh(mesh, eps, dm)
+    T = dm.tangents  # (nf, 2, 3)
+    gram = np.einsum("fid,fjd->fij", T, T)
+    coeffs = np.linalg.solve(gram, np.einsum("fid,kfd->kfi", T, psi)[..., None])
+    k = len(v)
+    x, y = np.zeros((dm.total, 2 * k)), np.zeros((dm.total, k))
+    x[dm.block("lamb"), :k] = v.T
+    x[dm.block("qb"), k:] = coeffs.reshape(k, -1).T
+    y[dm.block("sb")] = v.T
+    volumes = simplex(mesh)[0]
+
+    def per_tet(z, block):
+        return z[dm.block(block)].T.reshape(-1, mesh.num_tets, 3) / volumes[:, None]
+
+    up = B.T @ x
+    return per_tet(up[:, :k], "u"), per_tet(up[:, k:], "u"), per_tet(B @ y, "q0")
+
+
+def commutativity_defect(meshes, rng: np.random.Generator, fields: int) -> float:
+    """Worst relative defect of the commuting-projection property for
+    ``fields`` random affine v and psi on each of ``meshes``, with the
+    kernels read off B (:func:`coupled_kernels`) and a full eps.
+
+    The weak gradient of the face averages of v is grad v, in both of B's
+    gradient blocks, and the weak curl of the tangential face averages of
+    psi is curl psi.  The face average of an affine field is its value at
+    the face centroid.
     """
-    verts = np.empty((0, 4, 3))
-    while len(verts) < trials:
-        batch = rng.uniform(-1.0, 1.0, (trials, 4, 3))
-        vol = np.linalg.det(batch[:, 1:] - batch[:, :1]) / 6.0
-        batch[vol < 0] = batch[vol < 0][:, [0, 1, 3, 2]]  # orient
-        verts = np.concatenate([verts, batch[np.abs(vol) >= 1e-3]])
-    verts = verts[:trials]
-    geom = tet_geometry(verts)
-    fcent = (verts.sum(axis=1)[:, None, :] - verts) / 3.0  # face i omits vertex i
-
-    a, b = rng.standard_normal(trials), rng.standard_normal((trials, 3))
-    vb = a[:, None] + np.einsum("tfd,td->tf", fcent, b)
-    worst = _relative_defect(weak_ops.weak_gradient(geom, vb), b)
-
-    C, d = rng.standard_normal((trials, 3, 3)), rng.standard_normal((trials, 3))
-    curl = (C - C.transpose(0, 2, 1))[:, [2, 0, 1], [1, 2, 0]]  # axial vector
-    psib = np.einsum("tcd,tfd->tfc", C, fcent) + d[:, None, :]
-    n = geom.normals
-    psib -= np.einsum("tfd,tfd->tf", psib, n)[:, :, None] * n
-    return max(worst, _relative_defect(weak_ops.weak_curl(geom, psib), curl))
+    worst = 0.0
+    for mesh in meshes:
+        cent = mesh.vertices[mesh.faces].mean(axis=1)  # (nf, 3)
+        a, b = rng.standard_normal(fields), rng.standard_normal((fields, 3))
+        C, d = rng.standard_normal((fields, 3, 3)), rng.standard_normal((fields, 3))
+        curl = (C - C.transpose(0, 2, 1))[:, [2, 0, 1], [1, 2, 0]]  # axial vector
+        psi = np.einsum("kcd,fd->kfc", C, cent) + d[:, None, :]
+        kernels = coupled_kernels(mesh, _EPS, a[:, None] + b @ cent.T, psi)
+        for got, want in zip(kernels, (b @ _EPS.T, curl, b @ _EPS.T)):
+            want = np.broadcast_to(want[:, None], got.shape).reshape(-1, 3)
+            worst = max(worst, _relative_defect(got.reshape(-1, 3), want))
+    return worst
 
 
-def kernel_identity_defect(mesh: Mesh, rng: np.random.Generator) -> float:
-    """Worst relative defect of two kernel identities on every tet:
-    constant traces have zero weak gradient, and a random tangential
-    trace w on face i alone has weak curl 3 w x grad(zeta_i), which holds
-    exactly when |F_i| n_i = -3 |T| grad(zeta_i)."""
-    geom = mesh.geometry
-    worst = np.abs(weak_ops.weak_gradient(geom, np.ones((mesh.num_tets, 4)))).max()
-    for i in range(4):
-        w = rng.standard_normal((mesh.num_tets, 3))
-        n_i = geom.normals[:, i]
-        w -= np.einsum("td,td->t", w, n_i)[:, None] * n_i
-        psib = np.zeros((mesh.num_tets, 4, 3))
-        psib[:, i] = w
-        want = 3.0 * np.cross(w, geom.grad_bary[:, i])
-        worst = max(worst, _relative_defect(weak_ops.weak_curl(geom, psib), want))
-    return float(worst)
+def kernel_identity_defect(mesh: Mesh, rng: np.random.Generator, eps=_EPS) -> float:
+    """Worst relative defect of the kernels read off B against closed
+    forms in the barycentric gradients of :func:`simplex`, on random face
+    values v and tangential face vectors psi, the first v constant:
+
+        eps grad_w v = -3 sum_i v_{F_i} eps grad(zeta_i)   (both blocks)
+        curl_w psi   =  3 sum_i psi_{F_i} x grad(zeta_i)
+
+    Both hold exactly when |F_i| n_i = -3 |T| grad(zeta_i), and the first
+    makes the gradient of constant face values zero."""
+    _, grad = simplex(mesh)
+    tf, n = mesh.tet_faces, mesh.face_normals
+    v = rng.standard_normal((4, mesh.num_faces))
+    v[0] = 1.0
+    psi = rng.standard_normal((4, mesh.num_faces, 3))
+    psi -= np.einsum("kfd,fd->kf", psi, n)[..., None] * n
+    grad_v = -3.0 * np.einsum("kti,tid->ktd", v[:, tf], grad) @ eps.T
+    curl = 3.0 * np.cross(psi[:, tf], grad).sum(axis=2)
+    return max(
+        _relative_defect(got.reshape(-1, 3), want.reshape(-1, 3))
+        for got, want in zip(coupled_kernels(mesh, eps, v, psi), (grad_v, curl, grad_v))
+    )
 
 
 def mesh_at(example: int, n: int) -> Mesh:
     """The 1/h = ``n`` mesh of built-in problem ``example``'s domain."""
     return build_structured_tet_mesh(problems.make_problem(example).domain, n)
+
+
+def one_tet(verts) -> Mesh:
+    """The mesh of the single tet ``verts`` (4, 3); :class:`MeshError`
+    unless it is positively oriented."""
+    return Mesh(np.asarray(verts, float), np.zeros((4, 3), np.int64), np.arange(4)[None])
+
+
+def random_tets(rng: np.random.Generator, count: int) -> list:
+    """``count`` one-tet meshes with vertices in [-1, 1]^3 and volume >= 1e-3."""
+    meshes = []
+    while len(meshes) < count:
+        verts = rng.uniform(-1.0, 1.0, (4, 3))
+        vol = np.linalg.det(verts[1:] - verts[:1]) / 6.0
+        if abs(vol) >= 1e-3:
+            meshes.append(one_tet(verts if vol > 0 else verts[[0, 1, 3, 2]]))
+    return meshes
+
+
+def jittered_mesh(example: int, n: int, rng: np.random.Generator, a: float = 0.05):
+    """(lattice, jittered): the 1/h = ``n`` mesh of built-in problem
+    ``example``, and the same tets with every vertex off the boundary moved
+    by uniform(-a, a) / n per coordinate, so that no face normal, area or
+    quadrature point is a lattice value.  ``Mesh`` rejects a tet that the
+    jitter turns over."""
+    lattice = mesh_at(example, n)
+    boundary = np.zeros(lattice.num_vertices, dtype=bool)
+    boundary[lattice.faces[lattice.boundary_faces].ravel()] = True
+    jitter = rng.uniform(-a, a, (lattice.num_vertices, 3)) / n
+    jitter[boundary] = 0.0
+    return lattice, Mesh(lattice.vertices + jitter, lattice.vertex_ijk, lattice.tets)
 
 
 def system_at(example, n: int):
@@ -129,21 +204,36 @@ def patch_test_defects(mesh: Mesh | None = None) -> tuple:
     return error_u(spec, sol.u, mesh), duals
 
 
-def system_defects(
-    rng: np.random.Generator, samples: int, mesh: Mesh | None = None
-) -> tuple:
-    """(largest |A - A^T| entry, smallest x^T S x over S1 and S2) with
-    problem 1's coefficient on ``mesh`` (default: the unit cube at
-    1/h = 2), for ``samples`` standard normal vectors x."""
+def system_defects(mesh: Mesh | None = None, rng=None, samples: int = 0) -> tuple:
+    """(largest |A - A^T| entry, smallest lambda_min / lambda_max over S1
+    and S2) with problem 1's coefficient on ``mesh`` (default: the unit
+    cube at 1/h = 2).  The eigenvalues are LAPACK's, of each connected
+    block of a stabilizer's nonzero rows and columns in turn.
+
+    Given ``rng`` and ``samples``, the second value is instead the smallest
+    x^T S x over that many standard normal x: a gross check for meshes
+    whose dense spectrum takes seconds, which misses a small negative
+    eigenvalue."""
     mesh = mesh_at(1, 2) if mesh is None else mesh
     spec = constant_problem(0.0, problems.make_problem(1).eps)
     system = assemble_global(spec, mesh)
     asym = (system.A - system.A.T).tocoo()
     asymmetry = float(np.abs(asym.data).max()) if asym.nnz else 0.0
-    x = rng.standard_normal((samples, system.dofmap.total))
-    stabilizers = (assemble_s1(mesh, system.dofmap), assemble_s2(mesh, system.dofmap))
-    energy = min(np.einsum("sk,ks->s", x, S @ x.T).min() for S in stabilizers)
-    return asymmetry, float(energy)
+    stabilizers = [assemble(mesh, system.dofmap)
+                   for assemble in (assembly.assemble_s1, assembly.assemble_s2)]
+    if samples:
+        x = rng.standard_normal((samples, system.dofmap.total))
+        energy = min(np.einsum("sk,ks->s", x, S @ x.T).min() for S in stabilizers)
+        return asymmetry, float(energy)
+    ratios = []
+    for S in stabilizers:
+        support = np.flatnonzero(S.getnnz(axis=1))
+        S = S[support][:, support]
+        num, label = connected_components(S, directed=False)
+        blocks = [np.flatnonzero(label == i) for i in range(num)]
+        eigs = np.concatenate([np.linalg.eigvalsh(S[b][:, b].toarray()) for b in blocks])
+        ratios.append(eigs.min() / eigs.max())
+    return asymmetry, float(min(ratios))
 
 
 def lattice_order_defects(mesh: Mesh, dofmap) -> dict:

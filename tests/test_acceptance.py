@@ -18,8 +18,10 @@ from divcurl.solver import solve
 from invariants import (
     commutativity_defect,
     constant_problem,
+    jittered_mesh,
     load_oracle_defect,
     patch_test_defects,
+    random_tets,
     system_at,
     system_defects,
 )
@@ -50,12 +52,19 @@ def test_criterion_1_patch_test():
 
 
 def test_criterion_2_commutativity_property():
+    # the kernels read off B, on random tets (whose skinny faces make the
+    # test's Gram solve for the qb coefficients the largest error) and on
+    # the meshes of problems 1-7 with interior vertices jittered by 0.2 h
     t0 = time.perf_counter()
-    worst = commutativity_defect(np.random.default_rng(20240901), 1000)
+    rng = np.random.default_rng(20240901)
+    meshes = random_tets(rng, 200)
+    meshes += [jittered_mesh(example, 2, rng, 0.2)[1] for example in range(1, 8)]
+    worst = commutativity_defect(meshes, rng, 5)
     elapsed = time.perf_counter() - t0
     assert worst < 1e-11
     assert elapsed < 5.0
-    report_line(2, f"commutativity on 1000 random affine fields, worst={worst:.2e}, {elapsed:.2f}s")
+    report_line(2, f"commutativity of B on 5 random affine fields on each of 200 "
+                   f"random tets and 7 jittered meshes, worst={worst:.2e}, {elapsed:.2f}s")
 
 
 def test_criterion_3_load_oracle():
@@ -145,9 +154,9 @@ def test_criterion_9_harmonic_pollution(tmp_path):
 
 
 def test_criterion_10_system_sanity():
-    asymmetry, min_energy = system_defects(np.random.default_rng(7), 100)
+    asymmetry, min_ratio = system_defects()
     assert asymmetry == 0.0
-    assert min_energy >= -1e-12
+    assert min_ratio >= -1e-12
     sol = solve(system_at(constant_problem([0.0, 0.0, 0.0], make_problem(1).eps), 2))
     assert np.abs(sol.x).max() == 0.0
     report_line(10, "matrix exactly symmetric, stabilizers PSD, homogeneous solve zero")

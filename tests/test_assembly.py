@@ -16,9 +16,15 @@ from divcurl.assembly import (
 from divcurl.mesh import build_structured_tet_mesh
 from divcurl.problems import ProblemSpec, make_problem
 from divcurl.solver import solve
-from divcurl.weak_ops import weak_curl, weak_gradient
 
-from invariants import constant_problem, mesh_at, system_at, system_defects
+from invariants import (
+    constant_problem,
+    jittered_mesh,
+    mesh_at,
+    simplex,
+    system_at,
+    system_defects,
+)
 
 
 def affine_problem(C, d, eps):
@@ -166,16 +172,16 @@ def test_coupling_entry_hand_value(cube1):
 
 
 def test_curl_coupling_matches_kernel():
-    # every entry of the three coupling blocks is |T| times a batched weak
-    # kernel of a unit face trace, on every tet of a mesh with interior
-    # faces of both orientations and a full coefficient matrix
+    # every entry of the three coupling blocks against its closed form in
+    # the barycentric gradients, |F_i| n_i = -3 |T| grad(zeta_i), on every
+    # tet of a mesh with interior faces of both orientations and a full
+    # coefficient matrix
     m = mesh_at(4, 2)
     eps = np.array([[3.0, 0.5, 0.0], [0.5, 2.0, 0.2], [0.0, 0.2, 1.0]])
     dm = build_dof_map(m)
     B = assemble_Bh(m, eps, dm).tocsr()
-    geom = m.geometry
-    nt = m.num_tets
-    tets = np.arange(nt)[:, None]
+    volumes, grad = simplex(m)
+    tets = np.arange(m.num_tets)[:, None]
     u = dm.index("u", tets, np.arange(3))  # (nt, 3)
     q0 = dm.index("q0", tets, np.arange(3))
 
@@ -188,15 +194,12 @@ def test_curl_coupling_matches_kernel():
 
     for i in range(4):
         f = m.tet_faces[:, i][:, None]
-        unit = np.zeros((nt, 4))
-        unit[:, i] = 1.0
-        eps_grad = geom.volumes[:, None] * weak_gradient(geom, unit) @ eps.T
+        eps_grad = -3.0 * volumes[:, None] * grad[:, i] @ eps.T
         check(entries(dm.index("lamb", f), u), eps_grad)  # lamb-u
         check(entries(q0, dm.index("sb", f)), eps_grad)  # q0-sb
         for j in (0, 1):
-            psib = np.zeros((nt, 4, 3))
-            psib[:, i] = dm.tangents[m.tet_faces[:, i], j]
-            curl = geom.volumes[:, None] * weak_curl(geom, psib)
+            t = dm.tangents[m.tet_faces[:, i], j]
+            curl = 3.0 * volumes[:, None] * np.cross(t, grad[:, i])
             check(entries(dm.index("qb", f, j), u), curl)  # qb-u
 
 
@@ -280,9 +283,7 @@ def test_assembly_independent_of_summation_order(example, recorded_triplets):
     _check_order_free(spec, mesh, recorded_triplets)
 
 
-def test_assembly_independent_of_summation_order_off_lattice(
-    jittered_mesh, recorded_triplets
-):
+def test_assembly_independent_of_summation_order_off_lattice(recorded_triplets):
     rng = np.random.default_rng(3)
     for example, n in ((1, 3), (4, 4)):
         _, mesh = jittered_mesh(example, n, rng)
@@ -290,8 +291,28 @@ def test_assembly_independent_of_summation_order_off_lattice(
 
 
 def test_quadratic_forms_psd():
-    _, min_energy = system_defects(np.random.default_rng(5), 100)
-    assert min_energy >= -1e-12
+    _, min_ratio = system_defects()
+    assert min_ratio >= -1e-12
+
+
+def test_psd_check_sees_a_small_negative_eigenvalue(monkeypatch):
+    # S1 - 1e-6 lambda_max v v^T, v the unit constant-lambda null vector of
+    # S1, has an eigenvalue of about -1e-6 lambda_max; the spectrum sees it
+    # and 100 normal samples of x^T S x do not
+    true_s1 = assembly.assemble_s1
+
+    def perturbed(mesh, dofmap):
+        S1 = true_s1(mesh, dofmap)
+        v = np.zeros(dofmap.total)
+        v[: dofmap.offsets["lamb"][1]] = 1.0  # every lam0 and lamb
+        v /= np.linalg.norm(v)
+        assert np.abs(S1 @ v).max() < 1e-15
+        top = np.linalg.eigvalsh(S1.toarray())[-1]
+        return (S1 - sparse.csr_matrix(1e-6 * top * np.outer(v, v))).tocsr()
+
+    monkeypatch.setattr(assembly, "assemble_s1", perturbed)
+    assert -2e-6 < system_defects()[1] < -5e-7
+    assert system_defects(rng=np.random.default_rng(5), samples=100)[1] > 0.0
 
 
 def test_rhs_zero_for_zero_loads():

@@ -340,6 +340,12 @@ def test_malformed_or_huge_domain_fails_its_level_at_the_mesh(capsys):
     report = run_study(RunConfig(example=1, refinements=(2,), problem_spec=spec))
     assert report.failure["stage"] == "mesh"
     assert "is not a pair of 3-vectors lo < hi" in report.failure["message"]
+    for excluded in (None, 5):  # each used to escape as a TypeError
+        domain = divcurl.DomainSpec((0, 0, 0), (1, 1, 1), excluded)
+        spec = dataclasses.replace(divcurl.make_problem(1), domain=domain)
+        report = run_study(RunConfig(example=1, refinements=(2,), problem_spec=spec))
+        assert report.failure["stage"] == "mesh"
+        assert "is not a sequence" in report.failure["message"]
     assert main(["--example", "1", "--refinements", str(2**40)]) == 1
     assert "failed during mesh" in capsys.readouterr().err
 

@@ -19,6 +19,7 @@ from invariants import (
     condensed_defects,
     constant_problem,
     frontal_defects,
+    jittered_mesh,
     lattice_order_defects,
     patch_test_defects,
     system_at,
@@ -471,14 +472,14 @@ def test_minres_matches_direct(example):
 
 
 @pytest.mark.parametrize("example", (1, 3, 4, 6))
-def test_invariants_on_jittered_meshes(example, jittered_mesh):
+def test_invariants_on_jittered_meshes(example):
     # no two tets of a jittered lattice are congruent, yet the lattice's
     # facts hold: exact symmetry, PSD stabilizers, the patch test, the
     # direct solve's order and its agreement with MINRES
     _, mesh = jittered_mesh(example, 2, np.random.default_rng(30))
-    asymmetry, min_energy = system_defects(np.random.default_rng(0), 20, mesh)
+    asymmetry, min_ratio = system_defects(mesh)
     assert asymmetry == 0.0
-    assert min_energy >= -1e-12
+    assert min_ratio >= -1e-12
     assert max(patch_test_defects(mesh)) <= 1e-10
     spec = make_problem(example)
     system = assemble_global(spec, mesh)
@@ -784,6 +785,16 @@ def test_minres_max_iter_bounds_whole_solve(monkeypatch):
         diagnostics = exc.diagnostics
     assert 0 < diagnostics["iterations"] <= 800
     assert len(diagnostics["residual_history"]) >= 1
+
+
+def test_auto_picks_minres_above_the_direct_limit(monkeypatch):
+    system = system_at(1, 2)
+    n = system.dofmap.num_free
+    for limit, method in ((n - 1, "minres"), (n, "direct")):
+        monkeypatch.setattr(solver, "DIRECT_DOF_LIMIT", limit)
+        diagnostics = solve(system).diagnostics
+        assert diagnostics["method"] == method
+        assert diagnostics["relative_residual"] <= solver.ACCEPT[method]
 
 
 def test_unknown_method_rejected():

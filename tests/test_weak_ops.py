@@ -1,72 +1,84 @@
-"""Batched weak gradient/curl kernels and the cell projection."""
+"""The weak gradient and weak curl read off the coupling block, and the
+cell projection."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
-from divcurl import weak_ops
-from divcurl.mesh import tet_geometry
-from divcurl.weak_ops import project_field, weak_curl, weak_gradient
+from divcurl import assembly
+from divcurl.weak_ops import project_field
 
-from invariants import commutativity_defect, kernel_identity_defect, mesh_at
+from invariants import (
+    commutativity_defect,
+    coupled_kernels,
+    jittered_mesh,
+    kernel_identity_defect,
+    mesh_at,
+    one_tet,
+    random_tets,
+    simplex,
+)
 
 REF = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
 
 @pytest.fixture
-def ref_geom():
-    return tet_geometry(REF[None])
+def ref():
+    return one_tet(REF)
 
 
-def test_gradient_of_constant_trace_vanishes(ref_geom):
-    grad = weak_gradient(ref_geom, np.ones((1, 4)))
-    assert np.abs(grad).max() < 1e-14
+def kernels(mesh, v=None, psi=None):
+    """(grad_w v as lamb traces, curl_w psi, grad_w v as sb traces) on
+    the mesh's tets for one set of face values (nf,) and vectors (nf, 3),
+    eps = I; either defaults to zero."""
+    v = np.zeros(mesh.num_faces) if v is None else v
+    psi = np.zeros((mesh.num_faces, 3)) if psi is None else psi
+    return [k[0] for k in coupled_kernels(mesh, np.eye(3), v[None], psi[None])]
 
 
-def test_gradient_single_face(ref_geom):
+def test_gradient_of_constant_trace_vanishes(ref):
+    grad, _, grad_s = kernels(ref, np.ones(4))
+    assert max(np.abs(grad).max(), np.abs(grad_s).max()) < 1e-14
+
+
+def test_gradient_single_face(ref):
     # trace 1 on the face x=0 (opposite vertex (1,0,0), local index 1)
-    vb = np.zeros((1, 4))
-    vb[0, 1] = 1.0
-    assert np.allclose(weak_gradient(ref_geom, vb), [[-3.0, 0.0, 0.0]])
+    vb = np.zeros(4)
+    vb[ref.tet_faces[0, 1]] = 1.0
+    for grad in kernels(ref, vb)[::2]:
+        assert np.allclose(grad, [[-3.0, 0.0, 0.0]], rtol=0.0, atol=1e-14)
 
 
-def test_gradient_commutes_for_affine(ref_geom):
+def test_gradient_commutes_for_affine(ref):
     # traces of w = x + 2y + 3z are its face-centroid values
     coeff = np.array([1.0, 2.0, 3.0])
-    fcent = np.array([REF[[j for j in range(4) if j != i]].mean(axis=0) for i in range(4)])
-    assert np.allclose(weak_gradient(ref_geom, (fcent @ coeff)[None]), coeff, atol=1e-13)
+    fcent = ref.vertices[ref.faces].mean(axis=1)
+    for grad in kernels(ref, fcent @ coeff)[::2]:
+        assert np.allclose(grad, coeff, atol=1e-13)
 
 
-def test_curl_zero_trace(ref_geom):
-    curl = weak_curl(ref_geom, np.zeros((1, 4, 3)))
-    assert np.abs(curl).max() == 0.0
+def test_curl_zero_trace(ref):
+    assert np.abs(kernels(ref)[1]).max() == 0.0
 
 
-def test_curl_single_face_basis_identity(ref_geom):
+def test_curl_single_face_basis_identity(ref):
     # trace w tangent to face i gives curl 3 w x grad(zeta_i)
     rng = np.random.default_rng(3)
-    normals, grad = ref_geom.normals[0], ref_geom.grad_bary[0]
+    grad = simplex(ref)[1][0]
     for i in range(4):
+        face, normal = ref.tet_faces[0, i], ref.geometry.normals[0, i]
         w = rng.standard_normal(3)
-        w -= (w @ normals[i]) * normals[i]
-        psib = np.zeros((1, 4, 3))
-        psib[0, i] = w
-        got = weak_curl(ref_geom, psib)[0]
-        assert np.allclose(got, 3.0 * np.cross(w, grad[i]), atol=1e-12)
+        w -= (w @ normal) * normal
+        psi = np.zeros((4, 3))
+        psi[face] = w
+        curl = kernels(ref, psi=psi)[1][0]
+        assert np.allclose(curl, 3.0 * np.cross(w, grad[i]), atol=1e-12)
 
 
-def test_curl_of_constant_field_vanishes(ref_geom):
+def test_curl_of_constant_field_vanishes(ref):
+    # the Gram solve takes the tangential part of c on each face
     c = np.array([0.4, -0.2, 1.1])
-    normals = ref_geom.normals[0]
-    psib = c - np.einsum("fd,d->f", normals, c)[:, None] * normals
-    curl = weak_curl(ref_geom, psib[None])
-    assert np.abs(curl).max() < 1e-13
-
-
-def test_curl_rejects_non_tangential(ref_geom):
-    psib = np.zeros((1, 4, 3))
-    psib[0, 0] = ref_geom.normals[0, 0]
-    with pytest.raises(ValueError):
-        weak_curl(ref_geom, psib)
+    assert np.abs(kernels(ref, psi=np.tile(c, (4, 1)))[1]).max() < 1e-13
 
 
 def assert_face_weights_cancel(m):
@@ -79,7 +91,8 @@ def assert_face_weights_cancel(m):
     interior = m.face_tets[:, 1] >= 0
     assert np.all(total[interior] == 0.0)
     assert np.linalg.norm(total[~interior], axis=1).min() > 0.0  # not vacuous
-    assert np.abs(weak_gradient(geom, np.ones((m.num_tets, 4)))).max() < 1e-12
+    for grad in kernels(m, np.ones(m.num_faces))[::2]:
+        assert np.abs(grad).max() < 1e-12
 
 
 def test_sign_consistency():
@@ -87,7 +100,7 @@ def test_sign_consistency():
         assert_face_weights_cancel(mesh_at(example, 2))
 
 
-def test_sign_consistency_off_lattice(jittered_mesh):
+def test_sign_consistency_off_lattice():
     # on lattice meshes normals recomputed per tet also cancel exactly, so
     # only a jittered mesh shows that both tets read one shared face normal
     rng = np.random.default_rng(3)
@@ -96,22 +109,6 @@ def test_sign_consistency_off_lattice(jittered_mesh):
         assert m.geometry.volumes.min() > 0.0
         assert np.abs(m.face_normals - lattice.face_normals).max() > 1e-3
         assert_face_weights_cancel(m)
-
-
-def test_kernels_linear_in_traces():
-    rng = np.random.default_rng(11)
-    m = mesh_at(3, 2)
-    geom = m.geometry
-    a, b = rng.standard_normal((2, m.num_tets, 4))
-    ga, gb = weak_gradient(geom, a), weak_gradient(geom, b)
-    assert np.allclose(weak_gradient(geom, 2.0 * a - 3.0 * b), 2.0 * ga - 3.0 * gb)
-    # tangential traces: project random vectors onto each face plane
-    pa, pb = rng.standard_normal((2, m.num_tets, 4, 3))
-    n = geom.normals
-    pa -= np.einsum("tfd,tfd->tf", pa, n)[:, :, None] * n
-    pb -= np.einsum("tfd,tfd->tf", pb, n)[:, :, None] * n
-    ca, cb = weak_curl(geom, pa), weak_curl(geom, pb)
-    assert np.allclose(weak_curl(geom, 2.0 * pa - 3.0 * pb), 2.0 * ca - 3.0 * cb)
 
 
 def test_cell_projection_values():
@@ -137,30 +134,52 @@ def test_project_field_on_mesh():
     assert np.allclose(const, [2.0, -1.0, 0.5])
 
 
+def jittered_meshes(rng):
+    """The 1/h = 2 meshes of problems 1-7 with interior vertices moved by
+    up to 0.2 h, so that no two tets are congruent."""
+    return [jittered_mesh(example, 2, rng, 0.2)[1] for example in range(1, 8)]
+
+
 def test_commutativity_property_random_affine():
-    # weak kernels of projected affine fields equal the projected exact
-    # derivative fields; a tighter bound than acceptance criterion 2
-    assert commutativity_defect(np.random.default_rng(20240817), 200) < 1e-12
+    # the kernels of projected affine fields equal the projected exact
+    # derivative fields; a tighter bound than acceptance criterion 2,
+    # whose random tets have skinny faces
+    rng = np.random.default_rng(20240817)
+    assert commutativity_defect(jittered_meshes(rng), rng, 20) < 1e-12
 
 
-# deliberate fault injection: the invariant checks read the kernels off
-# divcurl.weak_ops at call time, so a sign error in a kernel must push its
-# defects past the bounds the suite holds the true kernels to
+# deliberate fault injection: the invariant checks read B off
+# divcurl.assembly at call time, so a sign error in one of its blocks must
+# push their defects past the bounds the suite holds the true B to
+
+
+def flip_rows(monkeypatch, block):
+    """Make ``assembly.assemble_Bh`` negate the rows of ``block`` of B."""
+    true_Bh = assembly.assemble_Bh
+
+    def flipped(mesh, eps, dofmap):
+        sign = np.ones(dofmap.total)
+        sign[dofmap.block(block)] = -1.0
+        return (sparse.diags(sign) @ true_Bh(mesh, eps, dofmap)).tocsr()
+
+    monkeypatch.setattr(assembly, "assemble_Bh", flipped)
 
 
 def test_commutativity_catches_flipped_gradient(monkeypatch):
-    assert commutativity_defect(np.random.default_rng(1), 25) < 1e-12
-    monkeypatch.setattr(
-        weak_ops, "weak_gradient", lambda geom, vb: -weak_gradient(geom, vb)
-    )
-    assert commutativity_defect(np.random.default_rng(1), 25) > 1e-11
+    cube = mesh_at(1, 1)
+    meshes = random_tets(np.random.default_rng(1), 5) + [cube]
+    assert commutativity_defect(meshes, np.random.default_rng(1), 5) < 1e-12
+    for block in ("lamb", "q0"):  # the lamb-u and the q0-sb block
+        with monkeypatch.context() as patch:
+            flip_rows(patch, block)
+            assert commutativity_defect(meshes, np.random.default_rng(1), 5) > 1e-11
+            assert kernel_identity_defect(cube, np.random.default_rng(1)) > 1e-12
 
 
 def test_invariants_catch_flipped_curl(monkeypatch):
     cube = mesh_at(1, 1)
+    meshes = random_tets(np.random.default_rng(1), 5) + [cube]
     assert kernel_identity_defect(cube, np.random.default_rng(1)) < 1e-12
-    monkeypatch.setattr(
-        weak_ops, "weak_curl", lambda geom, psib: -weak_curl(geom, psib)
-    )
-    assert commutativity_defect(np.random.default_rng(1), 25) > 1e-11
+    flip_rows(monkeypatch, "qb")
+    assert commutativity_defect(meshes, np.random.default_rng(1), 5) > 1e-11
     assert kernel_identity_defect(cube, np.random.default_rng(1)) > 1e-12
