@@ -2,7 +2,8 @@
 
 Each tet's interior unknowns (``assembly.LOCAL_BLOCKS``) couple only with
 that tet and its faces, so they are eliminated exactly, tet by tet, and
-MINRES iterates on the Schur complement of the other unknowns.
+MINRES iterates on the Schur complement of the other unknowns, with each
+face's qb pair in an orthonormal frame.
 """
 
 import numpy as np
@@ -55,40 +56,80 @@ def _ruiz_scale(A_G, diagonal):
     return d[:nG]
 
 
+def _frame(tangents, pairs, n):
+    """R, n x n: the identity, but on each qb pair ``pairs`` (k, 2) of a
+    face with ``tangents`` (k, 2, 3) t1, t2, the Gram-Schmidt frame
+    R_F = [[1, -c/nu], [0, 1/nu]], c = t1.t2 and nu = (1 - c^2)^(1/2).
+    R_F a is the pair of coefficients on t1, t2 of the trace a1 e1 + a2 e2
+    in the orthonormal e1 = t1, e2 = (t2 - c t1) / nu, so R_F^T G_F R_F = I
+    for the Gram matrix G_F of t1, t2."""
+    first, second = pairs.T
+    t1, t2 = tangents.transpose(1, 0, 2)
+    c = np.einsum("fd,fd->f", t1, t2)
+    inverse_nu = 1.0 / np.sqrt(1.0 - c * c)
+    diagonal = np.ones(n)
+    diagonal[second] = inverse_nu
+    at = np.arange(n)
+    return _csr_from_triplets([(at, at, diagonal), (first, second, -c * inverse_nu)], n)
+
+
 class Condensed:
-    """The Ruiz-equilibrated, shifted Schur complement of the local unknowns.
+    """The Ruiz-equilibrated, shifted Schur complement of the local
+    unknowns, in an orthonormal frame of each face's qb pair.
 
     The free DoFs split into the local ones, L (``assembly.LOCAL_BLOCKS``),
-    and the rest, G.  A_LL = D is block diagonal, one 1x1 or 3x3 block per
-    tet and local block, so D^-1 takes one ``np.linalg.inv`` per block name
-    (static condensation: Cockburn, Gopalakrishnan & Lazarov, SIAM J.
-    Numer. Anal. 47, 2009).  The complement S = A_GG - A_GL D^-1 A_LG is
-    scaled by s = ``_ruiz_scale(A_G, diag(S))``, a max-norm equilibration
-    of A_GG with diag(S) on its diagonal, the scale the direct path takes
-    of ``A_ff``.  It costs the product nothing, and MINRES takes 16-29%
-    fewer iterations (problems 1-7, 1/h <= 8) than with a Jacobi scale,
-    which has to floor the zero ``u`` diagonal.
+    and the rest, G.  ``dofmap.tangents`` writes a face's qb trace on the
+    unit edge directions t1, t2 from its lowest vertex, whose Gram matrix
+    G_F has condition number 3.7, 5.8 or 9.9 on a Kuhn face and more on
+    a skinny one (26 on problem 1's mesh at 1/h = 4 jittered by 0.2 h).
+    The diagonal scale and the rank-one shift below cannot undo that 2x2
+    coupling, so the system is first written in the Gram-Schmidt frame:
+    ``frame`` is R, n x n in the order G, then L, the identity but on
+    each free face's qb pair, where it is the R_F of :func:`_frame`, with
+    R_F^T G_F R_F = I (a block-diagonal congruence; Benzi, Golub &
+    Liesen, Acta Numerica 14, 2005).  Below, A_GG, A_GL, A_LG and S are
+    the blocks of R^T A_ff R, whose products drop the exact zeros they
+    make (``A_G`` holds 16% fewer entries on problem 4 at 1/h = 4); a
+    ``ladder_minres`` pass takes about a quarter fewer iterations than on
+    the edge pairs.  The frame lives here, not in ``build_dof_map``:
+    orthonormal ``dofmap.tangents`` would change the pattern of the
+    assembled ``A``, since ``assemble_global``'s sums drop its new exact
+    zeros, and the direct path and the recorded system digests read ``A``.
+
+    A_LL = D is block diagonal, one 1x1 or 3x3 block per tet and local
+    block, so D^-1 takes one ``np.linalg.inv`` per block name (static
+    condensation: Cockburn, Gopalakrishnan & Lazarov, SIAM J. Numer.
+    Anal. 47, 2009).  The complement S = A_GG - A_GL D^-1 A_LG is scaled
+    by s = ``_ruiz_scale(A_G, diag(S))``, a max-norm equilibration of
+    A_GG with diag(S) on its diagonal, the equilibration the direct path
+    applies to all of ``A_ff``.  It costs the product nothing, and MINRES
+    takes 16-29% fewer iterations (problems 1-7, 1/h <= 8) than with a
+    Jacobi scale, which has to floor the zero ``u`` diagonal.
     diag(A_GL D^-1 A_LG) is the column sums of the entrywise product
     A_LG * (D^-1 A_LG), summed over the pattern of D^-1 A_LG.
 
     The pin of one lam0 leaves the constant-lambda mode as one isolated
     small eigenvalue of s S s; its vector is nearly q, the unit vector of
-    1/s on the lamb positions of G.  ``self @ z`` is P s S s P z with
+    1/s on the lamb positions of G, which the frame leaves alone.
+    ``self @ z`` is P s S s P z with
     P = I + f q q^T and f = |mu|^(-1/2) - 1, mu = q^T s S s q, which moves
     the Rayleigh quotient of q to 1 (a rank-one deflation in the sense of
     Frank & Vuik, SIAM J. Sci. Comput. 23, 2001); P is SPD, since
-    f > -1.  An iterate z stands for y = P z, x_G = s y and
-    x_L = D^-1 (F_L - A_LG x_G) = g + C y, with g = D^-1 F_L and
-    C = -D^-1 A_LG s, and ``b`` is P s (F_G - A_GL g).  S is not formed,
-    since it has more entries than ``A_ff`` (1.39 times on problem 4 at
-    1/h = 4): ``A_G`` holds the rows G of ``A_ff`` scaled by s, their
+    f > -1.  An iterate z stands for y = P z, x_G = R s y and
+    x_L = D^-1 (F_L - A_LG s y) = g + C y, with g = D^-1 F_L and
+    C = -D^-1 A_LG s, and ``b`` is P s (R^T F_G - A_GL g).  S is not
+    formed, since it has more entries than ``A_ff`` (1.39 times on
+    problem 4 at 1/h = 4): ``A_G`` holds the rows G scaled by s, their
     columns G scaled by s too, and a product multiplies C by y, then
     ``A_G`` by [y; C y].  Its dots are ``np.einsum`` sums, as in
-    :func:`~divcurl.solver._minres`, so a product calls no BLAS.
+    :func:`~divcurl.solver._minres`, and R is applied by scipy's sparse
+    products, so neither a product nor the frame calls BLAS.
 
     It reduces ``system`` itself (one call of ``GlobalSystem.reduced``)
-    and frees ``A_ff`` once it holds ``A_G``, with the columns G first,
-    then L.  :func:`~divcurl.solver.solve` reads the true residual of
+    and frees ``A_ff`` once it holds the rows G and the block A_LG, and
+    only then builds and applies the frame, one product at a time;
+    ``A_G``'s columns are G first, then L.
+    :func:`~divcurl.solver.solve` reads the true residual of
     ``solution(z)`` from one product with the assembled matrix.
     """
 
@@ -120,12 +161,24 @@ class Condensed:
         # lam0 is local and every lamb is free, so lamb is the first block
         # of G; the slice costs a product two short dots and two short axpys
         lamb = slice(0, dm.num_faces)
-        del local, position
-        diagonal = A_ff.diagonal()[G]
+        qb = position[dm.block("qb")].reshape(-1, 2)
+        faces = np.flatnonzero(qb[:, 0] >= 0)  # a pair is free or fixed whole
+        pairs = order[qb[faces]]
+        del local, position, qb
         A_LG = A_ff[L][:, G]
         self.A_G = A_ff[G]
         del A_ff
+        # built after A_ff is freed, whose slicing is the peak of the
+        # solve: a frame alive there lifts it by its own bytes
+        self.frame = R = _frame(dm.tangents[faces], pairs, n)
+        del faces, pairs
+        R_GT = R[:nG, :nG].T.tocsr()
+        # one product a statement, so that each frees the matrix it rotates
+        A_LG = A_LG @ R_GT.T
         self.A_G.indices = order[self.A_G.indices]
+        self.A_G = R_GT @ self.A_G
+        self.A_G = self.A_G @ R
+        diagonal = self.A_G.diagonal()
 
         Dinv = _csr_from_triplets(inverses, nL)
         del inverses
@@ -155,7 +208,7 @@ class Condensed:
         self.shift = abs(mu) ** -0.5 - 1.0
         self._x[:nG] = 0.0
         self._x[nG:] = self.g
-        self.b = self._project(s * F_f[G] - self.A_G @ self._x)
+        self.b = self._project(s * (R_GT @ F_f[G]) - self.A_G @ self._x)
 
     def _project(self, z):
         """P z, in place."""
@@ -178,4 +231,4 @@ class Condensed:
         """The free DoFs of the iterate ``z``, in the order of ``A_ff``."""
         nG, x = len(z), self._iterate(z)
         x[nG:] += self.g
-        return np.concatenate([self.scale * x[:nG], x[nG:]])[self.order]
+        return (self.frame @ np.concatenate([self.scale * x[:nG], x[nG:]]))[self.order]

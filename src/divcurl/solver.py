@@ -21,10 +21,10 @@ __all__ = [
 # beyond this many free unknowns the automatic method switches to MINRES;
 # the multifrontal factor stores 4-byte entries with no index, and their
 # number grows like n^(4/3): the study of problem 4 at 1/h = 2, 4, 8 (340k
-# free, 78M factor entries) runs in about 2.4 s direct with a 0.60 GB
-# peak, against 7.1-7.4 s and 0.21 GB by MINRES on the shifted
-# Ruiz-equilibrated condensed system (11 s without the shift, 15 s with
-# a Jacobi scale; one fresh process each, 2-core machine)
+# free, 78M factor entries) runs in 4.0-4.4 s direct with a 0.57 GB
+# peak, against 12.2-12.7 s and 0.21 GB by MINRES on the shifted
+# Ruiz-equilibrated condensed system in the qb pairs' orthonormal frame
+# (13.7-15.0 s on the edge pairs; one fresh process each, 2-core machine)
 DIRECT_DOF_LIMIT = 400_000
 
 

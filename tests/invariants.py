@@ -345,37 +345,67 @@ def frontal_defects(system) -> dict:
 def condensed_defects(system) -> dict:
     """Defects of ``Condensed(system)`` against its definition through
     the dense Schur complement S of the local unknowns; counts are 0 and
-    relative defects near round-off when the facts hold.  With s its
-    scale, q the unit vector of 1/s on the lamb positions, f its shift,
-    P = I + f q q^T and one random z:
+    relative defects near round-off when the facts hold.  With R its
+    frame, s its scale, q the unit vector of 1/s on the lamb positions,
+    f its shift, P = I + f q q^T and one random z:
 
-    - ``product``, ``b``: ``@ z`` and ``b`` against P s S s P z and
-      P s (F_G - A_GL A_LL^-1 F_L);
+    - ``frame``: the largest |R_F^T G_F R_F - I| over the free faces,
+      R_F the frame's 2x2 block on the face's qb pair and G_F the Gram
+      matrix of its ``dofmap.tangents``, or |R - I| off those blocks;
+    - ``product``, ``b``: ``@ z`` and ``b`` against P s R^T S R s P z and
+      P s R^T (F_G - A_GL A_LL^-1 F_L), R on the G positions;
     - ``projection``: P z by ``np.einsum`` against the dense product;
-    - ``solution_g``: G entries of ``solution(z)`` other than bitwise s P z;
+    - ``solution_g``: G entries of ``solution(z)`` other than bitwise
+      R s P z, R applied by the frame's own product;
     - ``local_rows``: its largest local-row residual over the largest |F|;
     - ``raw_residual``: free rows where the residual ``solve`` reads, of
       the assembled matrix, is not bitwise that of ``A_ff``;
     - ``ruiz_low``, ``ruiz_high``: how far the largest |entry| of a row of
-      s A_GG s with diag(S) on its diagonal lies below 0.9 or above 1;
+      s R^T A_GG R s with diag(R^T S R) on its diagonal lies below 0.9 or
+      above 1;
     - ``q``: the held q's largest relative defect;
-    - ``shift``: |(1 + f)^2 mu - 1|, mu = q^T s S s q, or inf unless f > -1.
+    - ``shift``: |(1 + f)^2 mu - 1|, mu = q^T s R^T S R s q, or inf
+      unless f > -1.
     """
     A_ff, F_f = system.reduced()
     S = Condensed(system)
     nG = len(S.b)
     GL = np.argsort(S.order)  # the free index of each position, G then L
     G, L = GL[:nG], GL[nG:]
-    A = A_ff[GL][:, GL].toarray()
+    dm = system.dofmap
+
+    def positions(name):
+        """G-then-L positions of the free DoFs of block ``name``, and
+        which of the block's raw DoFs are free."""
+        raw = np.arange(*dm.offsets[name])
+        free = np.isin(raw, dm.free)
+        return S.order[np.searchsorted(dm.free, raw[free])], free
+
+    R = S.frame
+    pairs, free = positions("qb")
+    pairs = pairs.reshape(-1, 2)
+    T = dm.tangents[free.reshape(-1, 2)[:, 0]]
+    R_F = np.asarray(R[np.repeat(pairs, 2, axis=1).ravel(), np.tile(pairs, 2).ravel()])
+    R_F = R_F.reshape(-1, 2, 2)
+    gram = np.einsum("fid,fjd->fij", T, T)
+    pair = np.full(R.shape[0], -1)
+    pair[pairs] = np.arange(len(pairs))[:, None]
+    off = (R - sparse.identity(R.shape[0])).tocoo()
+    outside = (pair[off.row] != pair[off.col]) | (pair[off.row] < 0)
+    frame = max(
+        np.abs(R_F.transpose(0, 2, 1) @ gram @ R_F - np.eye(2)).max(),
+        np.abs(off.data[outside]).max(initial=0.0),
+    )
+    A = (R.T @ A_ff[GL][:, GL] @ R).toarray()
+    F = R.T @ F_f[GL]
     D_inv = np.linalg.inv(A[nG:, nG:])
     schur = A[:nG, :nG] - A[:nG, nG:] @ D_inv @ A[nG:, :nG]
     s = S.scale
-    # the Ruiz band of A_GG with the complement's diagonal
+    # the Ruiz band of R^T A_GG R with the complement's diagonal
     P = A[:nG, :nG].copy()
     np.fill_diagonal(P, np.diag(schur))
     largest = np.abs(s[:, None] * P * s).max(axis=1)
-    dm = system.dofmap
-    lamb = S.order[np.searchsorted(dm.free, np.arange(*dm.offsets["lamb"]))]
+    lamb, _ = positions("lamb")
     q = np.zeros(nG)
     q[lamb] = 1.0 / s[lamb]
     q /= np.linalg.norm(q)
@@ -383,7 +413,7 @@ def condensed_defects(system) -> dict:
     P = np.eye(nG) + S.shift * np.outer(q, q)
     z = np.random.default_rng(7).standard_normal(nG)
     product = P @ (s * (schur @ (s * (P @ z))))
-    b = P @ (s * (F_f[G] - A[:nG, nG:] @ D_inv @ F_f[L]))
+    b = P @ (s * (F[:nG] - A[:nG, nG:] @ D_inv @ F[nG:]))
     x = S.solution(z)
     y = z.copy()
     # the dot of _project, summed by einsum, not BLAS, so the bits agree
@@ -391,10 +421,11 @@ def condensed_defects(system) -> dict:
     r = F_f - A_ff @ x
     raw = system.F - system.A @ system.expand(x)
     return {
+        "frame": float(frame),
         "product": float(np.abs(S @ z - product).max() / np.abs(product).max()),
         "b": float(np.abs(S.b - b).max() / np.abs(b).max()),
         "projection": float(np.abs(y - P @ z).max() / np.abs(y).max()),
-        "solution_g": int((x[G] != s * y).sum()),
+        "solution_g": int((x[G] != R[:nG, :nG] @ (s * y)).sum()),
         "local_rows": float(np.abs(r[L]).max() / np.abs(F_f).max()),
         "raw_residual": int((raw[dm.free] != r).sum()),
         "ruiz_low": float(max(0.9 - largest.min(), 0.0)),
